@@ -82,6 +82,7 @@
 use crate::harness::{fmt_f, Report, Table};
 use crate::setups::{self, EngineChoice};
 use std::time::Instant;
+use vda_core::metrics::percentile;
 use vda_core::problem::{QoS, ResourceVector, SearchSpace};
 use vda_core::tenant::Tenant;
 use vda_core::VirtualizationDesignAdvisor;
@@ -614,7 +615,7 @@ pub fn measure_with(scale: FleetScale) -> Result<FleetBench, String> {
         warm_solve_stats.1 += d;
         warm_solve_stats.2 += l;
     }
-    let latencies = warm.latencies_ms();
+    let latencies: Vec<f64> = warm_outcomes.iter().map(|o| o.latency_ms).collect();
     let mean_ms = latencies.iter().sum::<f64>() / latencies.len().max(1) as f64;
 
     Ok(FleetBench {
@@ -635,7 +636,7 @@ pub fn measure_with(scale: FleetScale) -> Result<FleetBench, String> {
         snapshot_roundtrip,
         resume_matches,
         results_match,
-        p99_ms: warm.p99_latency_ms(),
+        p99_ms: percentile(&latencies, 99.0),
         mean_ms,
         warm_wall_ms,
         cold_wall_ms,

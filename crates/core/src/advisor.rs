@@ -228,7 +228,7 @@ impl VirtualizationDesignAdvisor {
     /// refit, so a migration never forces a recalibration the paper
     /// says is unnecessary). Across *non-identical* machines the model
     /// is demoted to a what-if prior: the destination must calibrate
-    /// for itself ([`Self::ensure_calibrated`], or a fleet manager
+    /// for itself ([`Self::ensure_calibrated`], or the control plane
     /// installing a per-class model via [`Self::install_calibration`])
     /// and the refined model is rebuilt lazily by the usual refinement
     /// rounds. Cached estimates move along only while they remain
@@ -355,9 +355,9 @@ impl VirtualizationDesignAdvisor {
 
     /// Install a calibrated model for `kind` (replacing any existing
     /// one) and cold-start the estimate caches of that kind's tenants.
-    /// The fleet manager uses this to share one per-machine-class
-    /// calibration across machines of identical hardware instead of
-    /// refitting on every migration.
+    /// The [`ControlPlane`](crate::controlplane::ControlPlane) uses
+    /// this to share one per-hardware-class calibration across machines
+    /// of identical hardware instead of refitting on every migration.
     pub fn install_calibration(&mut self, kind: EngineKind, model: CalibratedModel) {
         match self.models.iter_mut().find(|(k, _)| *k == kind) {
             Some((_, m)) => {

@@ -1,14 +1,14 @@
 //! The sharded fleet **control plane**: event-driven re-optimization
 //! at production scale.
 //!
-//! [`FleetManager`](crate::dynamic::FleetManager) runs the paper's §6
-//! loop as synchronous monitoring periods: every machine re-solves
-//! every period. That is the right shape for tens of machines and the
-//! paper's experiments, but a fleet of hundreds of machines and
-//! thousands of tenants does not change in lockstep — it emits a
-//! stream of *events* (a workload drifts, a tenant arrives or leaves,
-//! a machine is decommissioned), and only a handful of machines are
-//! affected by each one. [`ControlPlane`] is the event-driven layer:
+//! The paper's §6 manager
+//! ([`DynamicConfigManager`](crate::dynamic::DynamicConfigManager))
+//! runs one machine in synchronous monitoring periods. A fleet of
+//! hundreds of machines and thousands of tenants does not change in
+//! lockstep — it emits a stream of *events* (a workload drifts, a
+//! tenant arrives or leaves, a machine is decommissioned), and only a
+//! handful of machines are affected by each one. [`ControlPlane`] is
+//! the event-driven fleet manager:
 //!
 //! 1. **Shard** the fleet by pricing class
 //!    ([`MachineClass::of`]`(space).salted(hardware)` — see
@@ -37,17 +37,18 @@
 //!    [`VirtualizationDesignAdvisor::transfer_tenant`]: cross-class
 //!    moves install the destination class's registry model instead of
 //!    trusting one fit on different hardware.
-//! 4. **Record**: each event appends a [`Decision`] to the log and a
-//!    wall-clock decision latency to the (non-durable) latency ring;
-//!    [`ControlPlane::p99_latency_ms`] summarizes via
-//!    [`crate::metrics::percentile`].
+//! 4. **Record**: each event appends a [`Decision`] to the log; its
+//!    [`EventOutcome`] also reports the wall-clock decision latency,
+//!    which is measurement, never state, and is not retained.
 //!
 //! Events can also be ingested **in batches**
 //! ([`ControlPlane::process_batch`]): same-slot workload events are
 //! coalesced (last-write-wins — see the method docs for the exact
 //! rule), every dirty machine is marked once, and the whole batch is
 //! re-solved in a *single* parallel wave instead of one wave per
-//! event. At scale both the probe cache and the decision log run in
+//! event. Both entry points run the same loop:
+//! [`ControlPlane::process_event`] is the batch of one. At scale both
+//! the probe cache and the decision log run in
 //! **bounded-memory modes**: a row-capped [`ProbeCache`] with
 //! deterministic logical-epoch LRU eviction
 //! ([`ControlPlaneOptions::probe_cache_capacity`]) and a ring-buffer
@@ -67,12 +68,11 @@ use crate::advisor::{Recommendation, VirtualizationDesignAdvisor};
 use crate::costmodel::adaptive::{refit, Adaption, AdaptionOptions, RuntimeAdaptionStorage};
 use crate::costmodel::calibration::{CalibratedModel, Calibrator};
 use crate::costmodel::whatif::{ProbeCache, WhatIfEstimator};
-use crate::dynamic::{migration_gain, two_mut, Migration};
 use crate::enumerate::{
     try_coarse_to_fine_search_with, CoarseToFineOptions, MachineClass, SearchOptions, SearchResult,
 };
 use crate::guardrail::{GuardrailOptions, GuardrailState, GuardrailTracker};
-use crate::metrics::{percentile, Clock, CostAccounting};
+use crate::metrics::{Clock, CostAccounting};
 use crate::placement::machine_capacity;
 use crate::problem::{QoS, SearchSpace};
 use crate::snapshot::{
@@ -81,6 +81,7 @@ use crate::snapshot::{
 use crate::tenant::Tenant;
 use parking_lot::Mutex;
 use rayon::prelude::ParallelMapSlice;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use vda_simdb::engines::EngineKind;
 use vda_workloads::Workload;
@@ -232,6 +233,25 @@ impl Default for ControlPlaneOptions {
             adaptive: None,
         }
     }
+}
+
+/// One executed cross-machine migration.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Migration {
+    /// Name of the migrated tenant.
+    pub tenant: String,
+    /// Source machine.
+    pub from: usize,
+    /// Destination machine.
+    pub to: usize,
+    /// Relative fleet-objective improvement the estimators promised.
+    pub estimated_gain: f64,
+    /// Whether the tenant's calibrated model could not travel (a
+    /// cross-hardware-class move), so the destination installed its
+    /// class's registry calibration (`false` when the model traveled
+    /// or the destination was already calibrated — see
+    /// [`crate::advisor::TransferCalibration`]).
+    pub recalibrated: bool,
 }
 
 /// One entry of the durable decision log: what an event (or batch)
@@ -397,8 +417,9 @@ pub struct BatchOutcome {
     pub seq: u64,
     /// Number of events the batch carried.
     pub events: usize,
-    /// Compact description of the batch composition (same string as
-    /// the logged [`Decision`]).
+    /// Compact description of the batch composition, or of its only
+    /// event in a batch of one (same string as the logged
+    /// [`Decision`]).
     pub action: String,
     /// Machines re-solved by this batch (sorted).
     pub resolved: Vec<usize>,
@@ -514,11 +535,10 @@ pub struct ControlPlane {
     tuners: BTreeMap<(u64, EngineKind), GuardrailTracker>,
     log: DecisionLog,
     seq: u64,
-    /// Latency source for [`process_event`](Self::process_event):
-    /// wall by default, injectable ([`Self::set_clock`]) so tests and
-    /// replays get deterministic latency reports.
+    /// Latency source for every decision: wall by default, injectable
+    /// ([`Self::set_clock`]) so tests and replays get deterministic
+    /// latency reports.
     clock: Clock,
-    latencies_ms: Vec<f64>,
     optimizer_calls: u64,
     resolves: u64,
     waves: u64,
@@ -561,7 +581,6 @@ impl ControlPlane {
             log,
             seq: 0,
             clock: Clock::wall(),
-            latencies_ms: Vec::new(),
             optimizer_calls: 0,
             resolves: 0,
             waves: 0,
@@ -653,21 +672,10 @@ impl ControlPlane {
             .sum()
     }
 
-    /// Per-event wall-clock decision latencies (ms) since this process
-    /// started. Deliberately *not* part of snapshots: wall-clock is not
-    /// deterministic state.
-    pub fn latencies_ms(&self) -> &[f64] {
-        &self.latencies_ms
-    }
-
-    /// Nearest-rank p99 over [`Self::latencies_ms`].
-    pub fn p99_latency_ms(&self) -> f64 {
-        percentile(&self.latencies_ms, 99.0)
-    }
-
     /// Replace the latency clock. Wall by default; inject a
-    /// [`Clock::manual`] to make [`Self::latencies_ms`] deterministic
-    /// (tests, replay harnesses). Takes effect from the next event.
+    /// [`Clock::manual`] to make the outcomes' `latency_ms`
+    /// deterministic (tests, replay harnesses). Takes effect from the
+    /// next event.
     pub fn set_clock(&mut self, clock: Clock) {
         self.clock = clock;
     }
@@ -702,53 +710,27 @@ impl ControlPlane {
         map
     }
 
-    /// Apply one fleet event: re-solve the dirty machines (in
-    /// parallel, warm), reconcile migration candidates, log the
-    /// [`Decision`], and record the decision latency.
+    /// Apply one fleet event: the batch of one. Re-solves the dirty
+    /// machines (in parallel, warm), reconciles the migration
+    /// candidate, logs the [`Decision`] and measures the decision
+    /// latency, through the same loop as
+    /// [`process_batch`](Self::process_batch) — the event is moved in,
+    /// never cloned.
+    ///
+    /// # Panics
+    ///
+    /// Under the same conditions as [`process_batch`](Self::process_batch).
     pub fn process_event(&mut self, event: FleetEvent) -> EventOutcome {
-        let started_ms = self.clock.now_ms();
-        let calls_before = self.optimizer_calls;
-        if !self.options.incremental {
-            self.cold_start();
-        }
-        // Probe recency for this event's lookups is the event's own
-        // 1-based sequence number — a logical epoch, never wall clock.
-        self.probe.set_epoch(self.seq + 1);
-        let (action, mut dirty, candidate) = self.apply(event);
-        self.resolve(&dirty);
-        let migration = candidate.and_then(|(m, slot)| self.reconcile(m, slot));
-        if let Some(mig) = &migration {
-            dirty.push(mig.from);
-            dirty.push(mig.to);
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-        self.seq += 1;
-        if self.options.prune_every > 0 && self.seq.is_multiple_of(self.options.prune_every) {
-            self.prune_caches();
-        }
-        // The serial sync point: no solve wave is in flight, so the
-        // LRU eviction scan sees a thread-count-independent recency
-        // map.
-        self.probe.enforce_capacity();
-        let objective = self.objective();
-        self.log.push(Decision {
-            seq: self.seq,
-            action: action.clone(),
-            resolved: dirty.clone(),
-            migrations: migration.clone().into_iter().collect(),
-            objective,
-        });
-        let latency_ms = self.clock.now_ms() - started_ms;
-        self.latencies_ms.push(latency_ms);
+        let mut outcome = self.ingest(std::iter::once(event));
         EventOutcome {
-            seq: self.seq,
-            action,
-            resolved: dirty,
-            migration,
-            objective,
-            latency_ms,
-            optimizer_calls: self.optimizer_calls - calls_before,
+            seq: outcome.seq,
+            action: outcome.action,
+            resolved: outcome.resolved,
+            // One event yields at most one candidate, so at most one move.
+            migration: outcome.migrations.pop(),
+            objective: outcome.objective,
+            latency_ms: outcome.latency_ms,
+            optimizer_calls: outcome.optimizer_calls,
         }
     }
 
@@ -758,13 +740,14 @@ impl ControlPlane {
     /// # The coalescing rule (deterministic, last-write-wins)
     ///
     /// Event *mutations* are applied strictly in order, so the fleet
-    /// state after the batch is identical to what serial
-    /// [`process_event`](Self::process_event) replay would leave
-    /// behind — and since every placement is recomputed
-    /// deterministically from that state, the re-solved placements and
-    /// the batch objective are bit-identical to the serial replay's
-    /// (on unconstrained machines, i.e. when the serial replay takes
-    /// no intermediate migration). What *is* coalesced:
+    /// state after the batch is identical to what replaying the same
+    /// events as a sequence of one-event batches
+    /// ([`process_event`](Self::process_event)) would leave behind —
+    /// and since every placement is recomputed deterministically from
+    /// that state, the re-solved placements and the batch objective
+    /// are bit-identical to the serial replay's (on unconstrained
+    /// machines, i.e. when the serial replay takes no intermediate
+    /// migration). What *is* coalesced:
     ///
     /// * **Major/minor classification** runs once per touched `(machine,
     ///   slot)`, comparing the per-query estimate *before the slot's
@@ -791,7 +774,9 @@ impl ControlPlane {
     /// One [`Decision`] is logged per batch; `seq` advances by the
     /// number of events carried, so the probe cache's logical epoch
     /// and [`ControlPlaneOptions::prune_every`] see the same event
-    /// arithmetic as serial ingestion.
+    /// arithmetic as serial ingestion. A batch of several events logs
+    /// its composition (`"batch n3 (…)"`); a batch of one logs that
+    /// event's own action, e.g. `"workload-changed m3 t1 (major)"`.
     ///
     /// # Example
     ///
@@ -839,18 +824,27 @@ impl ControlPlane {
     ///
     /// # Panics
     ///
-    /// On an empty batch, and under the same conditions as
-    /// [`process_event`](Self::process_event) (capacity, binding,
-    /// decommissioning a non-empty machine).
+    /// On an empty batch, an arrival on a machine without a free
+    /// capacity slot, a new workload that does not bind against the
+    /// tenant's catalog, or decommissioning a non-empty machine.
     pub fn process_batch(&mut self, events: &[FleetEvent]) -> BatchOutcome {
         assert!(!events.is_empty(), "batch must carry at least one event");
+        self.ingest(events.iter().cloned())
+    }
+
+    /// The one event-application loop behind both entry points: apply
+    /// `events` serially, classify the touched slots, re-solve every
+    /// dirty machine in one wave, reconcile the candidates, prune, and
+    /// log one [`Decision`].
+    fn ingest(&mut self, events: impl ExactSizeIterator<Item = FleetEvent>) -> BatchOutcome {
+        let n = events.len();
         let started_ms = self.clock.now_ms();
         let calls_before = self.optimizer_calls;
         if !self.options.incremental {
             self.cold_start();
         }
-        // One logical epoch for the whole batch: the first event's
-        // sequence number.
+        // Probe recency is the first event's 1-based sequence number —
+        // a logical epoch, never wall clock.
         self.probe.set_epoch(self.seq + 1);
 
         // Per-slot classification records: first-touch pre-estimate,
@@ -861,8 +855,12 @@ impl ControlPlane {
         let mut arrivals: Vec<(usize, usize)> = Vec::new();
         let mut dirty: Vec<usize> = Vec::new();
         let mut kinds = BatchKinds::default();
+        // A one-event decision logs the event's own action, formatted
+        // only then; a workload event's classification label is
+        // appended once it is known, after the loop.
+        let mut single: Option<String> = None;
 
-        for event in events.iter().cloned() {
+        for event in events {
             match event {
                 FleetEvent::WorkloadChanged {
                     machine,
@@ -876,6 +874,9 @@ impl ControlPlane {
                         .expect("new workload must bind against the tenant's catalog");
                     dirty.push(machine);
                     kinds.changed += 1;
+                    if n == 1 {
+                        single = Some(format!("workload-changed m{machine} t{slot}"));
+                    }
                 }
                 FleetEvent::WorkloadScaled {
                     machine,
@@ -888,6 +889,9 @@ impl ControlPlane {
                         .scale_workload(factor);
                     dirty.push(machine);
                     kinds.scaled += 1;
+                    if n == 1 {
+                        single = Some(format!("workload-scaled m{machine} t{slot}"));
+                    }
                 }
                 FleetEvent::TenantArrived {
                     machine,
@@ -904,9 +908,15 @@ impl ControlPlane {
                     arrivals.push((machine, slot));
                     dirty.push(machine);
                     kinds.arrived += 1;
+                    if n == 1 {
+                        single = Some(format!("tenant-arrived m{machine} t{slot}"));
+                    }
                 }
                 FleetEvent::TenantDeparted { machine, slot } => {
                     let (tenant, _) = self.machines[machine].remove_tenant(slot);
+                    // A canary must not outlive its evidence stream: if
+                    // the departed tenant was in any live canary subset,
+                    // that candidate rolls back deterministically.
                     dirty.extend(self.rollback_canaries_of_tenant(tenant.fingerprint()));
                     // The departed slot's records die with it; higher
                     // slots shift down (Vec::remove semantics).
@@ -929,6 +939,9 @@ impl ControlPlane {
                     }
                     dirty.push(machine);
                     kinds.departed += 1;
+                    if n == 1 {
+                        single = Some(format!("tenant-departed m{machine} ({})", tenant.name));
+                    }
                 }
                 FleetEvent::MachineDecommissioned { machine } => {
                     assert_eq!(
@@ -966,13 +979,22 @@ impl ControlPlane {
                             *d = machine;
                         }
                     }
+                    // Models only this machine's class used are now
+                    // dead weight in the probe cache; reclaim
+                    // immediately.
                     self.prune_caches();
                     kinds.decommissioned += 1;
+                    if n == 1 {
+                        single = Some(format!("machine-decommissioned m{machine}"));
+                    }
                 }
                 FleetEvent::ActualsReported { machine, slot } => {
-                    let (_, d) = self.handle_actuals(machine, slot);
+                    let (action, d) = self.handle_actuals(machine, slot);
                     dirty.extend(d);
                     kinds.actuals += 1;
+                    if n == 1 {
+                        single = Some(action);
+                    }
                 }
             }
         }
@@ -1018,16 +1040,25 @@ impl ControlPlane {
         dirty.dedup();
 
         let seq_before = self.seq;
-        self.seq += events.len() as u64;
+        self.seq += n as u64;
         if self.options.prune_every > 0
             && seq_before / self.options.prune_every < self.seq / self.options.prune_every
         {
             self.prune_caches();
         }
-        // Serial sync point, as in process_event.
+        // The serial sync point: no solve wave is in flight, so the
+        // LRU eviction scan sees a thread-count-independent recency
+        // map.
         self.probe.enforce_capacity();
         let objective = self.objective();
-        let action = kinds.describe(events.len());
+        let action = match single {
+            Some(prefix) if kinds.changed + kinds.scaled > 0 => {
+                let class = if kinds.major > 0 { "major" } else { "minor" };
+                format!("{prefix} ({class})")
+            }
+            Some(action) => action,
+            None => kinds.describe(n),
+        };
         self.log.push(Decision {
             seq: self.seq,
             action: action.clone(),
@@ -1035,16 +1066,14 @@ impl ControlPlane {
             migrations: migrations.clone(),
             objective,
         });
-        let latency_ms = self.clock.now_ms() - started_ms;
-        self.latencies_ms.push(latency_ms);
         BatchOutcome {
             seq: self.seq,
-            events: events.len(),
+            events: n,
             action,
             resolved: dirty,
             migrations,
             objective,
-            latency_ms,
+            latency_ms: self.clock.now_ms() - started_ms,
             optimizer_calls: self.optimizer_calls - calls_before,
         }
     }
@@ -1247,7 +1276,6 @@ impl ControlPlane {
             log,
             seq: snapshot.seq,
             clock: Clock::wall(),
-            latencies_ms: Vec::new(),
             optimizer_calls: snapshot.optimizer_calls,
             resolves: snapshot.resolves,
             waves: snapshot.waves,
@@ -1256,99 +1284,8 @@ impl ControlPlane {
     }
 
     // ------------------------------------------------------------------
-    // Event application
+    // Event classification
     // ------------------------------------------------------------------
-
-    /// Mutate the fleet per the event. Returns the action description,
-    /// the dirty machine set, and the migration candidate (machine,
-    /// slot), if the event produced one.
-    fn apply(&mut self, event: FleetEvent) -> (String, Vec<usize>, Option<(usize, usize)>) {
-        match event {
-            FleetEvent::WorkloadChanged {
-                machine,
-                slot,
-                workload,
-            } => {
-                let before = self.per_query_estimate(machine, slot);
-                self.machines[machine]
-                    .tenant_mut(slot)
-                    .set_workload(workload)
-                    .expect("new workload must bind against the tenant's catalog");
-                let major = self.classify_major(machine, slot, before);
-                let label = if major { "major" } else { "minor" };
-                (
-                    format!("workload-changed m{machine} t{slot} ({label})"),
-                    vec![machine],
-                    major.then_some((machine, slot)),
-                )
-            }
-            FleetEvent::WorkloadScaled {
-                machine,
-                slot,
-                factor,
-            } => {
-                let before = self.per_query_estimate(machine, slot);
-                self.machines[machine]
-                    .tenant_mut(slot)
-                    .scale_workload(factor);
-                let major = self.classify_major(machine, slot, before);
-                let label = if major { "major" } else { "minor" };
-                (
-                    format!("workload-scaled m{machine} t{slot} ({label})"),
-                    vec![machine],
-                    major.then_some((machine, slot)),
-                )
-            }
-            FleetEvent::TenantArrived {
-                machine,
-                tenant,
-                qos,
-            } => {
-                assert!(
-                    self.machines[machine].tenant_count() < machine_capacity(&self.spaces[machine]),
-                    "machine {machine} has no free capacity slot"
-                );
-                let slot = self.machines[machine].add_tenant(*tenant, qos);
-                self.ensure_machine_calibrated(machine);
-                (
-                    format!("tenant-arrived m{machine} t{slot}"),
-                    vec![machine],
-                    Some((machine, slot)),
-                )
-            }
-            FleetEvent::TenantDeparted { machine, slot } => {
-                let (tenant, _) = self.machines[machine].remove_tenant(slot);
-                let mut dirty = vec![machine];
-                // A canary must not outlive its evidence stream: if the
-                // departed tenant was in any live canary subset, that
-                // candidate rolls back deterministically.
-                dirty.extend(self.rollback_canaries_of_tenant(tenant.fingerprint()));
-                (
-                    format!("tenant-departed m{machine} ({})", tenant.name),
-                    dirty,
-                    None,
-                )
-            }
-            FleetEvent::MachineDecommissioned { machine } => {
-                assert_eq!(
-                    self.machines[machine].tenant_count(),
-                    0,
-                    "decommissioned machine must be empty"
-                );
-                self.machines.swap_remove(machine);
-                self.spaces.swap_remove(machine);
-                self.placements.swap_remove(machine);
-                // Models only this machine's class used are now dead
-                // weight in the probe cache; reclaim immediately.
-                self.prune_caches();
-                (format!("machine-decommissioned m{machine}"), vec![], None)
-            }
-            FleetEvent::ActualsReported { machine, slot } => {
-                let (action, dirty) = self.handle_actuals(machine, slot);
-                (action, dirty, None)
-            }
-        }
-    }
 
     /// §6.1 change metric at a fixed reference allocation, after the
     /// workload mutated: relative per-query estimate change vs
@@ -1451,7 +1388,7 @@ impl ControlPlane {
         self.optimizer_calls += src_calls;
         let src_new = src_new?;
 
-        let from_class = self.pricing_class(from);
+        let from_hw = self.hardware_class(from);
         let mut best: Option<(f64, usize, f64)> = None; // (net, dest, raw gain)
         for &d in &dests {
             let (dst_new, dst_calls) = self.price_with_extra(d, from, slot);
@@ -1461,7 +1398,9 @@ impl ControlPlane {
             let Some(gain) = migration_gain(base_total, candidate_total) else {
                 continue;
             };
-            let net = if self.pricing_class(d) != from_class {
+            // Only a move across hardware classes recalibrates; a
+            // different grid on identical hardware does not.
+            let net = if self.hardware_class(d) != from_hw {
                 gain - self.options.recalibration_surcharge
             } else {
                 gain
@@ -1612,8 +1551,8 @@ impl ControlPlane {
 
     /// Make sure the registry holds a model for machine `d`'s hardware
     /// class and `kind`, fitting on `d` if needed (the engine instance
-    /// comes from the migration-source tenant, like
-    /// [`crate::dynamic::FleetManager`] does).
+    /// comes from the migration-source tenant `source`), so a candidate
+    /// move is priced with the *destination* class's calibration.
     fn ensure_class_model_for(&mut self, d: usize, kind: EngineKind, source: (usize, usize)) {
         let hw = self.hardware_class(d);
         if let Some(model) = self.machines[d].calibration(kind) {
@@ -1915,6 +1854,41 @@ impl ControlPlane {
     }
 }
 
+/// Smallest fleet objective the relative migration gain may be
+/// divided by. A fleet objective near zero (all tenants idle) would
+/// otherwise turn float dust in the subtraction into an arbitrarily
+/// large relative "gain" and trigger a pointless migration.
+const MIGRATION_BASE_FLOOR: f64 = 1e-6;
+
+/// Smallest absolute objective improvement that counts as a migration
+/// gain at all — the absolute half of the absolute-plus-relative gate.
+const MIGRATION_MIN_IMPROVEMENT: f64 = 1e-9;
+
+/// Relative improvement of moving the fleet objective from `base` to
+/// `obj`, gated absolute-plus-relative: `None` unless the improvement
+/// clears [`MIGRATION_MIN_IMPROVEMENT`], and the denominator is
+/// bounded below by [`MIGRATION_BASE_FLOOR`] so a near-zero `base`
+/// cannot manufacture a spurious gain.
+fn migration_gain(base: f64, obj: f64) -> Option<f64> {
+    let improvement = base - obj;
+    if !improvement.is_finite() || improvement <= MIGRATION_MIN_IMPROVEMENT {
+        return None;
+    }
+    Some(improvement / base.abs().max(MIGRATION_BASE_FLOOR))
+}
+
+/// Distinct mutable borrows of two vector slots.
+fn two_mut<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
+    assert_ne!(a, b);
+    if a < b {
+        let (lo, hi) = v.split_at_mut(b);
+        (&mut lo[a], &mut hi[0])
+    } else {
+        let (lo, hi) = v.split_at_mut(a);
+        (&mut hi[0], &mut lo[b])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1949,13 +1923,17 @@ mod tests {
     }
 
     fn small_fleet() -> ControlPlane {
+        small_fleet_with(ControlPlaneOptions::default())
+    }
+
+    fn small_fleet_with(options: ControlPlaneOptions) -> ControlPlane {
         let machines = vec![
             machine_with(&[("a0", 18, 2.0), ("a1", 6, 2.0)]),
             machine_with(&[("b0", 1, 1.0)]),
             machine_with(&[]),
         ];
         let spaces = vec![SearchSpace::cpu_only(0.25); 3];
-        ControlPlane::new(machines, spaces, ControlPlaneOptions::default())
+        ControlPlane::new(machines, spaces, options)
     }
 
     #[test]
@@ -2142,17 +2120,21 @@ mod tests {
     #[test]
     fn decision_latencies_are_recorded_but_not_durable() {
         let mut plane = small_fleet();
-        plane.process_event(FleetEvent::WorkloadScaled {
+        let outcome = plane.process_event(FleetEvent::WorkloadScaled {
             machine: 0,
             slot: 0,
             factor: 1.2,
         });
-        assert_eq!(plane.latencies_ms().len(), 1);
-        assert!(plane.p99_latency_ms() >= 0.0);
-        let snap = plane.snapshot();
-        assert_eq!(snap.log.len(), 1);
+        assert!(outcome.latency_ms >= 0.0);
+        let batch = plane.process_batch(&[FleetEvent::WorkloadScaled {
+            machine: 1,
+            slot: 0,
+            factor: 1.2,
+        }]);
+        assert!(batch.latency_ms >= 0.0);
         // Latency is measurement, not state: Decision carries none.
-        assert!(plane.machine(0).tenant_count() > 0);
+        let snap = plane.snapshot();
+        assert_eq!(snap.log.len(), 2);
     }
 
     #[test]
@@ -2162,39 +2144,33 @@ mod tests {
         plane.set_clock(clock.clone());
         // The clock never advances during the event, so the measured
         // latency is exactly zero — bit-identical on every run.
-        plane.process_event(FleetEvent::WorkloadScaled {
+        let first = plane.process_event(FleetEvent::WorkloadScaled {
             machine: 0,
             slot: 0,
             factor: 1.2,
         });
         clock.advance_ms(7.25);
-        plane.process_event(FleetEvent::WorkloadScaled {
+        let second = plane.process_event(FleetEvent::WorkloadScaled {
             machine: 0,
             slot: 0,
             factor: 1.1,
         });
-        assert_eq!(plane.latencies_ms(), &[0.0, 0.0]);
-        assert_eq!(plane.p99_latency_ms(), 0.0);
+        assert_eq!([first.latency_ms, second.latency_ms], [0.0, 0.0]);
     }
 
-    #[test]
-    fn heterogeneous_arrival_pays_recalibration_surcharge() {
-        let mut fast = PhysicalMachine::paper_testbed();
-        fast.core_ghz *= 2.0;
+    /// Tenant `hot` arrives on a machine hosting `a0` and `a1`, next to
+    /// an idle machine on `hardware` searching `space`.
+    fn hot_arrival_beside(
+        hardware: PhysicalMachine,
+        space: SearchSpace,
+        options: ControlPlaneOptions,
+    ) -> (ControlPlane, EventOutcome) {
         let machines = vec![
             machine_with(&[("a0", 18, 2.0), ("a1", 6, 2.0)]),
-            machine_on(fast, &[]),
+            machine_on(hardware, &[]),
         ];
-        let spaces = vec![SearchSpace::cpu_only(0.25); 2];
-        let mut plane = ControlPlane::new(
-            machines,
-            spaces,
-            ControlPlaneOptions {
-                // Surcharge so high no cross-class move can clear it.
-                recalibration_surcharge: 1e6,
-                ..ControlPlaneOptions::default()
-            },
-        );
+        let spaces = vec![SearchSpace::cpu_only(0.25), space];
+        let mut plane = ControlPlane::new(machines, spaces, options);
         let cat = tpch::catalog(0.1);
         let tenant = Tenant::new("hot", Engine::pg(), cat, tpch::query_workload(18, 3.0)).unwrap();
         let outcome = plane.process_event(FleetEvent::TenantArrived {
@@ -2202,11 +2178,232 @@ mod tests {
             tenant: Box::new(tenant),
             qos: QoS::default(),
         });
+        (plane, outcome)
+    }
+
+    fn fast_testbed() -> PhysicalMachine {
+        let mut fast = PhysicalMachine::paper_testbed();
+        fast.core_ghz *= 2.0;
+        fast
+    }
+
+    #[test]
+    fn heterogeneous_arrival_pays_recalibration_surcharge() {
+        let (plane, outcome) = hot_arrival_beside(
+            fast_testbed(),
+            SearchSpace::cpu_only(0.25),
+            ControlPlaneOptions {
+                // Surcharge so high no cross-class move can clear it.
+                recalibration_surcharge: 1e6,
+                ..ControlPlaneOptions::default()
+            },
+        );
         assert!(
             outcome.migration.is_none(),
             "prohibitive surcharge must gate the cross-class move: {outcome:?}"
         );
         assert_eq!(plane.machine(0).tenant_count(), 3);
+    }
+
+    #[test]
+    fn cross_hardware_move_recalibrates_on_the_destination() {
+        let (plane, outcome) = hot_arrival_beside(
+            fast_testbed(),
+            SearchSpace::cpu_only(0.25),
+            ControlPlaneOptions::default(),
+        );
+        let mig = outcome
+            .migration
+            .expect("cross-class move clears the surcharge");
+        assert_eq!((mig.from, mig.to), (0, 1));
+        assert!(mig.recalibrated, "cross-hardware move must recalibrate");
+        // The destination serves estimates from its own hardware
+        // class's calibration, not a model fit on the source.
+        let kind = plane.machine(0).tenant(0).engine.kind();
+        assert!(plane.machine(1).calibration(kind).is_some());
+        assert_ne!(
+            plane.machine(1).calibration(kind),
+            plane.machine(0).calibration(kind),
+            "destination must not reuse a model fit on different hardware"
+        );
+    }
+
+    #[test]
+    fn surcharge_follows_hardware_class_not_search_space() {
+        // Identical hardware, different grids: two pricing classes,
+        // one hardware class. The move needs no recalibration, so even
+        // a prohibitive surcharge must not gate it.
+        let (plane, outcome) = hot_arrival_beside(
+            PhysicalMachine::paper_testbed(),
+            SearchSpace::cpu_only(0.25).with_delta(0.1),
+            ControlPlaneOptions {
+                recalibration_surcharge: 1e9,
+                ..ControlPlaneOptions::default()
+            },
+        );
+        assert_eq!(plane.shards().len(), 2, "two pricing classes");
+        let mig = outcome
+            .migration
+            .expect("same-hardware move is never surcharged");
+        assert_eq!((mig.from, mig.to), (0, 1));
+        assert!(!mig.recalibrated, "{mig:?}");
+    }
+
+    /// `small_fleet` under `options`, after tenant `a1` (machine 0,
+    /// slot 1) turns into a second heavy tenant next to `a0`.
+    fn after_major_drift(options: ControlPlaneOptions) -> (ControlPlane, EventOutcome) {
+        let mut plane = small_fleet_with(options);
+        let outcome = plane.process_event(FleetEvent::WorkloadChanged {
+            machine: 0,
+            slot: 1,
+            workload: tpch::query_workload(21, 5.0),
+        });
+        assert_eq!(outcome.action, "workload-changed m0 t1 (major)");
+        (plane, outcome)
+    }
+
+    #[test]
+    fn major_drift_migrates_to_the_idle_machine_unless_the_threshold_gates_it() {
+        let (moved, outcome) = after_major_drift(ControlPlaneOptions::default());
+        let mig = outcome.migration.expect("major drift must migrate");
+        assert_eq!((mig.tenant.as_str(), mig.from, mig.to), ("a1", 0, 2));
+        assert!(!mig.recalibrated, "same hardware class: model travels");
+        assert_eq!(moved.machine(0).tenant_count(), 1);
+        assert_eq!(moved.machine(2).tenant_count(), 1);
+        assert_eq!(outcome.resolved, vec![0, 2]);
+
+        // Same hardware: even a prohibitive surcharge leaves the move
+        // alone.
+        let (_, surcharged) = after_major_drift(ControlPlaneOptions {
+            recalibration_surcharge: 1e9,
+            ..ControlPlaneOptions::default()
+        });
+        assert_eq!(surcharged.migration, Some(mig));
+
+        let (gated, outcome) = after_major_drift(ControlPlaneOptions {
+            migration_threshold: 1e9, // nothing clears this bar
+            ..ControlPlaneOptions::default()
+        });
+        assert!(outcome.migration.is_none(), "{outcome:?}");
+        assert_eq!(gated.machine(0).tenant_count(), 2);
+        assert!(
+            moved.objective() < gated.objective(),
+            "the move must cut the estimated objective: {} vs {}",
+            moved.objective(),
+            gated.objective()
+        );
+    }
+
+    #[test]
+    fn per_event_action_strings_are_pinned() {
+        // Decision logs, snapshot bytes and per-kind tallies all read
+        // these strings: one event of each kind, full text.
+        let mut plane = small_fleet();
+        let mut action = |event| plane.process_event(event).action;
+        assert_eq!(
+            action(FleetEvent::WorkloadScaled {
+                machine: 0,
+                slot: 0,
+                factor: 1.5,
+            }),
+            "workload-scaled m0 t0 (minor)"
+        );
+        // Same query at another intensity: per-query cost unchanged.
+        assert_eq!(
+            action(FleetEvent::WorkloadChanged {
+                machine: 0,
+                slot: 1,
+                workload: tpch::query_workload(6, 4.0),
+            }),
+            "workload-changed m0 t1 (minor)"
+        );
+        assert_eq!(
+            action(FleetEvent::ActualsReported {
+                machine: 0,
+                slot: 0,
+            }),
+            "actuals-reported m0 t0 (off)"
+        );
+        assert_eq!(
+            action(FleetEvent::TenantDeparted {
+                machine: 1,
+                slot: 0,
+            }),
+            "tenant-departed m1 (b0)"
+        );
+        assert_eq!(
+            action(FleetEvent::MachineDecommissioned { machine: 1 }),
+            "machine-decommissioned m1"
+        );
+        let tenant = Tenant::new(
+            "c0",
+            Engine::pg(),
+            tpch::catalog(0.1),
+            tpch::query_workload(1, 1.0),
+        )
+        .unwrap();
+        assert_eq!(
+            action(FleetEvent::TenantArrived {
+                machine: 0,
+                tenant: Box::new(tenant),
+                qos: QoS::default(),
+            }),
+            "tenant-arrived m0 t2"
+        );
+        assert_eq!(
+            action(FleetEvent::WorkloadChanged {
+                machine: 0,
+                slot: 0,
+                workload: tpch::query_workload(21, 5.0),
+            }),
+            "workload-changed m0 t0 (major)"
+        );
+    }
+
+    #[test]
+    fn a_one_event_batch_decides_exactly_like_process_event() {
+        let events = || {
+            let hot = Tenant::new(
+                "hot",
+                Engine::pg(),
+                tpch::catalog(0.1),
+                tpch::query_workload(18, 3.0),
+            )
+            .unwrap();
+            vec![
+                FleetEvent::TenantArrived {
+                    machine: 0,
+                    tenant: Box::new(hot),
+                    qos: QoS::default(),
+                },
+                FleetEvent::WorkloadChanged {
+                    machine: 0,
+                    slot: 0,
+                    workload: tpch::query_workload(21, 5.0),
+                },
+                FleetEvent::TenantDeparted {
+                    machine: 1,
+                    slot: 0,
+                },
+            ]
+        };
+        let mut single = small_fleet();
+        let mut batched = small_fleet();
+        for (s, b) in events().into_iter().zip(events()) {
+            let s = single.process_event(s);
+            let b = batched.process_batch(&[b]);
+            assert_eq!(b.events, 1);
+            assert_eq!(s.action, b.action);
+            assert_eq!(s.resolved, b.resolved);
+            assert_eq!(s.migration.into_iter().collect::<Vec<_>>(), b.migrations);
+            assert_eq!(s.objective.to_bits(), b.objective.to_bits());
+            assert_eq!(s.optimizer_calls, b.optimizer_calls);
+        }
+        assert!(
+            single.stats().migrations > 0,
+            "the stream must move a tenant"
+        );
+        assert_eq!(single.snapshot().to_json(), batched.snapshot().to_json());
     }
 
     #[test]
@@ -2232,6 +2429,28 @@ mod tests {
         let space = SearchSpace::cpu_only(0.25);
         let r = space.default_allocation(2);
         assert_eq!(r, Allocation::new(0.5, 0.25));
+    }
+
+    #[test]
+    fn migration_gain_is_robust_near_zero_objectives() {
+        // A near-zero base objective used to manufacture huge relative
+        // gains out of float dust (the old gate divided by `base`
+        // unguarded). The absolute-plus-relative gate must reject
+        // noise-sized improvements outright...
+        assert_eq!(migration_gain(1e-12, 0.0), None);
+        assert_eq!(migration_gain(0.0, -1e-12), None);
+        // ...and scale dust-sized improvements by the floor, not the
+        // tiny base: 1e-8 improvement on a 1e-10 base is a 1e8×
+        // relative gain by the old math, but far below any plausible
+        // migration threshold with the floored denominator.
+        let g = migration_gain(1e-10, -1e-8 + 1e-10).unwrap();
+        assert!(g < 0.05, "spurious gain {g}");
+        // Regressions and no-ops are never gains.
+        assert_eq!(migration_gain(10.0, 10.0), None);
+        assert_eq!(migration_gain(10.0, 12.0), None);
+        // Real improvements keep their usual relative value.
+        let g = migration_gain(10.0, 9.0).unwrap();
+        assert!((g - 0.1).abs() < 1e-12);
     }
 
     #[test]

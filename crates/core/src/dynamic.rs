@@ -17,18 +17,15 @@
 //! Changes in workload *intensity* (same queries, higher arrival rate)
 //! do not move the per-query metric — by design — and are absorbed by
 //! the refinement scaling instead.
+//!
+//! [`DynamicConfigManager`] manages one machine. The fleet runs the
+//! same classification event by event, with cross-machine migration,
+//! in [`ControlPlane`](crate::controlplane::ControlPlane).
 
 use crate::advisor::VirtualizationDesignAdvisor;
-use crate::costmodel::calibration::{CalibratedModel, Calibrator};
-use crate::costmodel::whatif::{ProbeCache, WhatIfEstimator};
-use crate::enumerate::MachineClass;
-use crate::placement::{machine_capacity, AssignmentPricer, FleetOptions};
-use crate::problem::{Allocation, QoS, SearchSpace};
+use crate::problem::{Allocation, SearchSpace};
 use crate::refine::{refine, RefineOptions, RefinedModel};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::collections::HashMap;
-use vda_simdb::engines::EngineKind;
 
 /// How the manager reacts to each period.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -310,572 +307,6 @@ impl DynamicConfigManager {
     }
 }
 
-/// Settings of the fleet-level dynamic manager.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetDynamicOptions {
-    /// Per-machine §6 management settings.
-    pub dynamic: DynamicOptions,
-    /// Minimum relative fleet-objective improvement an estimated
-    /// migration must promise before it is executed (migrations are
-    /// disruptive; small gains are not worth moving a database).
-    pub migration_threshold: f64,
-    /// Extra relative gain (on top of [`Self::migration_threshold`])
-    /// a migration that crosses **hardware classes** must promise.
-    /// Such a move is strictly more expensive than a same-class one:
-    /// the tenant's calibrated model is demoted (a destination-class
-    /// calibration must be fit or installed), its estimate cache is
-    /// dropped, and refinement restarts from a what-if prior — so
-    /// same-class and cross-class moves must not be priced
-    /// identically. Set to `0.0` to restore the old single-threshold
-    /// gate.
-    pub recalibration_surcharge: f64,
-    /// Pricing options for candidate placements (the `machines` field
-    /// is overwritten with the fleet's machine count).
-    pub fleet: FleetOptions,
-}
-
-impl Default for FleetDynamicOptions {
-    fn default() -> Self {
-        FleetDynamicOptions {
-            dynamic: DynamicOptions::default(),
-            migration_threshold: 0.05,
-            recalibration_surcharge: 0.02,
-            fleet: FleetOptions::default(),
-        }
-    }
-}
-
-/// One executed cross-machine migration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Migration {
-    /// Name of the migrated tenant.
-    pub tenant: String,
-    /// Source machine.
-    pub from: usize,
-    /// Destination machine.
-    pub to: usize,
-    /// Relative fleet-objective improvement the estimators promised.
-    pub estimated_gain: f64,
-    /// Whether the move crossed hardware classes, demoting the
-    /// tenant's calibrated model to a what-if prior and installing the
-    /// destination class's calibration (`false` when the model
-    /// traveled or the destination was already calibrated — see
-    /// [`crate::advisor::TransferCalibration`]).
-    pub recalibrated: bool,
-}
-
-/// What happened across the fleet in one monitoring period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetPeriodReport {
-    /// Monitoring period number (1-based).
-    pub period: usize,
-    /// Per-machine §6 reports (`None` for machines without tenants).
-    pub reports: Vec<Option<PeriodReport>>,
-    /// Migrations executed this period (after the per-machine reports
-    /// were taken).
-    pub migrations: Vec<Migration>,
-}
-
-/// The fleet-level dynamic configuration manager: one §6
-/// [`DynamicConfigManager`] per machine, plus cross-machine tenant
-/// migration. A workload change the per-machine manager classifies as
-/// **major** ([`PeriodDecision::RebuildOnChange`]) no longer just
-/// rebuilds the local model — it also re-prices the changed tenant on
-/// every other machine, and when moving it promises more than
-/// [`FleetDynamicOptions::migration_threshold`] relative improvement,
-/// the tenant is migrated (its calibrated model and estimate cache
-/// travel along, see
-/// [`VirtualizationDesignAdvisor::transfer_tenant`]) and the affected
-/// machines' managers restart from fresh optimizer estimates.
-///
-/// Machines may be **heterogeneous** ([`Self::new_heterogeneous`]):
-/// different hardware and/or different per-machine search spaces. The
-/// manager then keys all pricing and memoization by hardware class and
-/// tracks one calibrated model per (hardware class, engine kind) —
-/// candidate migrations are priced with the *destination* class's
-/// calibration (fit on demand, then reused fleet-wide), and an
-/// executed cross-class migration installs that calibration on the
-/// destination before its manager restarts, so a model fit on one
-/// hardware class is never silently reused on another.
-pub struct FleetManager {
-    machines: Vec<VirtualizationDesignAdvisor>,
-    managers: Vec<Option<DynamicConfigManager>>,
-    spaces: Vec<SearchSpace>,
-    options: FleetDynamicOptions,
-    period: usize,
-    /// One calibration per (hardware class, engine kind), shared by
-    /// every machine of that class. Interior mutability: pricing a
-    /// candidate migration may have to fit a missing class model.
-    class_models: RefCell<HashMap<(u64, EngineKind), CalibratedModel>>,
-    /// The fleet-wide probe cache, shared by **every** estimator the
-    /// fleet builds: home-machine period solves (it is attached to
-    /// each machine's advisor, see
-    /// [`VirtualizationDesignAdvisor::attach_probe_cache`]) and
-    /// cross-machine candidate pricing alike. Entries are keyed by
-    /// (calibrated-model fingerprint, tenant fingerprint, allocation),
-    /// so two machines of one hardware class pricing the same tenant
-    /// probe each point once fleet-wide, entries survive monitoring
-    /// periods, and a recalibration or workload drift can never serve
-    /// a stale estimate.
-    probe: ProbeCache,
-}
-
-impl FleetManager {
-    /// Start managing a fleet of identical machines (one search space
-    /// serves all of them). Machines with tenants must already be
-    /// calibrated.
-    pub fn new(
-        machines: Vec<VirtualizationDesignAdvisor>,
-        space: SearchSpace,
-        options: FleetDynamicOptions,
-    ) -> Self {
-        let spaces = vec![space; machines.len()];
-        Self::new_heterogeneous(machines, spaces, options)
-    }
-
-    /// Start managing a heterogeneous fleet: `spaces[m]` is machine
-    /// `m`'s search space, and the machines' hypervisors may describe
-    /// different hardware. Machines with tenants must already be
-    /// calibrated (their calibrations seed the per-class registry).
-    pub fn new_heterogeneous(
-        mut machines: Vec<VirtualizationDesignAdvisor>,
-        spaces: Vec<SearchSpace>,
-        options: FleetDynamicOptions,
-    ) -> Self {
-        assert!(!machines.is_empty(), "at least one machine");
-        assert_eq!(machines.len(), spaces.len(), "one search space per machine");
-        // One probe cache for the whole fleet, attached *before* the
-        // managers' initial solves so even those populate it.
-        let probe = ProbeCache::new();
-        for adv in &mut machines {
-            adv.attach_probe_cache(probe.clone());
-        }
-        let managers = machines
-            .iter()
-            .zip(&spaces)
-            .map(|(adv, space)| {
-                (adv.tenant_count() > 0)
-                    .then(|| DynamicConfigManager::new(adv, *space, options.dynamic.clone()))
-            })
-            .collect();
-        // Seed the per-(hardware class, engine kind) registry from
-        // the machines' existing calibrations.
-        let mut class_models = HashMap::new();
-        for adv in &machines {
-            let hw = adv.hypervisor().machine().fingerprint();
-            for (kind, model) in adv.calibrations() {
-                class_models
-                    .entry((hw, *kind))
-                    .or_insert_with(|| model.clone());
-            }
-        }
-        FleetManager {
-            machines,
-            managers,
-            spaces,
-            options,
-            period: 0,
-            class_models: RefCell::new(class_models),
-            probe,
-        }
-    }
-
-    /// The fleet-wide probe cache (cross-period, cross-machine
-    /// hit/miss counters live here — see
-    /// [`CostAccounting::with_probe_cache`](crate::metrics::CostAccounting::with_probe_cache)).
-    pub fn probe_cache(&self) -> &ProbeCache {
-        &self.probe
-    }
-
-    /// Number of machines.
-    pub fn machine_count(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// One machine's advisor.
-    pub fn machine(&self, m: usize) -> &VirtualizationDesignAdvisor {
-        &self.machines[m]
-    }
-
-    /// Mutable access to one machine's advisor (apply workload changes
-    /// between monitoring periods).
-    pub fn machine_mut(&mut self, m: usize) -> &mut VirtualizationDesignAdvisor {
-        &mut self.machines[m]
-    }
-
-    /// Machine `m`'s search space.
-    pub fn space(&self, m: usize) -> &SearchSpace {
-        &self.spaces[m]
-    }
-
-    /// Allocations currently in force on machine `m` (`None` when the
-    /// machine hosts no tenants).
-    pub fn allocations(&self, m: usize) -> Option<&[Allocation]> {
-        self.managers[m].as_ref().map(|mgr| mgr.allocations())
-    }
-
-    /// Machine `m`'s hardware fingerprint (see
-    /// [`vda_vmm::PhysicalMachine::fingerprint`]).
-    fn hardware_class(&self, m: usize) -> u64 {
-        self.machines[m].hypervisor().machine().fingerprint()
-    }
-
-    /// Machine `m`'s pricing class: search space + hardware. Keys the
-    /// placement layer's subset memoization, so two machines share
-    /// inner solves iff both their grids and their hardware match.
-    fn pricing_class(&self, m: usize) -> MachineClass {
-        MachineClass::of(&self.spaces[m]).salted(self.hardware_class(m))
-    }
-
-    /// Whether every machine shares one hardware class and one search
-    /// space (the homogeneous fast path: tenants are priced everywhere
-    /// with their home estimators and warm caches).
-    fn is_uniform(&self) -> bool {
-        (1..self.machines.len()).all(|m| self.pricing_class(m) == self.pricing_class(0))
-    }
-
-    /// Estimated fleet objective of the current placement, priced like
-    /// [`place_tenants`](crate::placement::place_tenants) — on a
-    /// heterogeneous fleet every tenant is priced with its *host*
-    /// machine's class calibration.
-    pub fn estimated_objective(&self) -> f64 {
-        let (_, assignment) = self.flatten();
-        self.price_assignments(std::slice::from_ref(&assignment))[0]
-    }
-
-    /// The calibrated model for (hardware class of machine `m`,
-    /// `kind`), fitting and registering it on demand with machine
-    /// `m`'s hypervisor. `engine_of` locates a tenant running that
-    /// engine (calibration needs the engine definition).
-    fn ensure_class_model(&self, m: usize, kind: EngineKind, source: (usize, usize)) {
-        let hw = self.hardware_class(m);
-        if self.class_models.borrow().contains_key(&(hw, kind)) {
-            return;
-        }
-        let (sm, slot) = source;
-        let adv = &self.machines[m];
-        let engine = self.machines[sm].tenant(slot).engine.clone();
-        let model = Calibrator::with_config(adv.hypervisor(), adv.calibration_config().clone())
-            .calibrate(&engine);
-        self.class_models.borrow_mut().insert((hw, kind), model);
-    }
-
-    /// Price a batch of candidate assignments with one shared
-    /// class-keyed memo cache. On a uniform fleet tenants keep their
-    /// home estimators (warm caches, old behavior); on a heterogeneous
-    /// fleet tenant `i` on machine `m` is priced by a what-if
-    /// estimator backed by machine `m`'s class calibration for `i`'s
-    /// engine kind, so cross-class candidates are never priced with a
-    /// model fit on different hardware.
-    fn price_assignments(&self, assignments: &[Vec<usize>]) -> Vec<f64> {
-        let (qos, _) = self.flatten();
-        let pricing = self.pricing();
-        let k = self.machines.len();
-        if self.is_uniform() {
-            let estimators: Vec<_> = self
-                .machines
-                .iter()
-                .flat_map(|adv| (0..adv.tenant_count()).map(move |i| adv.estimator(i)))
-                .collect();
-            let pricer = AssignmentPricer::new(&self.spaces[0], &qos, &estimators, &pricing);
-            return assignments.iter().map(|a| pricer.objective(a)).collect();
-        }
-        // Global tenant list as (machine, slot) pairs.
-        let tenants: Vec<(usize, usize)> = self
-            .machines
-            .iter()
-            .enumerate()
-            .flat_map(|(m, adv)| (0..adv.tenant_count()).map(move |s| (m, s)))
-            .collect();
-        // Fit missing class calibrations only for the (machine,
-        // tenant) pairings the batch actually prices off-home —
-        // calibration is the most expensive operation in the system,
-        // so pricing the base assignment (everyone at home) must fit
-        // nothing. Then hold one immutable borrow of the registry for
-        // the whole pricing.
-        let mut off_home: Vec<Vec<bool>> = vec![vec![false; tenants.len()]; k];
-        for assignment in assignments {
-            for (g, &m) in assignment.iter().enumerate() {
-                if tenants[g].0 != m {
-                    off_home[m][g] = true;
-                }
-            }
-        }
-        for (m, row) in off_home.iter().enumerate() {
-            for (g, &needed) in row.iter().enumerate() {
-                if needed {
-                    let (tm, ts) = tenants[g];
-                    let kind = self.machines[tm].tenant(ts).engine.kind();
-                    self.ensure_class_model(m, kind, (tm, ts));
-                }
-            }
-        }
-        // Drop probe-cache generations whose tenant fingerprint is no
-        // longer live (a workload change mints a new fingerprint and
-        // would otherwise orphan the old generation forever) — bounds
-        // the cache at #calibrations × #tenants.
-        {
-            let live: std::collections::HashSet<u64> = tenants
-                .iter()
-                .map(|&(tm, ts)| self.machines[tm].tenant(ts).fingerprint())
-                .collect();
-            self.probe.retain_tenants(&live);
-        }
-        let registry = self.class_models.borrow();
-        let rows: Vec<Vec<WhatIfEstimator<'_>>> = (0..k)
-            .map(|m| {
-                let hw = self.hardware_class(m);
-                tenants
-                    .iter()
-                    .enumerate()
-                    .map(|(g, &(tm, ts))| {
-                        let tenant = self.machines[tm].tenant(ts);
-                        let kind = tenant.engine.kind();
-                        if tm == m {
-                            // Home machine: the advisor's estimator
-                            // (probe-cache-backed since the fleet
-                            // attached its cache at construction).
-                            return self.machines[tm].estimator(ts);
-                        }
-                        match registry.get(&(hw, kind)) {
-                            Some(model) => {
-                                WhatIfEstimator::with_probe_cache(tenant, model, self.probe.clone())
-                            }
-                            // No assignment in the batch prices this
-                            // tenant on this machine; the solver never
-                            // consults the cell, so a placeholder
-                            // (home) estimator avoids a pointless
-                            // calibrator fit.
-                            None => {
-                                debug_assert!(!off_home[m][g], "needed cell must have a model");
-                                self.machines[tm].estimator(ts)
-                            }
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let classes: Vec<MachineClass> = (0..k).map(|m| self.pricing_class(m)).collect();
-        let pricer =
-            AssignmentPricer::per_machine(self.spaces.clone(), classes, &qos, rows, &pricing);
-        assignments.iter().map(|a| pricer.objective(a)).collect()
-    }
-
-    fn pricing(&self) -> FleetOptions {
-        FleetOptions {
-            machines: self.machines.len(),
-            ..self.options.fleet.clone()
-        }
-    }
-
-    /// Global (QoS, assignment) vectors over all machines, in
-    /// (machine, slot) order.
-    fn flatten(&self) -> (Vec<QoS>, Vec<usize>) {
-        let mut qos = Vec::new();
-        let mut assignment = Vec::new();
-        for (m, adv) in self.machines.iter().enumerate() {
-            qos.extend_from_slice(adv.qos());
-            assignment.extend(std::iter::repeat_n(m, adv.tenant_count()));
-        }
-        (qos, assignment)
-    }
-
-    /// Process one monitoring period across the fleet: run every
-    /// machine's §6 manager, then consider migrating tenants whose
-    /// workload change was classified major.
-    pub fn process_period(&mut self) -> FleetPeriodReport {
-        self.period += 1;
-        let k = self.machines.len();
-        let mut reports: Vec<Option<PeriodReport>> = Vec::with_capacity(k);
-        for m in 0..k {
-            let report = self.managers[m]
-                .as_mut()
-                .map(|mgr| mgr.process_period(&self.machines[m]));
-            reports.push(report);
-        }
-
-        // Major workload changes are migration candidates: the refined
-        // model was discarded anyway, so moving the tenant costs no
-        // accumulated refinement state.
-        let mut candidates: Vec<(usize, usize)> = Vec::new(); // (machine, slot)
-        for (m, report) in reports.iter().enumerate() {
-            if let Some(r) = report {
-                for (slot, d) in r.decisions.iter().enumerate() {
-                    if *d == PeriodDecision::RebuildOnChange {
-                        candidates.push((m, slot));
-                    }
-                }
-            }
-        }
-
-        let mut migrations = Vec::new();
-        if let Some((mut migration, slot)) = self.best_migration(&candidates) {
-            let Migration { from, to, .. } = migration;
-            let (src, dst) = two_mut(&mut self.machines, from, to);
-            let transfer = src.transfer_tenant(slot, dst);
-            if !transfer.calibration.destination_ready() {
-                // The destination cannot serve estimates for the
-                // tenant yet (cross-hardware demotion, or a source
-                // that was never calibrated): install the destination
-                // class's calibration (fit during pricing, or now) so
-                // the rebuilt manager starts from valid optimizer
-                // estimates; refinement rounds rebuild the refined
-                // model from there.
-                let kind = self.machines[to].tenant(transfer.index).engine.kind();
-                self.ensure_class_model(to, kind, (to, transfer.index));
-                let model = self.class_models.borrow()[&(self.hardware_class(to), kind)].clone();
-                self.machines[to].install_calibration(kind, model);
-            }
-            // The flag records exactly a cross-hardware-class
-            // demotion — a never-calibrated source getting its first
-            // calibration on an identical machine is not one.
-            migration.recalibrated =
-                transfer.calibration == crate::advisor::TransferCalibration::Demoted;
-            // The affected machines' tenant sets changed: restart
-            // their managers from fresh optimizer estimates (the same
-            // conservative rebuild §6 prescribes after major changes).
-            for m in [from, to] {
-                self.managers[m] = (self.machines[m].tenant_count() > 0).then(|| {
-                    DynamicConfigManager::new(
-                        &self.machines[m],
-                        self.spaces[m],
-                        self.options.dynamic.clone(),
-                    )
-                });
-            }
-            migrations.push(migration);
-        }
-
-        FleetPeriodReport {
-            period: self.period,
-            reports,
-            migrations,
-        }
-    }
-
-    /// Best single migration among the candidate tenants, if any
-    /// clears the improvement threshold. Returns the migration plus
-    /// the tenant's *slot* on the source machine (tenant names are
-    /// display labels, not identities — slots are what
-    /// [`VirtualizationDesignAdvisor::transfer_tenant`] consumes).
-    ///
-    /// The base assignment and every candidate are priced in one
-    /// batch sharing a class-keyed memo cache: candidates differ from
-    /// the base on two machines only, so only the changed subsets are
-    /// re-solved — and each candidate is priced with its *destination*
-    /// machine's space and class calibration.
-    fn best_migration(&self, candidates: &[(usize, usize)]) -> Option<(Migration, usize)> {
-        if candidates.is_empty() {
-            return None;
-        }
-        let (_, assignment) = self.flatten();
-        // Global index of (machine, slot).
-        let offset: Vec<usize> = self
-            .machines
-            .iter()
-            .scan(0, |acc, adv| {
-                let o = *acc;
-                *acc += adv.tenant_count();
-                Some(o)
-            })
-            .collect();
-        // Enumerate capacity-respecting candidate assignments.
-        let mut moves: Vec<(usize, usize, usize)> = Vec::new(); // (machine, slot, to)
-        for &(m, slot) in candidates {
-            for to in 0..self.machines.len() {
-                if to == m || self.machines[to].tenant_count() >= machine_capacity(&self.spaces[to])
-                {
-                    continue;
-                }
-                moves.push((m, slot, to));
-            }
-        }
-        let mut batch: Vec<Vec<usize>> = Vec::with_capacity(moves.len() + 1);
-        batch.push(assignment.clone());
-        for &(m, slot, to) in &moves {
-            let mut cand = assignment.clone();
-            cand[offset[m] + slot] = to;
-            batch.push(cand);
-        }
-        let objectives = self.price_assignments(&batch);
-        let base = objectives[0];
-        if !base.is_finite() {
-            return None;
-        }
-        let mut best: Option<(Migration, usize, f64)> = None;
-        for (&(m, slot, to), &obj) in moves.iter().zip(&objectives[1..]) {
-            let Some(gain) = migration_gain(base, obj) else {
-                continue;
-            };
-            // The migration cost model: a cross-hardware-class move
-            // additionally pays a recalibration (destination-class
-            // model fit/installation, cache drop, refinement restart
-            // from a what-if prior), so it must promise the surcharge
-            // on top of the base threshold — and candidates are
-            // *ranked* net of that surcharge too, so a same-class move
-            // with a slightly lower raw gain still beats a cross-class
-            // one whose extra gain doesn't cover its recalibration.
-            let surcharge = if self.hardware_class(m) != self.hardware_class(to) {
-                self.options.recalibration_surcharge
-            } else {
-                0.0
-            };
-            let net = gain - surcharge;
-            if gain > self.options.migration_threshold + surcharge
-                && best.as_ref().is_none_or(|(_, _, b)| net > *b)
-            {
-                best = Some((
-                    Migration {
-                        tenant: self.machines[m].tenant(slot).name.clone(),
-                        from: m,
-                        to,
-                        estimated_gain: gain,
-                        recalibrated: false,
-                    },
-                    slot,
-                    net,
-                ));
-            }
-        }
-        best.map(|(mig, slot, _)| (mig, slot))
-    }
-}
-
-/// Smallest fleet objective the relative migration gain may be
-/// divided by. A fleet objective near zero (all tenants idle) would
-/// otherwise turn float dust in the subtraction into an arbitrarily
-/// large relative "gain" and trigger a pointless migration.
-const MIGRATION_BASE_FLOOR: f64 = 1e-6;
-
-/// Smallest absolute objective improvement that counts as a migration
-/// gain at all — the absolute half of the absolute-plus-relative gate.
-const MIGRATION_MIN_IMPROVEMENT: f64 = 1e-9;
-
-/// Relative improvement of moving the fleet objective from `base` to
-/// `obj`, gated absolute-plus-relative: `None` unless the improvement
-/// clears [`MIGRATION_MIN_IMPROVEMENT`], and the denominator is
-/// bounded below by [`MIGRATION_BASE_FLOOR`] so a near-zero `base`
-/// cannot manufacture a spurious gain.
-pub(crate) fn migration_gain(base: f64, obj: f64) -> Option<f64> {
-    let improvement = base - obj;
-    if !improvement.is_finite() || improvement <= MIGRATION_MIN_IMPROVEMENT {
-        return None;
-    }
-    Some(improvement / base.abs().max(MIGRATION_BASE_FLOOR))
-}
-
-/// Distinct mutable borrows of two vector slots.
-pub(crate) fn two_mut<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
-    assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = v.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -970,436 +401,6 @@ mod tests {
             .decisions
             .iter()
             .all(|d| *d == PeriodDecision::ContinueRefinement));
-    }
-
-    /// A machine hosting the given `(name, tpch query, multiplicity)`
-    /// tenants, calibrated.
-    fn machine(specs: &[(&str, usize, f64)]) -> VirtualizationDesignAdvisor {
-        let hv = Hypervisor::new(PhysicalMachine::paper_testbed());
-        let mut adv = VirtualizationDesignAdvisor::new(hv);
-        let cat = tpch::catalog(1.0);
-        for &(name, q, mult) in specs {
-            adv.add_tenant(
-                Tenant::new(
-                    name,
-                    Engine::pg(),
-                    cat.clone(),
-                    tpch::query_workload(q, mult),
-                )
-                .unwrap(),
-                QoS::default(),
-            );
-        }
-        adv.calibrate();
-        adv
-    }
-
-    #[test]
-    fn stable_fleet_never_migrates() {
-        let machines = vec![
-            machine(&[("a", 6, 1.0), ("b", 18, 3.0)]),
-            machine(&[("c", 6, 1.0)]),
-        ];
-        let mut fleet = FleetManager::new(
-            machines,
-            SearchSpace::cpu_only(0.5),
-            FleetDynamicOptions::default(),
-        );
-        for _ in 0..3 {
-            let report = fleet.process_period();
-            assert!(report.migrations.is_empty(), "{:?}", report.migrations);
-        }
-    }
-
-    #[test]
-    fn major_workload_change_triggers_migration() {
-        // Machine 0 hosts a light and a heavy tenant; machine 1 a
-        // light one. Tenant "a" turning heavy leaves machine 0 with
-        // two heavy tenants — the fleet manager should move one off.
-        let machines = vec![
-            machine(&[("a", 6, 1.0), ("b", 18, 4.0)]),
-            machine(&[("c", 6, 1.0)]),
-        ];
-        let mut fleet = FleetManager::new(
-            machines,
-            SearchSpace::cpu_only(0.5),
-            FleetDynamicOptions::default(),
-        );
-        fleet.process_period(); // settle
-        fleet
-            .machine_mut(0)
-            .tenant_mut(0)
-            .set_workload(tpch::query_workload(18, 4.0))
-            .unwrap();
-        let report = fleet.process_period();
-        assert_eq!(report.migrations.len(), 1, "{:?}", report.migrations);
-        let mig = &report.migrations[0];
-        assert_eq!(mig.tenant, "a");
-        assert_eq!((mig.from, mig.to), (0, 1));
-        assert!(mig.estimated_gain > 0.05);
-        assert_eq!(fleet.machine(0).tenant_count(), 1);
-        assert_eq!(fleet.machine(1).tenant_count(), 2);
-        // The destination kept its calibration (the model traveled).
-        assert!(fleet.machine(1).is_calibrated());
-        // Managers were rebuilt: the next period still works and
-        // allocations stay feasible per machine.
-        let next = fleet.process_period();
-        for report in next.reports.iter().flatten() {
-            let total: f64 = report.allocations.iter().map(|a| a.cpu()).sum();
-            assert!(total <= 1.0 + 1e-9);
-        }
-    }
-
-    #[test]
-    fn migration_threshold_gates_disruptive_moves() {
-        let machines = vec![
-            machine(&[("a", 6, 1.0), ("b", 18, 4.0)]),
-            machine(&[("c", 6, 1.0)]),
-        ];
-        let mut fleet = FleetManager::new(
-            machines,
-            SearchSpace::cpu_only(0.5),
-            FleetDynamicOptions {
-                migration_threshold: 1e9, // nothing clears this bar
-                ..FleetDynamicOptions::default()
-            },
-        );
-        fleet.process_period();
-        fleet
-            .machine_mut(0)
-            .tenant_mut(0)
-            .set_workload(tpch::query_workload(18, 4.0))
-            .unwrap();
-        let report = fleet.process_period();
-        assert!(report.migrations.is_empty());
-        assert_eq!(fleet.machine(0).tenant_count(), 2);
-    }
-
-    #[test]
-    fn migration_reduces_estimated_fleet_objective() {
-        let machines = vec![
-            machine(&[("a", 6, 1.0), ("b", 18, 4.0)]),
-            machine(&[("c", 6, 1.0)]),
-        ];
-        let mut fleet = FleetManager::new(
-            machines,
-            SearchSpace::cpu_only(0.5),
-            FleetDynamicOptions::default(),
-        );
-        fleet.process_period();
-        fleet
-            .machine_mut(0)
-            .tenant_mut(0)
-            .set_workload(tpch::query_workload(18, 4.0))
-            .unwrap();
-        let before = fleet.estimated_objective();
-        let report = fleet.process_period();
-        assert!(!report.migrations.is_empty());
-        let after = fleet.estimated_objective();
-        assert!(
-            after < before,
-            "migration must cut the estimated objective: {after} vs {before}"
-        );
-    }
-
-    #[test]
-    fn fleet_probe_cache_backs_repeated_pricing_at_zero_new_probes() {
-        // Heterogeneous spaces force the class-keyed pricing path, so
-        // a major change makes process_period price off-home
-        // candidates through the fleet probe cache rather than the
-        // advisors' home estimators.
-        let machines = vec![
-            machine(&[("a", 6, 1.0), ("b", 18, 4.0)]),
-            machine(&[("c", 6, 1.0)]),
-        ];
-        let spaces = vec![
-            SearchSpace::cpu_only(0.5),
-            SearchSpace::cpu_only(0.5).with_delta(0.1),
-        ];
-        let mut fleet =
-            FleetManager::new_heterogeneous(machines, spaces, FleetDynamicOptions::default());
-        fleet.process_period();
-        assert!(
-            fleet.probe_cache().hits() > 0,
-            "period solves must share probes with the construction-time solves"
-        );
-        fleet
-            .machine_mut(0)
-            .tenant_mut(0)
-            .set_workload(tpch::query_workload(18, 4.0))
-            .unwrap();
-        fleet.process_period();
-        // Re-pricing the settled fleet is pure cache hits: every probe
-        // point was cached by the pricing above.
-        let _ = fleet.estimated_objective();
-        let misses = fleet.probe_cache().misses();
-        let hits = fleet.probe_cache().hits();
-        let _ = fleet.estimated_objective();
-        assert_eq!(
-            fleet.probe_cache().misses(),
-            misses,
-            "identical re-pricing must not pay new optimizer probes"
-        );
-        assert!(fleet.probe_cache().hits() > hits);
-    }
-
-    #[test]
-    fn fleet_repricing_with_c2f_inner_matches_exhaustive_under_limits() {
-        // Fleet re-pricing (estimated_objective / best_migration) goes
-        // through AssignmentPricer with the configured inner solver.
-        // With a finite degradation limit in play, the limit-aware
-        // coarse-to-fine inner must price the fleet exactly like the
-        // full-grid inner — it used to silently *be* the full grid.
-        use crate::enumerate::CoarseToFineOptions;
-        use crate::placement::InnerSolve;
-        let fleet_with = |inner: InnerSolve| {
-            let hv = Hypervisor::new(PhysicalMachine::paper_testbed());
-            let mut adv = VirtualizationDesignAdvisor::new(hv);
-            let cat = tpch::catalog(1.0);
-            adv.add_tenant(
-                Tenant::new(
-                    "a",
-                    Engine::pg(),
-                    cat.clone(),
-                    tpch::query_workload(18, 2.0),
-                )
-                .unwrap(),
-                QoS::with_limit(2.0),
-            );
-            adv.add_tenant(
-                Tenant::new("b", Engine::pg(), cat, tpch::query_workload(6, 1.0)).unwrap(),
-                QoS::default(),
-            );
-            adv.calibrate();
-            FleetManager::new(
-                vec![adv],
-                SearchSpace::cpu_only(0.5),
-                FleetDynamicOptions {
-                    fleet: FleetOptions {
-                        inner,
-                        ..FleetOptions::default()
-                    },
-                    ..FleetDynamicOptions::default()
-                },
-            )
-        };
-        let exact = fleet_with(InnerSolve::Exhaustive).estimated_objective();
-        let c2f = fleet_with(InnerSolve::CoarseToFine(CoarseToFineOptions::default()))
-            .estimated_objective();
-        assert!(
-            (exact - c2f).abs() <= 1e-6 * exact.abs().max(1.0),
-            "c2f {c2f} vs exhaustive {exact}"
-        );
-    }
-
-    /// A machine on explicit hardware hosting `(name, engine, tpch
-    /// query, multiplicity)` tenants, calibrated.
-    fn machine_on(
-        spec: PhysicalMachine,
-        specs: &[(&str, Engine, usize, f64)],
-    ) -> VirtualizationDesignAdvisor {
-        let hv = Hypervisor::new(spec);
-        let mut adv = VirtualizationDesignAdvisor::new(hv);
-        let cat = tpch::catalog(1.0);
-        for (name, engine, q, mult) in specs {
-            adv.add_tenant(
-                Tenant::new(
-                    *name,
-                    engine.clone(),
-                    cat.clone(),
-                    tpch::query_workload(*q, *mult),
-                )
-                .unwrap(),
-                QoS::default(),
-            );
-        }
-        adv.calibrate();
-        adv
-    }
-
-    #[test]
-    fn heterogeneous_migration_recalibrates_on_the_destination() {
-        // Machine 0 (paper testbed) hosts two pg tenants; machine 1 is
-        // different hardware hosting only a db2 tenant — so when a pg
-        // tenant migrates there, the destination has NO pg calibration
-        // and the hardware differs: the model must be demoted, the
-        // fleet manager must install the destination class's
-        // calibration, and the migration must be flagged
-        // `recalibrated`.
-        let mut fast = PhysicalMachine::paper_testbed();
-        fast.core_ghz *= 2.0;
-        let machines = vec![
-            machine(&[("a", 6, 1.0), ("b", 18, 4.0)]),
-            machine_on(fast, &[("c", Engine::db2(), 6, 1.0)]),
-        ];
-        let mut fleet = FleetManager::new_heterogeneous(
-            machines,
-            vec![SearchSpace::cpu_only(0.5); 2],
-            FleetDynamicOptions {
-                migration_threshold: 0.01,
-                ..FleetDynamicOptions::default()
-            },
-        );
-        fleet.process_period(); // settle
-        fleet
-            .machine_mut(0)
-            .tenant_mut(0)
-            .set_workload(tpch::query_workload(18, 4.0))
-            .unwrap();
-        let report = fleet.process_period();
-        assert_eq!(report.migrations.len(), 1, "{:?}", report.migrations);
-        let mig = &report.migrations[0];
-        assert_eq!((mig.from, mig.to), (0, 1));
-        assert!(
-            mig.recalibrated,
-            "cross-hardware migration must recalibrate: {mig:?}"
-        );
-        // The destination now serves pg estimates from its OWN
-        // hardware class's calibration — not the source's.
-        assert!(fleet.machine(1).is_calibrated());
-        let pg_kind = fleet.machine(0).tenant(0).engine.kind();
-        assert_ne!(
-            fleet.machine(1).calibration(pg_kind),
-            fleet.machine(0).calibration(pg_kind),
-            "destination must not reuse a model fit on different hardware"
-        );
-        // Both managers restarted and keep producing feasible
-        // allocations.
-        let next = fleet.process_period();
-        for report in next.reports.iter().flatten() {
-            let total: f64 = report.allocations.iter().map(|a| a.cpu()).sum();
-            assert!(total <= 1.0 + 1e-9);
-        }
-    }
-
-    #[test]
-    fn recalibration_surcharge_rejects_cross_class_moves() {
-        // The migration cost model: the same workload change, the same
-        // candidate move, the same relative gain — but across hardware
-        // classes the move also pays a recalibration, so a gain that
-        // clears the relative threshold alone must be rejected once the
-        // surcharge is stacked on top.
-        let mut fast = PhysicalMachine::paper_testbed();
-        fast.core_ghz *= 2.0;
-        let fleet_with = |surcharge: f64| {
-            let machines = vec![
-                machine(&[("a", 6, 1.0), ("b", 18, 4.0)]),
-                machine_on(fast, &[("c", Engine::db2(), 6, 1.0)]),
-            ];
-            let mut fleet = FleetManager::new_heterogeneous(
-                machines,
-                vec![SearchSpace::cpu_only(0.5); 2],
-                FleetDynamicOptions {
-                    migration_threshold: 0.01,
-                    recalibration_surcharge: surcharge,
-                    ..FleetDynamicOptions::default()
-                },
-            );
-            fleet.process_period(); // settle
-            fleet
-                .machine_mut(0)
-                .tenant_mut(0)
-                .set_workload(tpch::query_workload(18, 4.0))
-                .unwrap();
-            fleet
-        };
-        // Without the surcharge the move clears the 1 % relative gate.
-        let mut cheap = fleet_with(0.0);
-        let report = cheap.process_period();
-        assert_eq!(report.migrations.len(), 1, "{:?}", report.migrations);
-        let gain = report.migrations[0].estimated_gain;
-        assert!(gain > 0.01, "scenario must clear the relative gate: {gain}");
-        // With a surcharge above the observed gain, the identical move
-        // is rejected — cross-class moves are no longer priced like
-        // same-class ones.
-        let mut priced = fleet_with(gain + 0.01);
-        let report = priced.process_period();
-        assert!(
-            report.migrations.is_empty(),
-            "surcharge must reject the cross-class move: {:?}",
-            report.migrations
-        );
-        assert_eq!(priced.machine(0).tenant_count(), 2);
-    }
-
-    #[test]
-    fn same_class_moves_pay_no_recalibration_surcharge() {
-        // Identical hardware: even an enormous surcharge must not gate
-        // the move — only cross-class migrations pay it.
-        let machines = vec![
-            machine(&[("a", 6, 1.0), ("b", 18, 4.0)]),
-            machine(&[("c", 6, 1.0)]),
-        ];
-        let mut fleet = FleetManager::new(
-            machines,
-            SearchSpace::cpu_only(0.5),
-            FleetDynamicOptions {
-                recalibration_surcharge: 1e9,
-                ..FleetDynamicOptions::default()
-            },
-        );
-        fleet.process_period();
-        fleet
-            .machine_mut(0)
-            .tenant_mut(0)
-            .set_workload(tpch::query_workload(18, 4.0))
-            .unwrap();
-        let report = fleet.process_period();
-        assert_eq!(report.migrations.len(), 1, "{:?}", report.migrations);
-        assert!(!report.migrations[0].recalibrated);
-    }
-
-    #[test]
-    fn same_hardware_migration_still_travels() {
-        // Heterogeneous constructor, but both machines are physically
-        // identical: the calibrated model must keep traveling with the
-        // tenant (no recalibration — §4.3 says identical hardware
-        // needs none).
-        let machines = vec![
-            machine(&[("a", 6, 1.0), ("b", 18, 4.0)]),
-            machine(&[("c", 6, 1.0)]),
-        ];
-        let mut fleet = FleetManager::new_heterogeneous(
-            machines,
-            vec![SearchSpace::cpu_only(0.5); 2],
-            FleetDynamicOptions::default(),
-        );
-        fleet.process_period();
-        fleet
-            .machine_mut(0)
-            .tenant_mut(0)
-            .set_workload(tpch::query_workload(18, 4.0))
-            .unwrap();
-        let report = fleet.process_period();
-        assert_eq!(report.migrations.len(), 1);
-        assert!(
-            !report.migrations[0].recalibrated,
-            "identical hardware must not recalibrate: {:?}",
-            report.migrations[0]
-        );
-        assert!(fleet.machine(1).is_calibrated());
-    }
-
-    #[test]
-    fn migration_gain_is_robust_near_zero_objectives() {
-        // A near-zero base objective used to manufacture huge relative
-        // gains out of float dust (the old gate divided by `base`
-        // unguarded). The absolute-plus-relative gate must reject
-        // noise-sized improvements outright...
-        assert_eq!(migration_gain(1e-12, 0.0), None);
-        assert_eq!(migration_gain(0.0, -1e-12), None);
-        // ...and scale dust-sized improvements by the floor, not the
-        // tiny base: 1e-8 improvement on a 1e-10 base is a 1e8×
-        // relative gain by the old math, but far below any plausible
-        // migration threshold with the floored denominator.
-        let g = migration_gain(1e-10, -1e-8 + 1e-10).unwrap();
-        assert!(g < 0.05, "spurious gain {g}");
-        // Regressions and no-ops are never gains.
-        assert_eq!(migration_gain(10.0, 10.0), None);
-        assert_eq!(migration_gain(10.0, 12.0), None);
-        // Real improvements keep their usual relative value.
-        let g = migration_gain(10.0, 9.0).unwrap();
-        assert!((g - 0.1).abs() < 1e-12);
     }
 
     #[test]

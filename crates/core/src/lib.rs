@@ -38,12 +38,16 @@
 //!    resource scales, subset solves memoized per
 //!    [`enumerate::MachineClass`]) — via marginal-benefit bin-packing
 //!    plus swap/migrate local search over per-machine inner solves.
-//!    [`dynamic::FleetManager`] lets major workload changes trigger
-//!    live migrations with explicit calibration management
+//! 8. **Fleet control plane** ([`controlplane`]): the event-driven
+//!    fleet manager. [`ControlPlane`] classifies each workload change
+//!    (§6.1), re-solves only the machines an event dirties, and lets
+//!    major changes and arrivals trigger live migrations with explicit
+//!    calibration management
 //!    ([`advisor::VirtualizationDesignAdvisor::transfer_tenant`]
 //!    returns a [`advisor::TransferCalibration`] verdict): calibrated
 //!    models travel only between physically identical machines, and a
-//!    cross-class move recalibrates on the destination.
+//!    cross-hardware move installs the destination class's
+//!    calibration. Its state snapshots durably ([`snapshot`]).
 //!
 //! [`advisor::VirtualizationDesignAdvisor`] is the façade tying it all
 //! together over the simulated substrate ([`vda_simdb`], [`vda_vmm`]).
@@ -67,17 +71,14 @@ pub use advisor::{
 };
 pub use controlplane::{
     AdaptiveTuningOptions, BatchOutcome, ControlPlane, ControlPlaneOptions, ControlPlaneStats,
-    Decision, DecisionLog, EventOutcome, FleetEvent,
+    Decision, DecisionLog, EventOutcome, FleetEvent, Migration,
 };
 pub use costmodel::{
     ActualCostModel, Adaption, AdaptionOptions, AdaptiveCostModel, AxisCorrection, CalibratedModel,
     Calibrator, CostModel, Estimate, FnCostModel, ProbeCache, RegimeFnCostModel, Renormalizer,
     RuntimeAdaptionStorage, SharedEstimateCache, WhatIfEstimator,
 };
-pub use dynamic::{
-    DynamicConfigManager, DynamicOptions, FleetDynamicOptions, FleetManager, FleetPeriodReport,
-    ManagementMode, Migration, PeriodReport,
-};
+pub use dynamic::{DynamicConfigManager, DynamicOptions, ManagementMode, PeriodReport};
 pub use enumerate::{
     coarse_to_fine_search, coarse_to_fine_search_warm, coarse_to_fine_search_with,
     exhaustive_search, exhaustive_search_with, greedy_search, greedy_search_with,

@@ -700,8 +700,8 @@ fn place_impl<M: CostModel>(solver: &FleetSolver<'_, M>) -> PlacementResult {
 
 /// Fleet objective of an explicit assignment (same pricing as
 /// [`place_tenants`]: per-machine inner solves, penalties for unmet
-/// limits). The dynamic fleet manager uses this to price candidate
-/// migrations after a workload change.
+/// limits) — e.g. to price a hand-made or previously recorded
+/// placement against the one the placer chose.
 pub fn assignment_objective<M: CostModel>(
     space: &SearchSpace,
     qos: &[QoS],
@@ -726,8 +726,8 @@ pub fn assignment_objective_heterogeneous<M: CostModel>(
 
 /// Prices many related assignments with *shared* subset memoization.
 ///
-/// The dynamic fleet manager evaluates one base assignment plus every
-/// candidate migration; consecutive candidates differ on only two
+/// Pricing one base assignment plus a set of candidate moves is the
+/// typical use: each candidate differs from the base on only two
 /// machines, so a shared cache turns O(candidates · K) inner solves
 /// into solves of just the subsets that actually changed. One-shot
 /// callers can use [`assignment_objective`] instead.
@@ -754,23 +754,6 @@ impl<'a, M: CostModel> AssignmentPricer<'a, M> {
                 ModelView::Shared(models),
                 options,
             ),
-        }
-    }
-
-    /// A pricer over an explicit per-machine model matrix:
-    /// `models[m][i]` prices tenant `i` on machine `m`, and `classes`
-    /// keys the memo cache (machines sharing a class must be given
-    /// equivalent model rows). The fleet-manager path uses this with
-    /// per-machine-class calibrated estimators.
-    pub fn per_machine(
-        spaces: Vec<SearchSpace>,
-        classes: Vec<MachineClass>,
-        qos: &'a [QoS],
-        models: Vec<Vec<M>>,
-        options: &'a FleetOptions,
-    ) -> Self {
-        AssignmentPricer {
-            solver: FleetSolver::new(spaces, classes, qos, ModelView::PerMachine(models), options),
         }
     }
 

@@ -21,12 +21,11 @@
 //!
 //! See `docs/FORMATS.md` for the field-by-field schema.
 
-use crate::controlplane::Decision;
+use crate::controlplane::{Decision, Migration};
 use crate::costmodel::adaptive::{Adaption, AxisCorrection};
 use crate::costmodel::calibration::{CalibratedModel, CalibrationCost, CpuFits, IoConstants};
 use crate::costmodel::whatif::Estimate;
 use crate::costmodel::Renormalizer;
-use crate::dynamic::Migration;
 use crate::enumerate::{SearchResult, TraceStep};
 use crate::guardrail::{ErrorAccumulator, GuardrailExport, GuardrailState};
 use crate::jsonio::{self, Json};
