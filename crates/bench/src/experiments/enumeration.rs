@@ -28,8 +28,8 @@ use crate::setups::{self, cold_estimators, EngineChoice, FIXED_512MB_SHARE};
 use std::time::Instant;
 use vda_core::costmodel::{CalibrationConfig, WhatIfEstimator};
 use vda_core::enumerate::{
-    coarse_to_fine_search_with, exhaustive_search_with, greedy_search_with, CoarseToFineOptions,
-    SearchOptions, SearchResult,
+    coarse_to_fine_search_with, greedy_search_with, try_exhaustive_search_with,
+    CoarseToFineOptions, SearchOptions, SearchResult,
 };
 use vda_core::jsonio::fmt_f64;
 use vda_core::metrics::CostAccounting;
@@ -90,7 +90,7 @@ fn search(
     options: &SearchOptions,
 ) -> SearchResult {
     if exhaustive {
-        exhaustive_search_with(space, qos, models, options)
+        try_exhaustive_search_with(space, qos, models, options).expect("the grid hosts the tenants")
     } else {
         greedy_search_with(space, qos, models, options)
     }
@@ -308,7 +308,8 @@ fn measure_c2f_pair(
 
     let full_models = cold_estimators(adv);
     let t0 = Instant::now();
-    let full = exhaustive_search_with(space, qos, &full_models, &options);
+    let full = try_exhaustive_search_with(space, qos, &full_models, &options)
+        .expect("the grid hosts the tenants");
     let full_ms = t0.elapsed().as_secs_f64() * 1e3;
     let full_acct = CostAccounting::tally(&full_models);
 

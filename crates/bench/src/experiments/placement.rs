@@ -16,8 +16,7 @@ use crate::setups::{self, cold_estimators, EngineChoice};
 use std::time::Instant;
 use vda_core::metrics::CostAccounting;
 use vda_core::placement::{
-    assignment_objective, assignment_objective_heterogeneous, place_tenants,
-    place_tenants_heterogeneous, FleetOptions, MachineSpec, PlacementResult,
+    assignment_objective, place_tenants, FleetOptions, MachineSpec, PlacementResult,
 };
 use vda_core::problem::{QoS, SearchSpace};
 use vda_core::tenant::Tenant;
@@ -95,19 +94,21 @@ fn fleet_advisor() -> VirtualizationDesignAdvisor {
 /// Run the fleet scenario.
 pub fn measure() -> PlacementMeasurement {
     let adv = fleet_advisor();
-    let space = SearchSpace::cpu_and_memory(); // δ = 0.05
+    // Identical reference machines on the joint δ = 0.05 grid.
+    let fleet = vec![MachineSpec::reference(SearchSpace::cpu_and_memory()); MACHINES];
     let qos = adv.qos();
     let n = adv.tenant_count();
-    let options = FleetOptions::for_machines(MACHINES);
+    let options = FleetOptions::default();
 
     let models = cold_estimators(&adv);
     let t0 = Instant::now();
-    let result = place_tenants(&space, qos, &models, &options);
+    let result = place_tenants(&fleet, qos, &models, &options);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let optimizer_calls = CostAccounting::tally(&models).optimizer_calls;
 
     let round_robin: Vec<usize> = (0..n).map(|i| i % MACHINES).collect();
-    let round_robin_objective = assignment_objective(&space, qos, &models, &round_robin, &options);
+    let round_robin_objective = assignment_objective(&fleet, qos, &models, &round_robin, &options)
+        .expect("round-robin names one fleet machine per tenant");
 
     PlacementMeasurement {
         workloads: n,
@@ -173,11 +174,11 @@ pub fn measure_heterogeneous() -> HeterogeneousMeasurement {
     let qos = adv.qos();
     let n = adv.tenant_count();
     let specs = het_specs();
-    let options = FleetOptions::for_machines(specs.len());
+    let options = FleetOptions::default();
 
     let models = cold_estimators(&adv);
     let t0 = Instant::now();
-    let result = place_tenants_heterogeneous(&specs, qos, &models, &options);
+    let result = place_tenants(&specs, qos, &models, &options);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let optimizer_calls = CostAccounting::tally(&models).optimizer_calls;
 
@@ -185,9 +186,10 @@ pub fn measure_heterogeneous() -> HeterogeneousMeasurement {
     // under that fiction, then pay the true fleet for the resulting
     // assignment.
     let smallest = vec![specs[0]; specs.len()];
-    let blind = place_tenants_heterogeneous(&smallest, qos, &models, &options);
+    let blind = place_tenants(&smallest, qos, &models, &options);
     let smallest_objective =
-        assignment_objective_heterogeneous(&specs, qos, &models, &blind.assignment, &options);
+        assignment_objective(&specs, qos, &models, &blind.assignment, &options)
+            .expect("a placement over the same fleet size fits the true fleet");
 
     HeterogeneousMeasurement {
         workloads: n,

@@ -11,7 +11,7 @@ use crate::harness::{fmt_f, fmt_pct, Report, Table};
 use crate::setups::{self, EngineChoice, FIXED_512MB_SHARE};
 use vda_core::costmodel::calibration::Calibrator;
 use vda_core::costmodel::whatif::WhatIfEstimator;
-use vda_core::enumerate::greedy_search;
+use vda_core::enumerate::{greedy_search_with, SearchOptions};
 use vda_core::problem::{Allocation, QoS, SearchSpace};
 use vda_simdb::engines::Engine;
 use vda_workloads::tpch;
@@ -136,7 +136,7 @@ pub fn run() -> Report {
         vec![(w1, QoS::with_limit(2.0)), (w2, QoS::default())],
     );
     let estimators = [adv.estimator(0), adv.estimator(1)];
-    let res = greedy_search(&space, adv.qos(), &estimators);
+    let res = greedy_search_with(&space, adv.qos(), &estimators, &SearchOptions::default());
     report.note(format!(
         "degradation limits respected in the QoS spot check: {:?}",
         res.limits_met

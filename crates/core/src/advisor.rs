@@ -26,8 +26,8 @@ use crate::costmodel::calibration::{CalibratedModel, CalibrationConfig, Calibrat
 use crate::costmodel::model::ActualCostModel;
 use crate::costmodel::whatif::{ProbeCache, SharedEstimateCache, WhatIfEstimator};
 use crate::enumerate::{
-    coarse_to_fine_search_warm, exhaustive_search_with, greedy_search_with, CoarseToFineOptions,
-    SearchOptions, SearchResult, WarmStart,
+    coarse_to_fine_search_warm, greedy_search_with, try_exhaustive_search_with,
+    CoarseToFineOptions, SearchOptions, SearchResult, WarmStart,
 };
 use crate::metrics::CostAccounting;
 use crate::problem::{Allocation, QoS, SearchSpace};
@@ -461,7 +461,9 @@ impl VirtualizationDesignAdvisor {
     /// exhaustive-search comparison for §4.5).
     pub fn recommend_exhaustive(&self, space: &SearchSpace) -> Recommendation {
         let estimators = self.estimators();
-        let result = exhaustive_search_with(space, &self.qos, &estimators, &self.search_options);
+        let result =
+            try_exhaustive_search_with(space, &self.qos, &estimators, &self.search_options)
+                .expect("no grid can host the workloads (min_share too large)");
         let accounting = CostAccounting::tally(&estimators);
         Recommendation {
             result,
@@ -471,7 +473,7 @@ impl VirtualizationDesignAdvisor {
     }
 
     /// Warm-started coarse-to-fine recommendation: bit-identical to a
-    /// cold [`coarse_to_fine_search_with`](crate::enumerate::coarse_to_fine_search_with)
+    /// cold [`try_coarse_to_fine_search_with`](crate::enumerate::try_coarse_to_fine_search_with)
     /// over the same estimators, but period-over-period re-runs reuse
     /// the previous solve. The warm key folds in every calibrated
     /// model's fingerprint, so a recalibration (or QoS / search-space
@@ -595,12 +597,13 @@ impl VirtualizationDesignAdvisor {
     /// exhaustively enumerating all feasible allocations and measuring
     /// performance in each one" (§7.6).
     pub fn optimal_actual(&self, space: &SearchSpace) -> SearchResult {
-        exhaustive_search_with(
+        try_exhaustive_search_with(
             space,
             &self.qos,
             &self.actual_models(),
             &self.search_options,
         )
+        .expect("no grid can host the workloads (min_share too large)")
     }
 
     /// The default (1/N) allocation vector.

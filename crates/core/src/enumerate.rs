@@ -1,28 +1,37 @@
 //! Configuration enumeration (§4.5), over an arbitrary axis set.
+//! Each solver has one entry point:
 //!
-//! [`greedy_search`] is the paper's Figure 11 algorithm verbatim:
-//! start from equal shares, and in each iteration consider shifting a
-//! share δ of some resource from the workload that suffers least to
-//! the workload that benefits most, honoring degradation limits `L_i`
-//! and weighting costs by gain factors `G_i`. The search terminates
-//! when no beneficial reallocation exists.
+//! * [`greedy_search_with`] is the paper's Figure 11 algorithm
+//!   verbatim: start from equal shares, and in each iteration consider
+//!   shifting a share δ of some resource from the workload that
+//!   suffers least to the workload that benefits most, honoring
+//!   degradation limits `L_i` and weighting costs by gain factors
+//!   `G_i`. The search terminates when no beneficial reallocation
+//!   exists.
+//! * [`try_exhaustive_search_with`] finds the *true* optimum over the
+//!   same δ-quantized allocation grid. Because the objective
+//!   `Σ G_i·Cost_i` is separable (each workload's cost depends only on
+//!   its own allocation), the grid optimum is computable exactly by
+//!   dynamic programming over remaining resource budgets instead of
+//!   enumerating every composition — same answer as brute force,
+//!   polynomial cost. The paper uses exhaustive search to show greedy
+//!   is "very often optimal and always within 5 % of the optimal"
+//!   (§4.5, §7.6–7.7).
+//! * [`try_coarse_to_fine_search_with`] reaches the same grid optimum
+//!   through a coarse-δ solve plus windowed fine refinement, at a
+//!   fraction of the optimizer calls — including under finite
+//!   degradation limits, where the refinement windows track the limit
+//!   boundary (see the function docs). [`coarse_to_fine_search_warm`]
+//!   is its period-over-period incremental form, and
+//!   [`coarse_to_fine_search_with`] its panicking shorthand.
 //!
-//! [`exhaustive_search`] finds the *true* optimum over the same
-//! δ-quantized allocation grid. Because the objective `Σ G_i·Cost_i`
-//! is separable (each workload's cost depends only on its own
-//! allocation), the grid optimum is computable exactly by dynamic
-//! programming over remaining resource budgets instead of enumerating
-//! every composition — same answer as brute force, polynomial cost.
-//! The paper uses exhaustive search to show greedy is "very often
-//! optimal and always within 5 % of the optimal" (§4.5, §7.6–7.7).
-//!
-//! [`coarse_to_fine_search`] reaches the same grid optimum through a
-//! coarse-δ solve plus windowed fine refinement, at a fraction of the
-//! optimizer calls — including under finite degradation limits, where
-//! the refinement windows track the limit boundary (see the function
-//! docs). All three searches report jointly infeasible limits the
-//! same way: a best-effort allocation with the violations flagged in
-//! [`SearchResult::limits_met`], never a panic.
+//! All searches report jointly infeasible limits the same way: a
+//! best-effort allocation with the violations flagged in
+//! [`SearchResult::limits_met`], never a panic. The grid solvers
+//! return `None` for a grid they cannot solve: one too coarse to host
+//! every workload's minimum share, or one finer than the
+//! [`KEY_STEPS`] allocation-key resolution, whose neighbouring cells
+//! would share one cached probe and one cost.
 //!
 //! Every algorithm here is **M-dimensional**: the varied axes come
 //! from the search space's [`AxisSet`](crate::problem::AxisSet), the DP budget lattice has one
@@ -33,7 +42,7 @@
 //! results are bit-identical (`tests/m_axes.rs` pins this against a
 //! frozen copy of the legacy 2-axis DP).
 //!
-//! Both algorithms consume one [`CostModel`] per workload — what-if
+//! Every search consumes one [`CostModel`] per workload — what-if
 //! estimators, refined models, the executor oracle, or synthetic
 //! models — and evaluate each iteration's candidate set as a batch.
 //! With [`SearchOptions::parallel`] the batch fans out across threads;
@@ -43,7 +52,7 @@
 //! selection logic, and therefore tie-breaking, is always serial).
 
 use crate::costmodel::model::CostModel;
-use crate::problem::{AllocKey, Allocation, QoS, Resource, SearchSpace};
+use crate::problem::{AllocKey, Allocation, QoS, Resource, SearchSpace, KEY_STEPS};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
@@ -231,16 +240,12 @@ impl<'m, M: CostModel> Evaluator<'m, M> {
     }
 }
 
-/// The Figure 11 greedy configuration enumerator with default
-/// (parallel) candidate evaluation.
+/// The Figure 11 greedy configuration enumerator.
 ///
 /// One cost model per workload; `qos[i]` carries `L_i`/`G_i`. Returns
 /// the recommended allocations plus the iteration trace.
-pub fn greedy_search<M: CostModel>(space: &SearchSpace, qos: &[QoS], models: &[M]) -> SearchResult {
-    greedy_search_with(space, qos, models, &SearchOptions::default())
-}
-
-/// [`greedy_search`] with explicit evaluation options.
+/// `options` only chooses serial or parallel candidate evaluation;
+/// the result is bit-identical either way.
 pub fn greedy_search_with<M: CostModel>(
     space: &SearchSpace,
     qos: &[QoS],
@@ -454,16 +459,6 @@ pub fn greedy_search_with<M: CostModel>(
     }
 }
 
-/// Exact optimum over the δ-quantized grid with default (parallel)
-/// candidate evaluation. See [`exhaustive_search_with`].
-pub fn exhaustive_search<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-) -> SearchResult {
-    exhaustive_search_with(space, qos, models, &SearchOptions::default())
-}
-
 /// Exact optimum over the δ-quantized grid, via DP on remaining budget
 /// units (one budget dimension per varied axis). Equivalent to
 /// brute-force enumeration of all grid allocations because the
@@ -472,40 +467,17 @@ pub fn exhaustive_search<M: CostModel>(
 /// the limits are jointly satisfiable it returns the cheapest
 /// limit-respecting allocation, and when they are not it returns the
 /// best-effort optimum — fewest violations first, cheapest second —
-/// flagged via [`SearchResult::limits_met`], consistent with
-/// [`greedy_search`]. The per-workload cost tables over the grid are
-/// evaluated as one batch (in parallel when `options.parallel` is
-/// set).
-pub fn exhaustive_search_with<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    options: &SearchOptions,
-) -> SearchResult {
-    let n = models.len();
-    for r in space.varied.iter() {
-        let delta = space.delta_for(r);
-        let units_total = (1.0 / delta).round() as usize;
-        let min_units = (space.min_share / delta).round().max(1.0) as usize;
-        assert!(
-            units_total >= n * min_units,
-            "min_share too large for {n} workloads on the {} axis",
-            r.name()
-        );
-    }
-    try_exhaustive_search_with(space, qos, models, options)
-        .expect("the asserted unit budget hosts every workload")
-}
-
-/// Non-panicking [`exhaustive_search_with`]: `None` only when the grid
-/// is too coarse to host every workload (fewer δ units than workloads
-/// times their minimum share on some axis). Jointly infeasible
-/// degradation limits are *not* a `None`: the DP returns the
-/// best-effort allocation with the violations flagged in
-/// [`SearchResult::limits_met`], exactly like [`greedy_search`]
-/// reports them. The fleet placement layer uses this to price
-/// overloaded machine subsets by their unmet-limit count instead of
-/// aborting.
+/// flagged via [`SearchResult::limits_met`], exactly like
+/// [`greedy_search_with`] reports them. The fleet placement layer
+/// uses this to price overloaded machine subsets by their unmet-limit
+/// count instead of aborting. The per-workload cost tables over the
+/// grid are evaluated as one batch (in parallel when
+/// `options.parallel` is set).
+///
+/// `None` when the grid cannot be solved: some varied axis has fewer
+/// δ units than the workloads' minimum shares need, or a δ finer than
+/// the [`KEY_STEPS`] allocation-key resolution. Jointly infeasible
+/// degradation limits are *not* a `None`.
 pub fn try_exhaustive_search_with<M: CostModel>(
     space: &SearchSpace,
     qos: &[QoS],
@@ -545,24 +517,37 @@ struct GridSolve {
 
 /// Per-axis `[min_units, max_units]` of one workload's share on the
 /// δ grid of `space` with `n` workloads; non-varied axes carry the
-/// placeholder `(0, 0)`. `None` when some varied axis has too few
-/// units to host them all.
+/// placeholder `(0, 0)`. `None` when some varied axis cannot host
+/// them all (see [`unit_range_axis`]).
 fn axis_ranges(space: &SearchSpace, n: usize) -> Option<[(usize, usize); Resource::COUNT]> {
     let mut ranges = [(0usize, 0usize); Resource::COUNT];
     for r in space.varied.iter() {
-        ranges[r.index()] = unit_range_axis(space, r, n)?;
+        ranges[r.index()] = unit_range_axis(space.delta_for(r), space.min_share, n)?;
     }
     Some(ranges)
 }
 
 /// `[min_units, max_units]` of one workload's share on one varied
-/// axis; `None` when the axis's grid has too few units to host `n`
-/// workloads.
-fn unit_range_axis(space: &SearchSpace, r: Resource, n: usize) -> Option<(usize, usize)> {
-    let delta = space.delta_for(r);
-    let units_total = (1.0 / delta).round() as usize;
-    let min_units = (space.min_share / delta).round().max(1.0) as usize;
+/// axis of step `delta`; `None` when the axis cannot host `n`
+/// workloads (see [`axis_units`]).
+fn unit_range_axis(delta: f64, min_share: f64, n: usize) -> Option<(usize, usize)> {
+    let (units_total, min_units) = axis_units(delta, min_share)?;
     (units_total >= n * min_units).then(|| (min_units, units_total - (n - 1) * min_units))
+}
+
+/// The per-axis unit rule every grid solver and
+/// [`machine_capacity`](crate::placement::machine_capacity) share:
+/// an axis of step `delta` has `round(1/δ)` units, and each workload
+/// needs `round(min_share/δ).max(1)` of them. `None` when δ is finer
+/// than the [`KEY_STEPS`] allocation-key resolution: two cells would
+/// then share one probe key and one cost, and the DP would price
+/// cells with their neighbours' costs.
+pub(crate) fn axis_units(delta: f64, min_share: f64) -> Option<(usize, usize)> {
+    (delta * KEY_STEPS >= 1.0 - 1e-9).then(|| {
+        let units_total = (1.0 / delta).round() as usize;
+        let min_units = (min_share / delta).round().max(1.0) as usize;
+        (units_total, min_units)
+    })
 }
 
 /// The per-axis budget lattice: total units per axis (0 for non-varied
@@ -577,11 +562,6 @@ struct BudgetLattice {
     /// Varied axis indices (into [`Resource::ALL`]), for the inner
     /// feasibility checks.
     varied_idx: Vec<usize>,
-    /// Whether the DP must use the 64-bit-lane feasibility path: some
-    /// axis budget does not fit a 15-bit SWAR lane (δ < ~3e-5). The
-    /// two paths are bit-identical (pinned by proptest); the narrow
-    /// one just checks all axes in a single guarded subtraction.
-    wide: bool,
 }
 
 /// One 16-bit lane per axis in the packed unit representation; bit 15
@@ -592,13 +572,10 @@ const LANE_BITS: usize = 16;
 /// The guard bits of the packed representation (bit 15 of each lane).
 const GUARD: u64 = 0x8000_8000_8000_8000;
 
-/// The guard bit of one 64-bit lane in the wide representation.
-const WIDE_GUARD: u64 = 1 << 63;
-
 /// Packed per-axis units: one 15-bit value per lane. Lane `j` holds
 /// axis `j`'s units, so a single guarded subtraction compares all
-/// axes at once. Only valid when every budget fits a lane
-/// (`!BudgetLattice::wide`).
+/// axes at once. Every budget fits a lane: [`axis_units`] caps an axis
+/// at `KEY_STEPS` = 10⁴ units, below the 2^15 a lane holds.
 fn pack_units(units: &Units) -> u64 {
     let mut p = 0u64;
     for (j, &u) in units.iter().enumerate() {
@@ -607,29 +584,14 @@ fn pack_units(units: &Units) -> u64 {
     p
 }
 
-/// Wide packing: one full 64-bit lane per axis (bit 63 is the guard
-/// the feasibility subtraction borrows against). Handles any axis grid
-/// a `usize` unit count can express, at one guarded subtraction per
-/// axis instead of one for all axes.
-fn pack_units_wide(units: &Units) -> [u64; Resource::COUNT] {
-    let mut p = [0u64; Resource::COUNT];
-    for (j, &u) in units.iter().enumerate() {
-        p[j] = u as u64;
-    }
-    p
-}
-
 impl BudgetLattice {
     fn new(space: &SearchSpace) -> Self {
         let mut budgets = [0usize; Resource::COUNT];
         for r in space.varied.iter() {
-            budgets[r.index()] = (1.0 / space.delta_for(r)).round() as usize;
+            let (units_total, _) = axis_units(space.delta_for(r), space.min_share)
+                .expect("lattices are only built over grids the unit rule accepts");
+            budgets[r.index()] = units_total;
         }
-        // The SWAR feasibility check packs each axis into a 15-bit
-        // lane; a grid finer than 2^15 units per axis (δ < ~3e-5, far
-        // below the 1e-4 cache-key resolution) falls back to the
-        // bit-identical 64-bit-lane path instead of being rejected.
-        let wide = budgets.iter().any(|&b| b >= 1 << (LANE_BITS - 1));
         // Later axes vary fastest, mirroring the historical
         // `cpu_left * height + mem_left` indexing.
         let mut strides = [0usize; Resource::COUNT];
@@ -660,7 +622,6 @@ impl BudgetLattice {
             strides,
             lefts,
             varied_idx,
-            wide,
         }
     }
 
@@ -774,9 +735,7 @@ fn lex_less(a: (u32, f64), b: (u32, f64)) -> bool {
 /// tables (rebuilding only a drifted workload's cells) without paying
 /// a single optimizer call. DP over (workload index, per-axis units
 /// left): lexicographically minimal (unmet limits, weighted cost)
-/// completing workloads `i..n`. Dispatches to the 16-bit-lane SWAR
-/// inner loop or the bit-identical 64-bit-lane fallback depending on
-/// `lattice.wide`.
+/// completing workloads `i..n`.
 fn solve_dp(
     space: &SearchSpace,
     lattice: &BudgetLattice,
@@ -789,11 +748,7 @@ fn solve_dp(
     // re-derivation; layers are built last-workload-first and reversed.
     let mut layers: Vec<Vec<(u32, f64)>> = Vec::with_capacity(n + 1);
     layers.push(vec![(0, 0.0); state_count]);
-    if lattice.wide {
-        dp_layers_wide(lattice, tables, &mut layers);
-    } else {
-        dp_layers_narrow(lattice, tables, &mut layers);
-    }
+    dp_layers(lattice, tables, &mut layers);
     layers.reverse(); // layers[i] = cost-to-go starting at workload i
 
     let start = lattice.index(&lattice.budgets);
@@ -847,14 +802,10 @@ fn solve_dp(
     })
 }
 
-/// The 16-bit-lane DP inner loop: every axis packed into one `u64`, a
-/// single guarded subtraction compares all axes at once (the M-axis
-/// generalization must not tax the 2-axis hot path).
-fn dp_layers_narrow(
-    lattice: &BudgetLattice,
-    tables: &[Vec<GridCell>],
-    layers: &mut Vec<Vec<(u32, f64)>>,
-) {
+/// The DP inner loop: every axis packed into a 16-bit lane of one
+/// `u64`, so a single guarded subtraction compares all axes at once
+/// (the M-axis generalization must not tax the 2-axis hot path).
+fn dp_layers(lattice: &BudgetLattice, tables: &[Vec<GridCell>], layers: &mut Vec<Vec<(u32, f64)>>) {
     let state_count = lattice.state_count();
     // Hot per-cell data for the inner loop, contiguous per table: the
     // flattened state offset, the SWAR-packed units, the unmet-limit
@@ -912,78 +863,7 @@ fn dp_layers_narrow(
     }
 }
 
-/// The 64-bit-lane DP inner loop for grids too fine for 15-bit SWAR
-/// lanes: one guarded `u64` per axis. Same accumulation order and
-/// tie-breaking as the narrow loop, so the two are bit-identical on
-/// any table set both can represent (pinned by a proptest).
-fn dp_layers_wide(
-    lattice: &BudgetLattice,
-    tables: &[Vec<GridCell>],
-    layers: &mut Vec<Vec<(u32, f64)>>,
-) {
-    let state_count = lattice.state_count();
-    struct WideCell {
-        offset: usize,
-        packed: [u64; Resource::COUNT],
-        unmet: u32,
-        weighted: f64,
-    }
-    let hot: Vec<Vec<WideCell>> = tables
-        .iter()
-        .map(|table| {
-            table
-                .iter()
-                .map(|c| WideCell {
-                    offset: lattice.index(&c.units),
-                    packed: pack_units_wide(&c.units),
-                    unmet: u32::from(!c.within_limit),
-                    weighted: c.weighted,
-                })
-                .collect()
-        })
-        .collect();
-    let packed_lefts: Vec<[u64; Resource::COUNT]> = lattice
-        .lefts
-        .iter()
-        .map(|l| {
-            let mut p = pack_units_wide(l);
-            for w in &mut p {
-                *w |= WIDE_GUARD;
-            }
-            p
-        })
-        .collect();
-    let fits = |pleft: &[u64; Resource::COUNT], packed: &[u64; Resource::COUNT]| {
-        pleft
-            .iter()
-            .zip(packed)
-            .all(|(&l, &c)| (l - c) & WIDE_GUARD == WIDE_GUARD)
-    };
-    let mut next: Vec<(u32, f64)> = layers[0].clone();
-    for i in (0..tables.len()).rev() {
-        let mut cur = vec![UNREACHABLE; state_count];
-        for (s, pleft) in packed_lefts.iter().enumerate() {
-            let mut best = UNREACHABLE;
-            for cell in &hot[i] {
-                if fits(pleft, &cell.packed) {
-                    let rest = next[s - cell.offset];
-                    if rest.0 == u32::MAX {
-                        continue;
-                    }
-                    let v = (rest.0 + cell.unmet, cell.weighted + rest.1);
-                    if lex_less(v, best) {
-                        best = v;
-                    }
-                }
-            }
-            cur[s] = best;
-        }
-        layers.push(cur.clone());
-        next = cur;
-    }
-}
-
-/// Settings for [`coarse_to_fine_search_with`].
+/// Settings for [`try_coarse_to_fine_search_with`].
 ///
 /// The search solves the full DP on each coarse δ of the ladder in
 /// turn, then restricts the next (finer) level to a window of
@@ -1038,13 +918,8 @@ impl CoarseToFineOptions {
             if c <= space.max_varied_delta() * 1.5 {
                 continue;
             }
-            let units = (1.0 / c).round() as usize;
-            let min_units = (space.min_share / c).round().max(1.0) as usize;
-            if units < n * min_units {
-                continue; // grid cannot host n workloads
-            }
-            let max_units = units - (n - 1) * min_units;
-            if max_units - min_units + 1 >= 4 {
+            // A level that cannot host n workloads gives no options.
+            if unit_range_axis(c, space.min_share, n).is_some_and(|(lo, hi)| hi - lo + 1 >= 4) {
                 return CoarseToFineOptions::with_coarse(c);
             }
         }
@@ -1055,16 +930,17 @@ impl CoarseToFineOptions {
     }
 }
 
-/// Coarse-to-fine grid optimum with automatically chosen coarse δ and
-/// default (parallel) candidate evaluation. See
-/// [`coarse_to_fine_search_with`].
-pub fn coarse_to_fine_search<M: CostModel>(
+/// [`try_coarse_to_fine_search_with`] for a grid known to be
+/// solvable: panics where it would return `None`.
+pub fn coarse_to_fine_search_with<M: CostModel>(
     space: &SearchSpace,
     qos: &[QoS],
     models: &[M],
+    c2f: &CoarseToFineOptions,
+    options: &SearchOptions,
 ) -> SearchResult {
-    let c2f = CoarseToFineOptions::auto(space, models.len());
-    coarse_to_fine_search_with(space, qos, models, &c2f, &SearchOptions::default())
+    try_coarse_to_fine_search_with(space, qos, models, c2f, options)
+        .expect("no grid can host the workloads (min_share too large)")
 }
 
 /// Coarse-to-fine enumeration: solve the DP on a coarse δ first, then
@@ -1074,7 +950,7 @@ pub fn coarse_to_fine_search<M: CostModel>(
 /// full-grid optimum while probing far fewer allocations (the
 /// optimizer-call counts of the cost models record exactly how many);
 /// `tests/coarse_to_fine.rs` property-checks the equivalence against
-/// [`exhaustive_search`].
+/// [`try_exhaustive_search_with`].
 ///
 /// Finite degradation limits make the grid problem non-convex (the
 /// fine-grid optimum can hide against the limit boundary, behind
@@ -1089,20 +965,10 @@ pub fn coarse_to_fine_search<M: CostModel>(
 /// and exhaustive search, jointly infeasible limits yield a
 /// best-effort result flagged via [`SearchResult::limits_met`]; that
 /// verdict is always taken from the full grid, never from a window.
-pub fn coarse_to_fine_search_with<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    c2f: &CoarseToFineOptions,
-    options: &SearchOptions,
-) -> SearchResult {
-    try_coarse_to_fine_search_with(space, qos, models, c2f, options)
-        .expect("no grid can host the workloads (min_share too large)")
-}
-
-/// Non-panicking [`coarse_to_fine_search_with`]: `None` exactly when
-/// [`try_exhaustive_search_with`] would return `None` too (the fine
-/// grid cannot host every workload).
+///
+/// `None` exactly when [`try_exhaustive_search_with`] would return
+/// `None` too: the fine grid cannot host every workload, or its δ is
+/// finer than the [`KEY_STEPS`] allocation-key resolution.
 pub fn try_coarse_to_fine_search_with<M: CostModel>(
     space: &SearchSpace,
     qos: &[QoS],
@@ -1110,9 +976,12 @@ pub fn try_coarse_to_fine_search_with<M: CostModel>(
     c2f: &CoarseToFineOptions,
     options: &SearchOptions,
 ) -> Option<SearchResult> {
-    let n = models.len();
-    assert!(n >= 1);
-    assert!(c2f.window_steps > 0.0, "window must be positive");
+    cold_coarse_to_fine(space, qos, models, c2f, options, None)
+}
+
+/// The levels of `c2f`'s ladder strictly coarser than every varied
+/// axis's fine δ, coarsest first.
+fn coarse_ladder(space: &SearchSpace, c2f: &CoarseToFineOptions) -> Vec<f64> {
     let mut ladder: Vec<f64> = c2f
         .coarse_deltas
         .iter()
@@ -1120,9 +989,29 @@ pub fn try_coarse_to_fine_search_with<M: CostModel>(
         .filter(|&d| d > space.max_varied_delta() + 1e-12)
         .collect();
     ladder.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+    ladder
+}
+
+/// The one cold coarse-to-fine solve, behind both
+/// [`try_coarse_to_fine_search_with`] and the cold leg of
+/// [`coarse_to_fine_search_warm`]. Dispatches on the limits: any
+/// finite `L_i` takes [`limit_aware_refinement`], which hands its
+/// evaluated coarse level to `capture` when given one.
+fn cold_coarse_to_fine<M: CostModel>(
+    space: &SearchSpace,
+    qos: &[QoS],
+    models: &[M],
+    c2f: &CoarseToFineOptions,
+    options: &SearchOptions,
+    capture: Option<&mut Option<CoarseCache>>,
+) -> Option<SearchResult> {
+    let n = models.len();
+    assert!(n >= 1);
+    assert!(c2f.window_steps > 0.0, "window must be positive");
+    let ladder = coarse_ladder(space, c2f);
 
     if qos.iter().any(|q| q.degradation_limit.is_finite()) {
-        return limit_aware_refinement(space, qos, models, c2f, options, &ladder, None);
+        return limit_aware_refinement(space, qos, models, c2f, options, &ladder, capture);
     }
 
     // Unconstrained path: each level's optimum becomes the next
@@ -1196,11 +1085,6 @@ pub fn try_coarse_to_fine_search_with<M: CostModel>(
 /// knob.
 const RECENTER_CAP: usize = 100;
 
-/// An evaluated coarse level handed out of [`limit_aware_refinement`]
-/// for warm-start caching: the coarse δ plus the per-workload
-/// option-cell tables evaluated at that δ.
-type CoarseCapture = Option<(f64, Vec<Vec<GridCell>>)>;
-
 /// The limit-aware coarse-to-fine path (some `L_i` is finite).
 ///
 /// 1. Solve one ladder level **unwindowed** — the finest level that
@@ -1221,7 +1105,7 @@ type CoarseCapture = Option<(f64, Vec<Vec<GridCell>>)>;
 ///    grid: only it can certify joint infeasibility.
 ///
 /// A caller that wants the evaluated coarse level for a warm-start
-/// cache passes a [`CoarseCapture`] slot.
+/// cache passes a slot for it.
 fn limit_aware_refinement<M: CostModel>(
     space: &SearchSpace,
     qos: &[QoS],
@@ -1229,7 +1113,7 @@ fn limit_aware_refinement<M: CostModel>(
     c2f: &CoarseToFineOptions,
     options: &SearchOptions,
     ladder: &[f64],
-    capture: Option<&mut CoarseCapture>,
+    capture: Option<&mut Option<CoarseCache>>,
 ) -> Option<SearchResult> {
     let n = models.len();
     let full_grid = || grid_search(space, qos, models, options, None).map(|s| s.result);
@@ -1252,7 +1136,11 @@ fn limit_aware_refinement<M: CostModel>(
     // Hand the evaluated coarse level to a warm-start cache, so the
     // next period can delta-solve it instead of re-evaluating it.
     if let Some(slot) = capture {
-        *slot = Some((coarse_delta, coarse.tables.clone()));
+        *slot = Some(CoarseCache {
+            delta: coarse_delta,
+            lattice: BudgetLattice::new(&space.with_delta(coarse_delta)),
+            tables: coarse.tables.clone(),
+        });
     }
     let ranges = axis_ranges(space, n)?;
 
@@ -1586,7 +1474,7 @@ fn rebuild_tables<M: CostModel>(
     }
 }
 
-/// Warm-started [`coarse_to_fine_search_with`]: bit-identical results,
+/// Warm-started [`try_coarse_to_fine_search_with`]: bit-identical results,
 /// fewer optimizer calls when little changed since the previous call.
 ///
 /// `fingerprints[i]` identifies workload `i`'s content (e.g.
@@ -1683,18 +1571,12 @@ pub fn coarse_to_fine_search_warm<M: CostModel>(
         }
         None => {
             // Unconstrained path: no coarse feasibility map to keep.
-            // Window size mirrors what the cold ladder would use.
-            let finest = c2f
-                .coarse_deltas
-                .iter()
+            // Window size mirrors what the cold ladder would use: its
+            // finest level, else the fine δ.
+            let step = coarse_ladder(space, c2f)
+                .last()
                 .copied()
-                .filter(|&d| d > space.max_varied_delta() + 1e-12)
-                .fold(f64::INFINITY, f64::min);
-            let step = if finest.is_finite() {
-                finest
-            } else {
-                space.max_varied_delta()
-            };
+                .unwrap_or_else(|| space.max_varied_delta());
             (vec![Vec::new(); n], c2f.window_steps * step)
         }
     };
@@ -1743,7 +1625,7 @@ pub fn coarse_to_fine_search_warm<M: CostModel>(
 }
 
 /// The cold leg of [`coarse_to_fine_search_warm`]: run the ordinary
-/// cold solve, capture the evaluated coarse level (limit-aware path),
+/// cold solve, keep its evaluated coarse level (limit-aware path),
 /// and prime the warm state.
 #[allow(clippy::too_many_arguments)]
 fn cold_resolve<M: CostModel>(
@@ -1759,36 +1641,7 @@ fn cold_resolve<M: CostModel>(
     warm.cold_solves += 1;
     warm.key = None;
     warm.coarse = None;
-    let result = if qos.iter().any(|q| q.degradation_limit.is_finite()) {
-        let mut ladder: Vec<f64> = c2f
-            .coarse_deltas
-            .iter()
-            .copied()
-            .filter(|&d| d > space.max_varied_delta() + 1e-12)
-            .collect();
-        ladder.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-        let mut captured: CoarseCapture = None;
-        let r = limit_aware_refinement(
-            space,
-            qos,
-            models,
-            c2f,
-            options,
-            &ladder,
-            Some(&mut captured),
-        );
-        if let Some((delta, tables)) = captured {
-            warm.coarse = Some(CoarseCache {
-                delta,
-                lattice: BudgetLattice::new(&space.with_delta(delta)),
-                tables,
-            });
-        }
-        r
-    } else {
-        try_coarse_to_fine_search_with(space, qos, models, c2f, options)
-    };
-    let result = result?;
+    let result = cold_coarse_to_fine(space, qos, models, c2f, options, Some(&mut warm.coarse))?;
     warm.key = Some(key);
     warm.fingerprints = fingerprints.to_vec();
     warm.centers.clone_from(&result.allocations);
@@ -1964,6 +1817,7 @@ fn on_window_edge(
 mod tests {
     use super::*;
     use crate::costmodel::model::FnCostModel;
+    use crate::placement::machine_capacity;
 
     /// Synthetic reciprocal cost models: cost_i = α_i/cpu + 1.
     fn synth(alphas: Vec<f64>) -> Vec<impl CostModel> {
@@ -1977,11 +1831,25 @@ mod tests {
         vec![QoS::default(); n]
     }
 
+    fn greedy<M: CostModel>(space: &SearchSpace, qos: &[QoS], models: &[M]) -> SearchResult {
+        greedy_search_with(space, qos, models, &SearchOptions::default())
+    }
+
+    fn exhaustive<M: CostModel>(space: &SearchSpace, qos: &[QoS], models: &[M]) -> SearchResult {
+        try_exhaustive_search_with(space, qos, models, &SearchOptions::default()).unwrap()
+    }
+
+    /// Coarse-to-fine with the automatic ladder.
+    fn c2f_auto<M: CostModel>(space: &SearchSpace, qos: &[QoS], models: &[M]) -> SearchResult {
+        let c2f = CoarseToFineOptions::auto(space, models.len());
+        coarse_to_fine_search_with(space, qos, models, &c2f, &SearchOptions::default())
+    }
+
     #[test]
     fn greedy_gives_cpu_to_the_hungrier_workload() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![10.0, 1.0]);
-        let r = greedy_search(&space, &qos_n(2), &models);
+        let r = greedy(&space, &qos_n(2), &models);
         assert!(r.allocations[0].cpu() > 0.6, "{:?}", r.allocations);
         assert!((r.allocations[0].cpu() + r.allocations[1].cpu() - 1.0).abs() < 1e-9);
     }
@@ -1990,7 +1858,7 @@ mod tests {
     fn greedy_keeps_symmetric_workloads_even() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![5.0, 5.0]);
-        let r = greedy_search(&space, &qos_n(2), &models);
+        let r = greedy(&space, &qos_n(2), &models);
         assert_eq!(r.iterations, 0);
         assert!((r.allocations[0].cpu() - 0.5).abs() < 1e-9);
     }
@@ -2000,7 +1868,7 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         let alphas = [8.0, 3.0, 1.0, 0.5];
         let models = synth(alphas.to_vec());
-        let r = greedy_search(&space, &qos_n(4), &models);
+        let r = greedy(&space, &qos_n(4), &models);
         // Replay the trace and verify monotone improvement.
         let mut alloc = vec![space.default_allocation(4); 4];
         let total = |alloc: &[Allocation]| -> f64 {
@@ -2029,9 +1897,9 @@ mod tests {
         // solo cost (cost_1(r) = 2/r + 1, solo cost 3 → cap 6 →
         // r_1 ≥ 0.4).
         let models = synth(vec![10.0, 2.0]);
-        let free = greedy_search(&space, &qos_n(2), &models);
+        let free = greedy(&space, &qos_n(2), &models);
         let qos = vec![QoS::default(), QoS::with_limit(2.0)];
-        let r = greedy_search(&space, &qos, &models);
+        let r = greedy(&space, &qos, &models);
         let full = 2.0 / 1.0 + 1.0;
         assert!(
             r.costs[1] <= 2.0 * full + 1e-9,
@@ -2050,9 +1918,9 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         // Identical workloads; gain pulls resources to workload 0.
         let models = synth(vec![5.0, 5.0]);
-        let r_plain = greedy_search(&space, &qos_n(2), &models);
+        let r_plain = greedy(&space, &qos_n(2), &models);
         let qos = vec![QoS::with_gain(5.0), QoS::default()];
-        let r_gain = greedy_search(&space, &qos, &models);
+        let r_gain = greedy(&space, &qos, &models);
         assert!(r_gain.allocations[0].cpu() > r_plain.allocations[0].cpu());
     }
 
@@ -2060,8 +1928,8 @@ mod tests {
     fn greedy_matches_exhaustive_on_reciprocal_models() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![9.0, 4.0, 1.0]);
-        let greedy = greedy_search(&space, &qos_n(3), &models);
-        let exact = exhaustive_search(&space, &qos_n(3), &models);
+        let greedy = greedy(&space, &qos_n(3), &models);
+        let exact = exhaustive(&space, &qos_n(3), &models);
         // Paper: greedy is very often optimal, always within 5 %.
         assert!(
             greedy.weighted_cost <= exact.weighted_cost * 1.05 + 1e-9,
@@ -2079,7 +1947,7 @@ mod tests {
         let m0 = FnCostModel::new(|a: Allocation| 100.0 / a.cpu());
         let m1 = FnCostModel::new(|a: Allocation| 10.0 + 0.001 / a.cpu());
         let models: Vec<&dyn CostModel> = vec![&m0, &m1];
-        let r = exhaustive_search(&space, &qos_n(2), &models);
+        let r = exhaustive(&space, &qos_n(2), &models);
         assert!(
             (r.allocations[0].cpu() - 0.95).abs() < 1e-9,
             "{:?}",
@@ -2096,7 +1964,7 @@ mod tests {
                 FnCostModel::new(move |a: Allocation| (i as f64 + 1.0) / a.cpu() + 2.0 / a.memory())
             })
             .collect();
-        let r = exhaustive_search(&space, &qos_n(3), &models);
+        let r = exhaustive(&space, &qos_n(3), &models);
         let cpu_sum: f64 = r.allocations.iter().map(|a| a.cpu()).sum();
         let mem_sum: f64 = r.allocations.iter().map(|a| a.memory()).sum();
         assert!(cpu_sum <= 1.0 + 1e-9);
@@ -2117,7 +1985,7 @@ mod tests {
                 })
             })
             .collect();
-        let r = exhaustive_search(&space, &qos_n(2), &models);
+        let r = exhaustive(&space, &qos_n(2), &models);
         for res in [Resource::Cpu, Resource::Memory, Resource::DiskBandwidth] {
             let sum: f64 = r.allocations.iter().map(|a| a.get(res)).sum();
             assert!(sum <= 1.0 + 1e-9, "{res:?} oversubscribed: {sum}");
@@ -2144,7 +2012,7 @@ mod tests {
                 FnCostModel::new(move |a: Allocation| c / a.cpu() + m / a.memory() + d / a.disk())
             })
             .collect();
-        let r = exhaustive_search(&space, &qos_n(2), &models);
+        let r = exhaustive(&space, &qos_n(2), &models);
         // Brute force: all (u0, u1) per axis with u0 + u1 <= 4,
         // 1 <= u <= 3 per workload.
         let mut best = f64::INFINITY;
@@ -2190,7 +2058,7 @@ mod tests {
             .into_iter()
             .map(|(c, m)| FnCostModel::new(move |a: Allocation| c / a.cpu() + m / a.memory()))
             .collect();
-        let r = exhaustive_search(&space, &qos_n(2), &models);
+        let r = exhaustive(&space, &qos_n(2), &models);
         for a in &r.allocations {
             let cpu_units = a.cpu() / 0.25;
             let mem_units = a.memory() / 0.5;
@@ -2211,7 +2079,7 @@ mod tests {
         // impossible. The DP must report that via `limits_met` (like
         // greedy does) instead of panicking, and still hand back the
         // least-violating, cheapest allocation.
-        let r = exhaustive_search(&space, &qos, &models);
+        let r = exhaustive(&space, &qos, &models);
         assert!(
             r.limits_met.iter().any(|m| !m),
             "jointly infeasible limits must be reported: {:?}",
@@ -2234,7 +2102,7 @@ mod tests {
         // best-effort DP must prefer the zero-violation allocation.
         let models = synth(vec![10.0, 2.0]);
         let qos = vec![QoS::default(), QoS::with_limit(1.5)];
-        let r = exhaustive_search(&space, &qos, &models);
+        let r = exhaustive(&space, &qos, &models);
         assert!(r.limits_met.iter().all(|&m| m), "{r:?}");
         let full = 2.0 / 1.0 + 1.0;
         assert!(r.costs[1] <= 1.5 * full + 1e-9);
@@ -2247,7 +2115,7 @@ mod tests {
         let m0 = FnCostModel::new(|a: Allocation| 20.0 / a.cpu() + 1.0 / a.memory());
         let m1 = FnCostModel::new(|a: Allocation| 1.0 / a.cpu() + 20.0 / a.memory());
         let models: Vec<&dyn CostModel> = vec![&m0, &m1];
-        let r = greedy_search(&space, &qos_n(2), &models);
+        let r = greedy(&space, &qos_n(2), &models);
         assert!(r.allocations[0].cpu() > 0.6, "{:?}", r.allocations);
         assert!(r.allocations[1].memory() > 0.6, "{:?}", r.allocations);
     }
@@ -2263,7 +2131,7 @@ mod tests {
         let m2 =
             FnCostModel::new(|a: Allocation| 1.0 / a.cpu() + 1.0 / a.memory() + 20.0 / a.disk());
         let models: Vec<&dyn CostModel> = vec![&m0, &m1, &m2];
-        let r = greedy_search(&space, &qos_n(3), &models);
+        let r = greedy(&space, &qos_n(3), &models);
         assert!(r.allocations[0].cpu() > 0.5, "{:?}", r.allocations);
         assert!(r.allocations[1].memory() > 0.5, "{:?}", r.allocations);
         assert!(r.allocations[2].disk() > 0.5, "{:?}", r.allocations);
@@ -2281,7 +2149,7 @@ mod tests {
         let models = synth(vec![5.0; 5]);
         let mut qos = qos_n(5);
         qos[0] = QoS::with_limit(2.5);
-        let r = greedy_search(&space, &qos, &models);
+        let r = greedy(&space, &qos, &models);
         assert!(r.limits_met[0], "{:?}", r);
         let full = 5.0 + 1.0;
         assert!(r.costs[0] <= 2.5 * full + 1e-9);
@@ -2298,7 +2166,7 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![10.0, 10.0]);
         let qos = vec![QoS::with_limit(1.05), QoS::with_limit(1.05)];
-        let r = greedy_search(&space, &qos, &models);
+        let r = greedy(&space, &qos, &models);
         assert!(
             r.limits_met.iter().any(|m| !m),
             "jointly infeasible limits must be reported: {:?}",
@@ -2310,7 +2178,7 @@ mod tests {
     fn single_workload_keeps_everything() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![5.0]);
-        let r = greedy_search(&space, &qos_n(1), &models);
+        let r = greedy(&space, &qos_n(1), &models);
         assert_eq!(r.iterations, 0);
         assert!((r.allocations[0].cpu() - 1.0).abs() < 1e-9);
     }
@@ -2336,8 +2204,10 @@ mod tests {
         let serial = greedy_search_with(&space, &qos, &models, &SearchOptions::serial());
         let parallel = greedy_search_with(&space, &qos, &models, &SearchOptions::parallel());
         assert_eq!(serial, parallel);
-        let e_serial = exhaustive_search_with(&space, &qos, &models, &SearchOptions::serial());
-        let e_parallel = exhaustive_search_with(&space, &qos, &models, &SearchOptions::parallel());
+        let e_serial =
+            try_exhaustive_search_with(&space, &qos, &models, &SearchOptions::serial()).unwrap();
+        let e_parallel =
+            try_exhaustive_search_with(&space, &qos, &models, &SearchOptions::parallel()).unwrap();
         assert_eq!(e_serial, e_parallel);
     }
 
@@ -2347,8 +2217,8 @@ mod tests {
         space.set_delta(0.01);
         let models = synth(vec![9.0, 4.0, 1.0]);
         let qos = qos_n(3);
-        let full = exhaustive_search(&space, &qos, &models);
-        let c2f = coarse_to_fine_search(&space, &qos, &models);
+        let full = exhaustive(&space, &qos, &models);
+        let c2f = c2f_auto(&space, &qos, &models);
         assert!(
             (c2f.weighted_cost - full.weighted_cost).abs() <= 1e-9,
             "c2f {} vs full {}",
@@ -2364,8 +2234,8 @@ mod tests {
         space.set_delta(0.01);
         let models = synth(vec![10.0, 2.0]);
         let qos = vec![QoS::default(), QoS::with_limit(2.0)];
-        let full = exhaustive_search(&space, &qos, &models);
-        let c2f = coarse_to_fine_search(&space, &qos, &models);
+        let full = exhaustive(&space, &qos, &models);
+        let c2f = c2f_auto(&space, &qos, &models);
         assert!((c2f.weighted_cost - full.weighted_cost).abs() <= 1e-9);
         assert!(c2f.limits_met.iter().all(|&m| m));
     }
@@ -2400,7 +2270,8 @@ mod tests {
         let qos = qos_n(4);
         let alphas = [8.0, 3.0, 1.0, 0.5];
         let (full_models, full_probes) = count(&alphas);
-        let full = exhaustive_search_with(&space, &qos, &full_models, &SearchOptions::serial());
+        let full = try_exhaustive_search_with(&space, &qos, &full_models, &SearchOptions::serial())
+            .unwrap();
         let (c2f_models, c2f_probes) = count(&alphas);
         let c2f = coarse_to_fine_search_with(
             &space,
@@ -2444,7 +2315,8 @@ mod tests {
         let alphas = [(8.0, 1.0, 2.0), (1.0, 6.0, 1.0), (2.0, 2.0, 7.0)];
         let qos = qos_n(3);
         let (full_models, full_probes) = count(&alphas);
-        let full = exhaustive_search_with(&space, &qos, &full_models, &SearchOptions::serial());
+        let full = try_exhaustive_search_with(&space, &qos, &full_models, &SearchOptions::serial())
+            .unwrap();
         let (c2f_models, c2f_probes) = count(&alphas);
         let c2f = coarse_to_fine_search_with(
             &space,
@@ -2479,7 +2351,7 @@ mod tests {
         };
         let c2f =
             coarse_to_fine_search_with(&space, &qos, &models, &opts, &SearchOptions::serial());
-        let full = exhaustive_search(&space, &qos, &models);
+        let full = exhaustive(&space, &qos, &models);
         assert_eq!(c2f, full);
     }
 
@@ -2491,8 +2363,8 @@ mod tests {
         let qos = vec![QoS::with_limit(1.05), QoS::with_limit(1.05)];
         // Jointly infeasible: both must return the same best-effort
         // allocation with the violation flagged, not panic.
-        let full = exhaustive_search(&space, &qos, &models);
-        let c2f = coarse_to_fine_search(&space, &qos, &models);
+        let full = exhaustive(&space, &qos, &models);
+        let c2f = c2f_auto(&space, &qos, &models);
         assert!(full.limits_met.iter().any(|m| !m), "{full:?}");
         assert_eq!(c2f.limits_met, full.limits_met);
         assert!((c2f.weighted_cost - full.weighted_cost).abs() <= 1e-9);
@@ -2531,7 +2403,8 @@ mod tests {
         ];
         let alphas = [8.0, 3.0, 1.0, 0.5];
         let (full_models, full_probes) = count(&alphas);
-        let full = exhaustive_search_with(&space, &qos, &full_models, &SearchOptions::serial());
+        let full = try_exhaustive_search_with(&space, &qos, &full_models, &SearchOptions::serial())
+            .unwrap();
         let (c2f_models, c2f_probes) = count(&alphas);
         let c2f = coarse_to_fine_search_with(
             &space,
@@ -2629,66 +2502,46 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
-            /// The 64-bit-lane DP and the dominated-cell pruning are
-            /// both bit-identical to the 16-bit-lane DP on any table
-            /// set all of them can represent.
+            /// Dominated-cell pruning leaves the DP optimum
+            /// bit-identical.
             #[test]
-            fn wide_lanes_and_pruning_preserve_the_dp_bitwise(
+            fn pruning_preserves_the_dp_bitwise(
                 costs in proptest::collection::vec(0.01f64..10.0, 96)
             ) {
                 let space = SearchSpace::cpu_and_memory().with_delta(0.1);
                 let n = 3;
                 let tables = synth_tables(&space, n, &costs);
                 let lattice = BudgetLattice::new(&space);
-                assert!(!lattice.wide);
-                let narrow = solve_dp(&space, &lattice, &tables).unwrap();
-                let mut forced = BudgetLattice::new(&space);
-                forced.wide = true;
-                let wide = solve_dp(&space, &forced, &tables).unwrap();
-                assert_bit_identical(&narrow, &wide);
+                let full = solve_dp(&space, &lattice, &tables).unwrap();
                 let pruned = prune_dominated(&lattice, &tables);
                 assert!(pruned.iter().zip(&tables).all(|(p, t)| p.len() <= t.len()));
                 let from_pruned = solve_dp(&space, &lattice, &pruned).unwrap();
-                assert_bit_identical(&narrow, &from_pruned);
+                assert_bit_identical(&full, &from_pruned);
             }
         }
     }
 
     #[test]
-    fn wide_lattice_engages_beyond_15_bit_lanes() {
-        // δ = 1/40000 puts 40000 units on the CPU axis — beyond the
-        // 15-bit SWAR lanes, which used to be a hard assert. The wide
-        // path now solves it (windowed, to keep the test fast).
+    fn grids_finer_than_the_key_resolution_are_rejected() {
+        // Both δ are finer than the 1e-4 allocation key, so
+        // neighbouring cells would share one probe key and one cost
+        // (1/40000 also overflows a 15-bit SWAR lane). Every grid
+        // solver rejects them like a grid too coarse to host the
+        // workloads, and the capacity rule agrees.
         let mut space = SearchSpace::cpu_only(0.5);
-        space.set_delta(1.0 / 40_000.0);
-        assert!(BudgetLattice::new(&space).wide);
         let models = synth(vec![3.0, 1.0]);
-        let mk = |u: usize| {
-            let mut c = [0usize; Resource::COUNT];
-            c[Resource::Cpu.index()] = u;
-            c
-        };
-        // Cells spaced 8 units (2e-4 share) apart so each maps to a
-        // distinct evaluator probe key (keys quantize at 1e-4).
-        let allowed = vec![
-            (12_000..=12_032).step_by(8).map(mk).collect::<Vec<_>>(),
-            (24_000..=24_032).step_by(8).map(mk).collect::<Vec<_>>(),
-        ];
-        let s = grid_search(
-            &space,
-            &qos_n(2),
-            &models,
-            &SearchOptions::serial(),
-            Some(&allowed),
-        )
-        .unwrap();
-        // α/cpu is decreasing, so both take the top of their window.
-        assert!(
-            (s.result.allocations[0].cpu() - 12_032.0 / 40_000.0).abs() < 1e-9,
-            "allocations: {:?}",
-            s.result.allocations
-        );
-        assert!((s.result.allocations[1].cpu() - 24_032.0 / 40_000.0).abs() < 1e-9);
+        let qos = qos_n(2);
+        let opts = SearchOptions::serial();
+        let c2f = CoarseToFineOptions::default();
+        for delta in [5e-5, 1.0 / 40_000.0] {
+            space.set_delta(delta);
+            assert!(try_exhaustive_search_with(&space, &qos, &models, &opts).is_none());
+            assert!(try_coarse_to_fine_search_with(&space, &qos, &models, &c2f, &opts).is_none());
+            assert_eq!(machine_capacity(&space), 0);
+        }
+        // The key resolution itself is still a grid.
+        space.set_delta(1.0 / KEY_STEPS);
+        assert_eq!(machine_capacity(&space), 20);
     }
 
     #[test]

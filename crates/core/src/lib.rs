@@ -28,16 +28,17 @@
 //! Beyond the paper, the **fleet layer** scales the advisor out:
 //!
 //! 6. **Coarse-to-fine enumeration**
-//!    ([`enumerate::coarse_to_fine_search`]): solve the DP grid at a
-//!    coarse δ, then refine only inside a window around the coarse
-//!    optimum — the full-grid answer at a fraction of the optimizer
-//!    calls.
-//! 7. **Cross-machine placement** ([`placement`]): assign `N` tenants
-//!    to `K` machines — identical or heterogeneous
-//!    ([`placement::MachineSpec`]: per-machine search spaces and
-//!    resource scales, subset solves memoized per
-//!    [`enumerate::MachineClass`]) — via marginal-benefit bin-packing
-//!    plus swap/migrate local search over per-machine inner solves.
+//!    ([`enumerate::try_coarse_to_fine_search_with`]): solve the DP
+//!    grid at a coarse δ, then refine only inside a window around the
+//!    coarse optimum — the full-grid answer at a fraction of the
+//!    optimizer calls.
+//! 7. **Cross-machine placement** ([`placement::place_tenants`]):
+//!    assign `N` tenants to `K` machines, one
+//!    [`placement::MachineSpec`] each (per-machine search spaces and
+//!    resource scales; identical fleets repeat one spec, and subset
+//!    solves are memoized per [`enumerate::MachineClass`]) — via
+//!    marginal-benefit bin-packing plus swap/migrate local search over
+//!    per-machine inner solves.
 //! 8. **Fleet control plane** ([`controlplane`]): the event-driven
 //!    fleet manager. [`ControlPlane`] classifies each workload change
 //!    (§6.1), re-solves only the machines an event dirties, and lets
@@ -80,17 +81,15 @@ pub use costmodel::{
 };
 pub use dynamic::{DynamicConfigManager, DynamicOptions, ManagementMode, PeriodReport};
 pub use enumerate::{
-    coarse_to_fine_search, coarse_to_fine_search_warm, coarse_to_fine_search_with,
-    exhaustive_search, exhaustive_search_with, greedy_search, greedy_search_with,
+    coarse_to_fine_search_warm, coarse_to_fine_search_with, greedy_search_with,
     try_coarse_to_fine_search_with, try_exhaustive_search_with, CoarseToFineOptions, MachineClass,
     SearchOptions, SearchResult, TraceStep, WarmStart,
 };
 pub use guardrail::{GuardrailOptions, GuardrailState, GuardrailTracker};
 pub use metrics::CostAccounting;
 pub use placement::{
-    assignment_objective, assignment_objective_heterogeneous, machine_capacity, place_tenants,
-    place_tenants_heterogeneous, AssignmentPricer, FleetOptions, InnerSolve, MachineSpec,
-    PlacementMove, PlacementResult, ScaledCostModel,
+    assignment_objective, machine_capacity, place_tenants, AssignmentPricer, FleetOptions,
+    InnerSolve, MachineSpec, PlacementMove, PlacementResult, ScaledCostModel,
 };
 pub use problem::{Allocation, QoS, Resource, SearchSpace};
 pub use refine::{RefineOptions, RefinedModel, RefinementOutcome};

@@ -2,9 +2,10 @@
 //!
 //! The paper configures `N` workloads on **one** physical machine; a
 //! production fleet first has to decide *which* tenant lands on
-//! *which* machine. This module assigns `N` tenants to `K` machines —
-//! identical or **heterogeneous** (capacities, grid resolutions, and
-//! resource ceilings may all differ per machine):
+//! *which* machine. [`place_tenants`] assigns `N` tenants to `K`
+//! machines, one [`MachineSpec`] each. An identical fleet is `K` copies
+//! of [`MachineSpec::reference`]; a heterogeneous one may differ per
+//! machine in capacity, grid resolution and resource ceilings:
 //!
 //! 1. **Greedy bin-pack seeding**: tenants are ordered by their
 //!    gain-weighted *marginal benefit* — how much a tenant's cost
@@ -23,18 +24,18 @@
 //! that machine, so the placer optimizes exactly the objective the
 //! per-machine advisor will realize. Subset solves are memoized for
 //! the lifetime of one placement, keyed by `(`[`MachineClass`]`,
-//! subset)`: machines of the same class share solves (the homogeneous
-//! fast path), while different classes never cross-contaminate.
+//! subset)`: machines of the same class share solves (an identical
+//! fleet solves each subset once), while different classes never
+//! cross-contaminate.
 //!
-//! Heterogeneous fleets enter through [`MachineSpec`]: each machine
-//! carries its own [`SearchSpace`] plus a resource **scale** relative
-//! to the fleet's reference machine. A tenant's cost model is written
-//! in reference-machine units; on a machine of scale `s`, a share `a`
-//! of that machine is priced as `model(a ⊙ s)` (see
-//! [`ScaledCostModel`]). Degradation limits stay machine-relative:
-//! `L_i` bounds the tenant's cost against its solo cost *on the
-//! machine it is placed on*, exactly what the per-machine advisor will
-//! later enforce.
+//! Each [`MachineSpec`] carries its own [`SearchSpace`] plus a resource
+//! **scale** relative to the fleet's reference machine. A tenant's
+//! cost model is written in reference-machine units; on a machine of
+//! scale `s`, a share `a` of that machine is priced as `model(a ⊙ s)`
+//! (see [`ScaledCostModel`]; at scale 1 that is the model itself).
+//! Degradation limits stay machine-relative: `L_i` bounds the tenant's
+//! cost against its solo cost *on the machine it is placed on*,
+//! exactly what the per-machine advisor will later enforce.
 //!
 //! Degradation limits make some subsets jointly infeasible; every
 //! inner solver (greedy and the grid DPs alike) reports those
@@ -45,7 +46,7 @@
 use crate::costmodel::model::CostModel;
 use crate::costmodel::whatif::Estimate;
 use crate::enumerate::{
-    greedy_search_with, try_coarse_to_fine_search_with, try_exhaustive_search_with,
+    axis_units, greedy_search_with, try_coarse_to_fine_search_with, try_exhaustive_search_with,
     CoarseToFineOptions, MachineClass, SearchOptions, SearchResult,
 };
 use crate::problem::{Allocation, QoS, Resource, ResourceVector, SearchSpace};
@@ -66,13 +67,10 @@ pub enum InnerSolve {
     CoarseToFine(CoarseToFineOptions),
 }
 
-/// Fleet-placement settings.
+/// Fleet-placement settings. The fleet itself is the [`MachineSpec`]
+/// slice handed to [`place_tenants`]; its length is `K`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetOptions {
-    /// Number of identical machines `K` (homogeneous entry points
-    /// only; the heterogeneous entry points take one [`MachineSpec`]
-    /// per machine and ignore this field).
-    pub machines: usize,
     /// Per-machine solver.
     pub inner: InnerSolve,
     /// Candidate-evaluation options for the inner solves.
@@ -88,21 +86,10 @@ pub struct FleetOptions {
 impl Default for FleetOptions {
     fn default() -> Self {
         FleetOptions {
-            machines: 2,
             inner: InnerSolve::Greedy,
             search: SearchOptions::default(),
             max_rounds: 32,
             infeasibility_penalty: 1e9,
-        }
-    }
-}
-
-impl FleetOptions {
-    /// Options for `machines` identical machines, greedy inner solve.
-    pub fn for_machines(machines: usize) -> Self {
-        FleetOptions {
-            machines,
-            ..FleetOptions::default()
         }
     }
 }
@@ -114,9 +101,9 @@ impl FleetOptions {
 /// `scale` maps a share of *this* machine into reference-machine
 /// units: a machine with half the reference CPU and memory has `scale
 /// = (0.5, 0.5)`, so giving a tenant the whole small machine prices
-/// like half the reference machine. Cost models passed to the
-/// heterogeneous entry points are written in reference units and
-/// wrapped per machine by [`ScaledCostModel`].
+/// like half the reference machine. Cost models passed to
+/// [`place_tenants`] are written in reference units and wrapped per
+/// machine by [`ScaledCostModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MachineSpec {
     /// This machine's search space (its own δ, `min_share`, fixed
@@ -181,17 +168,18 @@ impl MachineSpec {
             })
     }
 
-    /// How many tenants this machine can host (every tenant needs at
-    /// least `min_share` of each varied resource).
+    /// How many tenants this machine can host ([`machine_capacity`]).
     pub fn capacity(&self) -> usize {
         machine_capacity(&self.space)
     }
 }
 
-/// A cost model re-based onto one machine of a heterogeneous fleet: a
-/// share `a` of the machine is priced as the wrapped model's cost at
-/// `a ⊙ scale` (reference-machine units). Optimizer-call and
-/// cache-hit accounting delegate to the wrapped model.
+/// A cost model re-based onto one machine of a fleet: a share `a` of
+/// the machine is priced as the wrapped model's cost at `a ⊙ scale`
+/// (reference-machine units). At scale 1 every share is multiplied by
+/// exactly 1.0, so a reference machine prices like the bare model.
+/// Optimizer-call and cache-hit accounting delegate to the wrapped
+/// model.
 #[derive(Debug, Clone, Copy)]
 pub struct ScaledCostModel<M> {
     inner: M,
@@ -289,11 +277,18 @@ impl PlacementResult {
     }
 }
 
-/// How many tenants one machine can host at all: every tenant needs at
-/// least `min_share` of each varied resource.
+/// How many tenants one machine with search space `space` can host:
+/// the most its δ grid fits when each tenant needs `round(min_share/δ)`
+/// (at least one) units of every varied axis, and 0 when some varied
+/// axis is finer than the allocation-key resolution. This is exactly
+/// the largest tenant count for which the grid solvers return `Some`.
 pub fn machine_capacity(space: &SearchSpace) -> usize {
-    assert!(space.min_share > 0.0, "min_share must be positive");
-    ((1.0 + 1e-9) / space.min_share).floor() as usize
+    space
+        .varied
+        .iter()
+        .map(|r| axis_units(space.delta_for(r), space.min_share).map_or(0, |(t, m)| t / m))
+        .min()
+        .unwrap_or(0)
 }
 
 /// Memoized pricing of machine subsets, keyed by machine class, then
@@ -302,33 +297,14 @@ pub fn machine_capacity(space: &SearchSpace) -> usize {
 /// the borrowed `&[usize]` subset without allocating a key.
 type SubsetCache = RefCell<HashMap<MachineClass, HashMap<Vec<usize>, (f64, Option<SearchResult>)>>>;
 
-/// Per-(machine, tenant) cost-model access. The homogeneous entry
-/// points share one model slice across all machines; heterogeneous
-/// ones carry a full `machine × tenant` matrix (scaled wrappers, or
-/// per-machine-class estimators).
-enum ModelView<'a, M> {
-    /// `models[i]` prices tenant `i` on every machine.
-    Shared(&'a [M]),
-    /// `models[m][i]` prices tenant `i` on machine `m`.
-    PerMachine(Vec<Vec<M>>),
-}
-
-impl<M: CostModel> ModelView<'_, M> {
-    fn model(&self, machine: usize, tenant: usize) -> &M {
-        match self {
-            ModelView::Shared(models) => &models[tenant],
-            ModelView::PerMachine(rows) => &rows[machine][tenant],
-        }
-    }
-}
-
 /// Memoizing fleet evaluator: (machine, subset) → (objective, inner
 /// solve), with solves shared across machines of the same class.
 struct FleetSolver<'a, M> {
-    spaces: Vec<SearchSpace>,
+    specs: Vec<MachineSpec>,
     classes: Vec<MachineClass>,
     qos: &'a [QoS],
-    models: ModelView<'a, M>,
+    /// `models[i]` prices tenant `i` in reference-machine units.
+    models: &'a [M],
     options: &'a FleetOptions,
     cache: SubsetCache,
     solves: Cell<usize>,
@@ -336,27 +312,16 @@ struct FleetSolver<'a, M> {
 
 impl<'a, M: CostModel> FleetSolver<'a, M> {
     fn new(
-        spaces: Vec<SearchSpace>,
-        classes: Vec<MachineClass>,
+        specs: &[MachineSpec],
         qos: &'a [QoS],
-        models: ModelView<'a, M>,
+        models: &'a [M],
         options: &'a FleetOptions,
     ) -> Self {
-        assert_eq!(spaces.len(), classes.len());
-        assert!(!spaces.is_empty(), "at least one machine");
-        let n = qos.len();
-        match &models {
-            ModelView::Shared(m) => assert_eq!(m.len(), n, "one model per tenant"),
-            ModelView::PerMachine(rows) => {
-                assert_eq!(rows.len(), spaces.len(), "one model row per machine");
-                for row in rows {
-                    assert_eq!(row.len(), n, "one model per tenant per machine");
-                }
-            }
-        }
+        assert!(!specs.is_empty(), "at least one machine spec");
+        assert_eq!(models.len(), qos.len(), "one model per tenant");
         FleetSolver {
-            spaces,
-            classes,
+            specs: specs.to_vec(),
+            classes: specs.iter().map(MachineSpec::class).collect(),
             qos,
             models,
             options,
@@ -365,13 +330,18 @@ impl<'a, M: CostModel> FleetSolver<'a, M> {
         }
     }
 
+    /// Tenant `i`'s model in shares of machine `m`.
+    fn model(&self, m: usize, i: usize) -> ScaledCostModel<&'a M> {
+        ScaledCostModel::new(&self.models[i], self.specs[m].scale)
+    }
+
     fn machines(&self) -> usize {
-        self.spaces.len()
+        self.specs.len()
     }
 
     /// Per-machine host capacities.
     fn capacities(&self) -> Vec<usize> {
-        self.spaces.iter().map(machine_capacity).collect()
+        self.specs.iter().map(MachineSpec::capacity).collect()
     }
 
     /// First machine of each distinct class, in machine order — the
@@ -411,9 +381,9 @@ impl<'a, M: CostModel> FleetSolver<'a, M> {
         {
             return *obj;
         }
-        let space = &self.spaces[m];
+        let space = &self.specs[m].space;
         let qos_sub: Vec<QoS> = subset.iter().map(|&i| self.qos[i]).collect();
-        let models_sub: Vec<&M> = subset.iter().map(|&i| self.models.model(m, i)).collect();
+        let models_sub: Vec<_> = subset.iter().map(|&i| self.model(m, i)).collect();
         let result = match &self.options.inner {
             InnerSolve::Greedy => Some(greedy_search_with(
                 space,
@@ -484,79 +454,53 @@ fn starved_allocation(space: &SearchSpace) -> Allocation {
     })
 }
 
-/// Assign `N` tenants (their cost models and QoS) to
-/// `options.machines` identical machines described by `space`.
+/// Assign `N` tenants (their cost models and QoS) to a fleet of one
+/// [`MachineSpec`] per machine, each with its own search space, grid
+/// resolution and resource scale: greedy marginal-benefit seeding plus
+/// steepest-descent migrate/swap local search, all priced through a
+/// class-keyed memo of per-machine inner solves. `models[i]` prices
+/// tenant `i` in reference-machine units; each machine sees it through
+/// a [`ScaledCostModel`] at that machine's scale.
 ///
-/// The homogeneous fast path: one `SearchSpace` serves all machines,
-/// so every machine shares one [`MachineClass`] and subset solves are
-/// shared fleet-wide. For fleets whose machines differ, use
-/// [`place_tenants_heterogeneous`].
+/// # Example
+///
+/// ```
+/// use vda_core::placement::{place_tenants, FleetOptions, MachineSpec};
+/// use vda_core::problem::{Allocation, QoS, SearchSpace};
+/// use vda_core::FnCostModel;
+///
+/// // Two CPU-hungry tenants and two light ones: cost = α/cpu + 1.
+/// let models: Vec<_> = [40.0, 30.0, 1.0, 1.0]
+///     .into_iter()
+///     .map(|alpha| FnCostModel::new(move |a: Allocation| alpha / a.cpu() + 1.0))
+///     .collect();
+/// let qos = vec![QoS::default(); 4];
+/// let space = SearchSpace::cpu_only(0.5);
+/// let options = FleetOptions::default();
+///
+/// // An identical fleet: two reference machines, one machine class.
+/// let identical = vec![MachineSpec::reference(space); 2];
+/// let placed = place_tenants(&identical, &qos, &models, &options);
+/// assert_ne!(placed.assignment[0], placed.assignment[1]);
+/// assert_eq!(placed.machine_classes[0], placed.machine_classes[1]);
+///
+/// // A mixed fleet: a reference machine and one with half its CPU.
+/// let mixed = vec![
+///     MachineSpec::reference(space),
+///     MachineSpec::scaled(space, 0.5, 1.0),
+/// ];
+/// let placed = place_tenants(&mixed, &qos, &models, &options);
+/// assert_eq!(placed.assignment[0], 0, "the hungriest tenant takes the big machine");
+/// assert_ne!(placed.machine_classes[0], placed.machine_classes[1]);
+/// ```
 pub fn place_tenants<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    options: &FleetOptions,
-) -> PlacementResult {
-    let k = options.machines;
-    let class = MachineClass::of(space);
-    let solver = FleetSolver::new(
-        vec![*space; k],
-        vec![class; k],
-        qos,
-        ModelView::Shared(models),
-        options,
-    );
-    place_impl(&solver)
-}
-
-/// Assign `N` tenants to a **heterogeneous** fleet: one
-/// [`MachineSpec`] per machine (its own search space, grid resolution,
-/// and resource scale). `models[i]` prices tenant `i` in
-/// reference-machine units; each machine sees it through a
-/// [`ScaledCostModel`] at that machine's scale. `options.machines` is
-/// ignored — the fleet size is `specs.len()`.
-pub fn place_tenants_heterogeneous<M: CostModel>(
     specs: &[MachineSpec],
     qos: &[QoS],
     models: &[M],
     options: &FleetOptions,
 ) -> PlacementResult {
-    let solver = hetero_solver(specs, qos, models, options);
-    place_impl(&solver)
-}
-
-/// Build the per-machine scaled-model solver for a heterogeneous
-/// fleet.
-fn hetero_solver<'a, M: CostModel>(
-    specs: &[MachineSpec],
-    qos: &'a [QoS],
-    models: &'a [M],
-    options: &'a FleetOptions,
-) -> FleetSolver<'a, ScaledCostModel<&'a M>> {
-    assert!(!specs.is_empty(), "at least one machine spec");
-    let rows: Vec<Vec<ScaledCostModel<&M>>> = specs
-        .iter()
-        .map(|spec| {
-            models
-                .iter()
-                .map(|m| ScaledCostModel::new(m, spec.scale))
-                .collect()
-        })
-        .collect();
-    FleetSolver::new(
-        specs.iter().map(|s| s.space).collect(),
-        specs.iter().map(|s| s.class()).collect(),
-        qos,
-        ModelView::PerMachine(rows),
-        options,
-    )
-}
-
-/// The shared placement algorithm: greedy marginal-benefit seeding
-/// plus steepest-descent migrate/swap local search, all priced through
-/// the solver's class-keyed memo cache.
-fn place_impl<M: CostModel>(solver: &FleetSolver<'_, M>) -> PlacementResult {
-    let n = solver.qos.len();
+    let solver = FleetSolver::new(specs, qos, models, options);
+    let n = qos.len();
     assert!(n >= 1, "at least one tenant");
     let k = solver.machines();
     let capacities = solver.capacities();
@@ -569,7 +513,7 @@ fn place_impl<M: CostModel>(solver: &FleetSolver<'_, M>) -> PlacementResult {
     // Gain-weighted marginal benefit: the cost spread the tenant's
     // model reports between its minimum share and owning a machine,
     // maximized over the fleet's distinct machine classes (evaluated
-    // once per class so homogeneous fleets pay exactly one probe
+    // once per class so identical fleets pay exactly one probe
     // pair per tenant). Large spread ⇒ resource-sensitive ⇒ placed
     // first, while machines are still empty.
     let reps = solver.class_representatives();
@@ -577,9 +521,9 @@ fn place_impl<M: CostModel>(solver: &FleetSolver<'_, M>) -> PlacementResult {
         .map(|i| {
             reps.iter()
                 .map(|&m| {
-                    let space = &solver.spaces[m];
-                    let model = solver.models.model(m, i);
-                    solver.qos[i].gain
+                    let space = &solver.specs[m].space;
+                    let model = solver.model(m, i);
+                    qos[i].gain
                         * (model.cost(starved_allocation(space))
                             - model.cost(space.solo_allocation()))
                 })
@@ -622,7 +566,7 @@ fn place_impl<M: CostModel>(solver: &FleetSolver<'_, M>) -> PlacementResult {
     // candidate priced on its destination machine.
     let mut moves = Vec::new();
     let mut current = solver.total(&assignment);
-    for _ in 0..solver.options.max_rounds {
+    for _ in 0..options.max_rounds {
         let mut best: Option<(PlacementMove, Vec<usize>, f64)> = None;
         // Single-tenant migrations.
         for t in 0..n {
@@ -701,27 +645,16 @@ fn place_impl<M: CostModel>(solver: &FleetSolver<'_, M>) -> PlacementResult {
 /// Fleet objective of an explicit assignment (same pricing as
 /// [`place_tenants`]: per-machine inner solves, penalties for unmet
 /// limits) — e.g. to price a hand-made or previously recorded
-/// placement against the one the placer chose.
+/// placement against the one the placer chose. `None` unless the
+/// assignment names one machine of `specs` per tenant.
 pub fn assignment_objective<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    assignment: &[usize],
-    options: &FleetOptions,
-) -> f64 {
-    AssignmentPricer::new(space, qos, models, options).objective(assignment)
-}
-
-/// Fleet objective of an explicit assignment over a **heterogeneous**
-/// fleet (same pricing as [`place_tenants_heterogeneous`]).
-pub fn assignment_objective_heterogeneous<M: CostModel>(
     specs: &[MachineSpec],
     qos: &[QoS],
     models: &[M],
     assignment: &[usize],
     options: &FleetOptions,
-) -> f64 {
-    AssignmentPricer::heterogeneous(specs, qos, models, options).objective(assignment)
+) -> Option<f64> {
+    AssignmentPricer::new(specs, qos, models, options).objective(assignment)
 }
 
 /// Prices many related assignments with *shared* subset memoization.
@@ -736,53 +669,32 @@ pub struct AssignmentPricer<'a, M> {
 }
 
 impl<'a, M: CostModel> AssignmentPricer<'a, M> {
-    /// A pricer over a fixed (space, QoS, models, options) problem on
-    /// `options.machines` identical machines.
+    /// A pricer over a fixed fleet (one [`MachineSpec`] per machine)
+    /// and tenant set (QoS, models in reference-machine units).
     pub fn new(
-        space: &SearchSpace,
-        qos: &'a [QoS],
-        models: &'a [M],
-        options: &'a FleetOptions,
-    ) -> Self {
-        let k = options.machines;
-        let class = MachineClass::of(space);
-        AssignmentPricer {
-            solver: FleetSolver::new(
-                vec![*space; k],
-                vec![class; k],
-                qos,
-                ModelView::Shared(models),
-                options,
-            ),
-        }
-    }
-
-    /// Fleet objective of `assignment` (same pricing as
-    /// [`place_tenants`] / [`place_tenants_heterogeneous`]).
-    pub fn objective(&self, assignment: &[usize]) -> f64 {
-        assert_eq!(assignment.len(), self.solver.qos.len());
-        self.solver.total(assignment)
-    }
-
-    /// Number of machines this pricer covers.
-    pub fn machines(&self) -> usize {
-        self.solver.machines()
-    }
-}
-
-impl<'a, M: CostModel> AssignmentPricer<'a, ScaledCostModel<&'a M>> {
-    /// A pricer over a heterogeneous fleet: one [`MachineSpec`] per
-    /// machine, tenant models in reference-machine units (wrapped per
-    /// machine by [`ScaledCostModel`]). `options.machines` is ignored.
-    pub fn heterogeneous(
         specs: &[MachineSpec],
         qos: &'a [QoS],
         models: &'a [M],
         options: &'a FleetOptions,
     ) -> Self {
         AssignmentPricer {
-            solver: hetero_solver(specs, qos, models, options),
+            solver: FleetSolver::new(specs, qos, models, options),
         }
+    }
+
+    /// Fleet objective of `assignment` (same pricing as
+    /// [`place_tenants`]). `None` when it does not give each tenant
+    /// one machine of the fleet: a wrong length, or a machine index
+    /// past the last spec.
+    pub fn objective(&self, assignment: &[usize]) -> Option<f64> {
+        let k = self.solver.machines();
+        (assignment.len() == self.solver.qos.len() && assignment.iter().all(|&m| m < k))
+            .then(|| self.solver.total(assignment))
+    }
+
+    /// Number of machines this pricer covers.
+    pub fn machines(&self) -> usize {
+        self.solver.machines()
     }
 }
 
@@ -802,13 +714,23 @@ mod tests {
         vec![QoS::default(); n]
     }
 
+    /// `k` identical reference machines over `space`.
+    fn fleet(space: SearchSpace, k: usize) -> Vec<MachineSpec> {
+        vec![MachineSpec::reference(space); k]
+    }
+
     #[test]
     fn placement_spreads_hungry_tenants_across_machines() {
         let space = SearchSpace::cpu_only(0.5);
         // Two very hungry tenants and two light ones: each machine
         // should get one hungry tenant.
         let models = synth(vec![50.0, 50.0, 1.0, 1.0]);
-        let r = place_tenants(&space, &qos_n(4), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(
+            &fleet(space, 2),
+            &qos_n(4),
+            &models,
+            &FleetOptions::default(),
+        );
         assert_ne!(
             r.assignment[0], r.assignment[1],
             "hungry tenants must not share: {:?}",
@@ -824,10 +746,11 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![40.0, 35.0, 30.0, 1.0, 1.0, 1.0]);
         let qos = qos_n(6);
-        let opts = FleetOptions::for_machines(3);
-        let placed = place_tenants(&space, &qos, &models, &opts);
+        let opts = FleetOptions::default();
+        let machines = fleet(space, 3);
+        let placed = place_tenants(&machines, &qos, &models, &opts);
         let round_robin: Vec<usize> = (0..6).map(|i| i % 3).collect();
-        let rr = assignment_objective(&space, &qos, &models, &round_robin, &opts);
+        let rr = assignment_objective(&machines, &qos, &models, &round_robin, &opts).unwrap();
         assert!(
             placed.objective <= rr + 1e-9,
             "placement {} must not lose to round-robin {}",
@@ -841,7 +764,7 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![9.0, 4.0, 1.0]);
         let qos = qos_n(3);
-        let r = place_tenants(&space, &qos, &models, &FleetOptions::for_machines(1));
+        let r = place_tenants(&fleet(space, 1), &qos, &models, &FleetOptions::default());
         let direct = greedy_search_with(&space, &qos, &models, &SearchOptions::default());
         assert!(r.assignment.iter().all(|&m| m == 0));
         assert_eq!(r.per_machine[0].as_ref().unwrap(), &direct);
@@ -852,7 +775,12 @@ mod tests {
     fn moves_strictly_improve_the_objective() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![20.0, 18.0, 2.0, 1.5, 1.0]);
-        let r = place_tenants(&space, &qos_n(5), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(
+            &fleet(space, 2),
+            &qos_n(5),
+            &models,
+            &FleetOptions::default(),
+        );
         for mv in &r.moves {
             let improvement = match mv {
                 PlacementMove::Migrate { improvement, .. } => *improvement,
@@ -870,7 +798,12 @@ mod tests {
         space.min_share = 0.25;
         space.set_delta(0.25);
         let models = synth(vec![1.0; 6]);
-        let r = place_tenants(&space, &qos_n(6), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(
+            &fleet(space, 2),
+            &qos_n(6),
+            &models,
+            &FleetOptions::default(),
+        );
         for m in 0..2 {
             assert!(r.tenants_on(m).len() <= 4, "{:?}", r.assignment);
         }
@@ -883,7 +816,12 @@ mod tests {
         space.min_share = 0.5;
         space.set_delta(0.5);
         let models = synth(vec![1.0; 5]);
-        let _ = place_tenants(&space, &qos_n(5), &models, &FleetOptions::for_machines(2));
+        let _ = place_tenants(
+            &fleet(space, 2),
+            &qos_n(5),
+            &models,
+            &FleetOptions::default(),
+        );
     }
 
     #[test]
@@ -899,7 +837,7 @@ mod tests {
             QoS::default(),
             QoS::default(),
         ];
-        let r = place_tenants(&space, &qos, &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(&fleet(space, 2), &qos, &models, &FleetOptions::default());
         assert_ne!(r.assignment[0], r.assignment[1], "{:?}", r.assignment);
         assert!(
             r.objective < 1e6,
@@ -924,12 +862,12 @@ mod tests {
             QoS::default(),
         ];
         let r = place_tenants(
-            &space,
+            &fleet(space, 2),
             &qos,
             &models,
             &FleetOptions {
                 inner: InnerSolve::Exhaustive,
-                ..FleetOptions::for_machines(2)
+                ..FleetOptions::default()
             },
         );
         assert_ne!(r.assignment[0], r.assignment[1], "{:?}", r.assignment);
@@ -949,7 +887,12 @@ mod tests {
     fn allocation_lookup_is_consistent() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![12.0, 6.0, 3.0, 1.0]);
-        let r = place_tenants(&space, &qos_n(4), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(
+            &fleet(space, 2),
+            &qos_n(4),
+            &models,
+            &FleetOptions::default(),
+        );
         for i in 0..4 {
             let a = r.allocation_of(i).expect("feasible fleet");
             assert!(a.cpu() >= space.min_share - 1e-9);
@@ -981,21 +924,21 @@ mod tests {
             QoS::default(),
         ];
         let exact = place_tenants(
-            &space,
+            &fleet(space, 2),
             &qos,
             &models,
             &FleetOptions {
                 inner: InnerSolve::Exhaustive,
-                ..FleetOptions::for_machines(2)
+                ..FleetOptions::default()
             },
         );
         let c2f = place_tenants(
-            &space,
+            &fleet(space, 2),
             &qos,
             &models,
             &FleetOptions {
                 inner: InnerSolve::CoarseToFine(CoarseToFineOptions::default()),
-                ..FleetOptions::for_machines(2)
+                ..FleetOptions::default()
             },
         );
         assert!(
@@ -1020,14 +963,14 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![9.0, 7.0, 2.0, 1.0]);
         let qos = qos_n(4);
-        let greedy = place_tenants(&space, &qos, &models, &FleetOptions::for_machines(2));
+        let greedy = place_tenants(&fleet(space, 2), &qos, &models, &FleetOptions::default());
         let exact = place_tenants(
-            &space,
+            &fleet(space, 2),
             &qos,
             &models,
             &FleetOptions {
                 inner: InnerSolve::Exhaustive,
-                ..FleetOptions::for_machines(2)
+                ..FleetOptions::default()
             },
         );
         assert!(exact.objective <= greedy.objective + 1e-9);
@@ -1037,7 +980,12 @@ mod tests {
     fn subset_memoization_bounds_inner_solves() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![5.0, 4.0, 3.0, 2.0, 1.0]);
-        let r = place_tenants(&space, &qos_n(5), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(
+            &fleet(space, 2),
+            &qos_n(5),
+            &models,
+            &FleetOptions::default(),
+        );
         // 5 tenants over 2 machines: far fewer distinct subsets than
         // the local search's move evaluations.
         assert!(r.inner_solves <= 62, "{}", r.inner_solves);
@@ -1089,19 +1037,19 @@ mod tests {
         let specs = big_and_small();
         let models = synth(vec![8.0]);
         let qos = qos_n(1);
-        let opts = FleetOptions::for_machines(2);
-        let pricer = AssignmentPricer::heterogeneous(&specs, &qos, &models, &opts);
+        let opts = FleetOptions::default();
+        let pricer = AssignmentPricer::new(&specs, &qos, &models, &opts);
         // Price on the big machine FIRST so a subset-only memo key
         // would poison the small machine's lookup.
-        let on_big = pricer.objective(&[0]);
-        let on_small = pricer.objective(&[1]);
+        let on_big = pricer.objective(&[0]).unwrap();
+        let on_small = pricer.objective(&[1]).unwrap();
         // Solo on big: 8/1 + 1 = 9. Solo on small (scale 0.5):
         // 8/0.5 + 1 = 17.
         assert!((on_big - 9.0).abs() < 1e-9, "big {on_big}");
         assert!((on_small - 17.0).abs() < 1e-9, "small {on_small}");
         // Re-pricing must hit the class-keyed cache, not cross over.
-        assert!((pricer.objective(&[1]) - on_small).abs() < 1e-12);
-        assert!((pricer.objective(&[0]) - on_big).abs() < 1e-12);
+        assert_eq!(pricer.objective(&[1]), Some(on_small));
+        assert_eq!(pricer.objective(&[0]), Some(on_big));
     }
 
     #[test]
@@ -1115,10 +1063,10 @@ mod tests {
             .map(|alpha| FnCostModel::new(move |a: Allocation| alpha / a.cpu().min(0.6) + 1.0))
             .collect();
         let qos = qos_n(2);
-        let opts = FleetOptions::for_machines(1);
+        let opts = FleetOptions::default();
         let space = SearchSpace::cpu_only(0.5);
         let solve_on = |spec: MachineSpec| {
-            place_tenants_heterogeneous(&[spec], &qos, &models, &opts).per_machine[0]
+            place_tenants(&[spec], &qos, &models, &opts).per_machine[0]
                 .clone()
                 .expect("solvable")
         };
@@ -1141,8 +1089,7 @@ mod tests {
     fn hungry_tenant_lands_on_the_big_machine() {
         let specs = big_and_small();
         let models = synth(vec![50.0, 1.0]);
-        let r =
-            place_tenants_heterogeneous(&specs, &qos_n(2), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(&specs, &qos_n(2), &models, &FleetOptions::default());
         assert_eq!(
             r.assignment[0], 0,
             "resource-hungry tenant must take the big machine: {:?}",
@@ -1166,20 +1113,59 @@ mod tests {
         ];
         let models = synth(vec![30.0, 25.0, 20.0, 2.0, 1.0, 0.5]);
         let qos = qos_n(6);
-        let opts = FleetOptions::for_machines(3);
-        let aware = place_tenants_heterogeneous(&specs, &qos, &models, &opts);
+        let opts = FleetOptions::default();
+        let aware = place_tenants(&specs, &qos, &models, &opts);
         // Homogeneous-as-smallest: place as if all machines were the
         // small one, then price that assignment on the true fleet.
         let smallest = vec![MachineSpec::scaled(space, 0.4, 1.0); 3];
-        let blind = place_tenants_heterogeneous(&smallest, &qos, &models, &opts);
+        let blind = place_tenants(&smallest, &qos, &models, &opts);
         let blind_on_true =
-            assignment_objective_heterogeneous(&specs, &qos, &models, &blind.assignment, &opts);
+            assignment_objective(&specs, &qos, &models, &blind.assignment, &opts).unwrap();
         assert!(
             aware.objective <= blind_on_true + 1e-9,
             "aware {} vs blind-on-true {}",
             aware.objective,
             blind_on_true
         );
+    }
+
+    #[test]
+    fn capacity_counts_only_what_the_grid_hosts() {
+        // δ 0.1 with min_share 0.05: each tenant needs one whole 0.1
+        // unit, so the grid hosts 10 tenants, not ⌊1/0.05⌋ = 20.
+        let mut space = SearchSpace::cpu_only(0.5);
+        space.set_delta(0.1);
+        assert_eq!(machine_capacity(&space), 10);
+        let opts = SearchOptions::serial();
+        let c2f = CoarseToFineOptions::default();
+        for n in [10, 11] {
+            let models = synth(vec![1.0; n]);
+            let qos = qos_n(n);
+            let exact = try_exhaustive_search_with(&space, &qos, &models, &opts);
+            let refined = try_coarse_to_fine_search_with(&space, &qos, &models, &c2f, &opts);
+            assert_eq!(exact.is_some(), n <= 10, "{n} tenants");
+            assert_eq!(refined.is_some(), n <= 10, "{n} tenants");
+        }
+    }
+
+    #[test]
+    fn pricing_rejects_assignments_outside_the_fleet() {
+        let machines = fleet(SearchSpace::cpu_only(0.5), 2);
+        let models = synth(vec![2.0, 1.0]);
+        let qos = qos_n(2);
+        let opts = FleetOptions::default();
+        // Each tenant alone owns its machine: (2/1 + 1) + (1/1 + 1).
+        let both = assignment_objective(&machines, &qos, &models, &[0, 1], &opts).unwrap();
+        assert!((both - 5.0).abs() < 1e-9, "{both}");
+        // Machine 7 of 2 would leave tenant 1 unpriced.
+        assert_eq!(
+            assignment_objective(&machines, &qos, &models, &[0, 7], &opts),
+            None
+        );
+        // One machine per tenant: no fewer, no more.
+        let pricer = AssignmentPricer::new(&machines, &qos, &models, &opts);
+        assert_eq!(pricer.objective(&[0]), None);
+        assert_eq!(pricer.objective(&[0, 1, 1]), None);
     }
 
     #[test]
@@ -1205,7 +1191,12 @@ mod tests {
                 FnCostModel::new(move |a: Allocation| alpha / a.disk() + 1.0 / a.cpu() + 1.0)
             })
             .collect();
-        let r = place_tenants(&space, &qos_n(4), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(
+            &fleet(space, 2),
+            &qos_n(4),
+            &models,
+            &FleetOptions::default(),
+        );
         assert_ne!(
             r.assignment[0], r.assignment[1],
             "disk hogs must not share: {:?}",
@@ -1235,8 +1226,7 @@ mod tests {
         assert_eq!(specs[0].capacity(), 2);
         assert_eq!(specs[1].capacity(), 20);
         let models = synth(vec![1.0; 5]);
-        let r =
-            place_tenants_heterogeneous(&specs, &qos_n(5), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(&specs, &qos_n(5), &models, &FleetOptions::default());
         assert!(r.tenants_on(0).len() <= 2, "{:?}", r.assignment);
     }
 }

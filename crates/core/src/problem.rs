@@ -139,6 +139,11 @@ impl AxisSet {
 /// per axis).
 pub type AllocKey = [u32; Resource::COUNT];
 
+/// [`AllocKey`] steps per unit share: keys quantize every axis at
+/// `1 / KEY_STEPS` = 10⁻⁴. Two shares closer than that share one key,
+/// and so one cached probe and one cost.
+pub const KEY_STEPS: f64 = 1e4;
+
 /// A per-axis vector of resource shares — one VM's `R_i`, a machine's
 /// capacity scale, or a per-axis grid step. Indexed by [`Resource`];
 /// axes an M = 2 caller never mentions default to a full share of
@@ -253,20 +258,20 @@ impl ResourceVector {
         VmConfig::with_disk(self.cpu(), self.memory(), self.disk())
     }
 
-    /// Quantized cache key (10⁻⁴ share resolution per axis), so
-    /// repeated greedy probes of the same point hit the what-if cache
-    /// despite floating-point dust.
+    /// Quantized cache key (`1 / KEY_STEPS` share resolution per
+    /// axis), so repeated greedy probes of the same point hit the
+    /// what-if cache despite floating-point dust.
     pub fn key(&self) -> AllocKey {
         let mut k = [0u32; Resource::COUNT];
         for r in Resource::ALL {
-            k[r.index()] = (self.get(r) * 1e4).round() as u32;
+            k[r.index()] = (self.get(r) * KEY_STEPS).round() as u32;
         }
         k
     }
 
     /// Reconstruct the (quantized) vector a cache key encodes.
     pub fn from_key(key: AllocKey) -> Self {
-        Self::from_fn(|r| key[r.index()] as f64 / 1e4)
+        Self::from_fn(|r| key[r.index()] as f64 / KEY_STEPS)
     }
 
     /// Whether every axis share is a valid fraction in `(0, 1]`.

@@ -5,10 +5,10 @@
 use proptest::prelude::*;
 use vda::core::costmodel::{CostModel, FnCostModel};
 use vda::core::enumerate::{
-    coarse_to_fine_search_with, exhaustive_search, try_coarse_to_fine_search_with,
+    coarse_to_fine_search_with, greedy_search_with, try_coarse_to_fine_search_with,
     try_exhaustive_search_with, CoarseToFineOptions, SearchOptions,
 };
-use vda::core::placement::{place_tenants, FleetOptions};
+use vda::core::placement::{place_tenants, FleetOptions, MachineSpec};
 use vda::core::problem::{Allocation, QoS, SearchSpace};
 
 /// Per-workload convex resource-cost coefficients (α for CPU, β for
@@ -173,7 +173,7 @@ proptest! {
             coarse_deltas: vec![0.1, 0.05],
             window_steps: 1.0,
         };
-        let full = exhaustive_search(&space, &qos, &models);
+        let full = try_exhaustive_search_with(&space, &qos, &models, &SearchOptions::serial()).unwrap();
         let c2f = coarse_to_fine_search_with(
             &space,
             &qos,
@@ -236,7 +236,8 @@ proptest! {
         let cs = &cs[..n];
         let qos = &qos[..n];
         let models = models(cs);
-        let r = place_tenants(&space, qos, &models, &FleetOptions::for_machines(k));
+        let fleet = vec![MachineSpec::reference(space); k];
+        let r = place_tenants(&fleet, qos, &models, &FleetOptions::default());
         prop_assert!(r.assignment.iter().all(|&m| m < k));
         for m in 0..k {
             let tenants = r.tenants_on(m);
@@ -253,12 +254,11 @@ proptest! {
 
 /// Regression for the jointly-infeasible panic: the non-`try_` grid
 /// paths used to `.expect(...)` when no allocation satisfied every
-/// degradation limit, while `greedy_search` reported the same
+/// degradation limit, while greedy search reported the same
 /// situation gracefully. All three searches must now agree: return a
 /// best-effort allocation and flag the violation via `limits_met`.
 #[test]
 fn jointly_infeasible_limits_never_panic() {
-    use vda::core::enumerate::{coarse_to_fine_search, exhaustive_search, greedy_search};
     let mut space = SearchSpace::cpu_only(0.5);
     space.set_delta(0.01);
     // Each workload needs essentially the whole machine to stay within
@@ -266,9 +266,11 @@ fn jointly_infeasible_limits_never_panic() {
     let cs = vec![(10.0, 0.0, 1.0), (10.0, 0.0, 1.0)];
     let models = models(&cs);
     let qos = vec![QoS::with_limit(1.05), QoS::with_limit(1.05)];
-    let greedy = greedy_search(&space, &qos, &models);
-    let full = exhaustive_search(&space, &qos, &models);
-    let c2f = coarse_to_fine_search(&space, &qos, &models);
+    let options = SearchOptions::default();
+    let greedy = greedy_search_with(&space, &qos, &models, &options);
+    let full = try_exhaustive_search_with(&space, &qos, &models, &options).unwrap();
+    let c2f_options = CoarseToFineOptions::auto(&space, models.len());
+    let c2f = coarse_to_fine_search_with(&space, &qos, &models, &c2f_options, &options);
     for (name, r) in [("greedy", &greedy), ("exhaustive", &full), ("c2f", &c2f)] {
         assert!(
             r.limits_met.iter().any(|m| !m),

@@ -3,7 +3,7 @@
 //! equivalence contract of the enumeration batch evaluator.
 
 use vda::core::costmodel::{CostModel, SharedEstimateCache, WhatIfEstimator};
-use vda::core::enumerate::{exhaustive_search_with, greedy_search_with, SearchOptions};
+use vda::core::enumerate::{greedy_search_with, try_exhaustive_search_with, SearchOptions};
 use vda::core::metrics::CostAccounting;
 use vda::core::problem::{Allocation, QoS, SearchSpace};
 use vda::core::tenant::Tenant;
@@ -100,14 +100,15 @@ fn parallel_and_serial_exhaustive_are_identical_with_real_estimators() {
     let qos = adv.qos().to_vec();
 
     let serial_models = fresh_estimators(&adv);
-    let serial = exhaustive_search_with(&space, &qos, &serial_models, &SearchOptions::serial());
+    let serial = try_exhaustive_search_with(&space, &qos, &serial_models, &SearchOptions::serial());
     let serial_calls = CostAccounting::tally(&serial_models);
 
     let parallel_models = fresh_estimators(&adv);
     let parallel =
-        exhaustive_search_with(&space, &qos, &parallel_models, &SearchOptions::parallel());
+        try_exhaustive_search_with(&space, &qos, &parallel_models, &SearchOptions::parallel());
     let parallel_calls = CostAccounting::tally(&parallel_models);
 
+    assert!(serial.is_some());
     assert_eq!(serial, parallel);
     assert_eq!(serial_calls, parallel_calls);
 }
@@ -135,7 +136,7 @@ fn heterogeneous_model_sets_enumerate_through_dyn() {
     let est = adv.estimator(0);
     let actuals = adv.actual_models();
     let models: Vec<&dyn CostModel> = vec![&est, &actuals[1]];
-    let r = vda::core::enumerate::greedy_search(&space, adv.qos(), &models);
+    let r = greedy_search_with(&space, adv.qos(), &models, &SearchOptions::default());
     let total: f64 = r.allocations.iter().map(|a| a.cpu()).sum();
     assert!(total <= 1.0 + 1e-9);
     assert!(r.limits_met.iter().all(|&m| m));

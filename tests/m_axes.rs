@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use vda::core::costmodel::FnCostModel;
 use vda::core::enumerate::{
-    coarse_to_fine_search_with, exhaustive_search_with, CoarseToFineOptions, SearchOptions,
+    coarse_to_fine_search_with, try_exhaustive_search_with, CoarseToFineOptions, SearchOptions,
 };
 use vda::core::problem::{Allocation, AxisSet, QoS, Resource, ResourceVector, SearchSpace};
 
@@ -339,7 +339,7 @@ proptest! {
         if units_total < n * min_units {
             prop_assert!(legacy.is_none());
         } else {
-            let new = exhaustive_search_with(&space, qos, &models, &SearchOptions::serial());
+            let new = try_exhaustive_search_with(&space, qos, &models, &SearchOptions::serial()).unwrap();
             let legacy = legacy.expect("grid hosts the workloads");
 
             // Bit-identical, not approximately equal.
@@ -381,7 +381,7 @@ proptest! {
                 })
             })
             .collect();
-        let full = exhaustive_search_with(&space, qos, &models, &SearchOptions::serial());
+        let full = try_exhaustive_search_with(&space, qos, &models, &SearchOptions::serial()).unwrap();
         let c2f = coarse_to_fine_search_with(
             &space,
             qos,
@@ -437,7 +437,7 @@ fn three_axis_windowed_refinement_matches_full_grid_at_n3() {
         })
         .collect();
     let qos = vec![QoS::with_limit(2.5), QoS::default(), QoS::with_gain(2.0)];
-    let full = exhaustive_search_with(&space, &qos, &models, &SearchOptions::serial());
+    let full = try_exhaustive_search_with(&space, &qos, &models, &SearchOptions::serial()).unwrap();
     let c2f = coarse_to_fine_search_with(&space, &qos, &models, &opts, &SearchOptions::serial());
     assert!(
         (c2f.weighted_cost - full.weighted_cost).abs() <= 1e-9 * full.weighted_cost.abs().max(1.0),
@@ -474,7 +474,7 @@ fn legacy_pin_holds_on_a_binding_limit_scenario() {
             FnCostModel::new(move |alloc: Allocation| a / alloc.cpu() + b / alloc.memory() + c)
         })
         .collect();
-    let new = exhaustive_search_with(&space, &qos, &models, &SearchOptions::serial());
+    let new = try_exhaustive_search_with(&space, &qos, &models, &SearchOptions::serial()).unwrap();
     assert_eq!(new.weighted_cost, legacy.weighted_cost);
     assert_eq!(new.limits_met, legacy.limits_met);
     assert!(new.limits_met[0], "the limit is satisfiable here");

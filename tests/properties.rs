@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use vda::core::costmodel::{CostModel, FnCostModel, RegimeFnCostModel};
-use vda::core::enumerate::{exhaustive_search, greedy_search};
+use vda::core::enumerate::{greedy_search_with, try_exhaustive_search_with, SearchOptions};
 use vda::core::problem::{Allocation, QoS, SearchSpace};
 use vda::core::refine::RefinedModel;
 use vda::stats::{LinearFit, MultiLinearFit, ReciprocalFit};
@@ -29,7 +29,7 @@ proptest! {
     fn greedy_is_always_feasible(a in alphas(4), betas in alphas(4)) {
         let space = SearchSpace::cpu_only(0.5);
         let models = reciprocal_models(&a, &betas);
-        let r = greedy_search(&space, &[QoS::default(); 4], &models);
+        let r = greedy_search_with(&space, &[QoS::default(); 4], &models, &SearchOptions::default());
         let total: f64 = r.allocations.iter().map(|al| al.cpu()).sum();
         prop_assert!(total <= 1.0 + 1e-9);
         for al in &r.allocations {
@@ -46,7 +46,7 @@ proptest! {
             .map(|i| a[i] / space.default_allocation(3).cpu() + betas[i])
             .sum();
         let models = reciprocal_models(&a, &betas);
-        let r = greedy_search(&space, &[QoS::default(); 3], &models);
+        let r = greedy_search_with(&space, &[QoS::default(); 3], &models, &SearchOptions::default());
         prop_assert!(r.weighted_cost <= default_cost + 1e-9);
     }
 
@@ -56,8 +56,8 @@ proptest! {
     fn greedy_close_to_exhaustive(a in alphas(3)) {
         let space = SearchSpace::cpu_only(0.5);
         let models = reciprocal_models(&a, &[1.0; 3]);
-        let greedy = greedy_search(&space, &[QoS::default(); 3], &models);
-        let exact = exhaustive_search(&space, &[QoS::default(); 3], &models);
+        let greedy = greedy_search_with(&space, &[QoS::default(); 3], &models, &SearchOptions::default());
+        let exact = try_exhaustive_search_with(&space, &[QoS::default(); 3], &models, &SearchOptions::default()).unwrap();
         prop_assert!(greedy.weighted_cost <= exact.weighted_cost * 1.05 + 1e-9);
     }
 
@@ -72,7 +72,7 @@ proptest! {
                 FnCostModel::new(move |al: Allocation| ca / al.cpu() + cb / al.memory())
             })
             .collect();
-        let r = exhaustive_search(&space, &[QoS::default(); 3], &models);
+        let r = try_exhaustive_search_with(&space, &[QoS::default(); 3], &models, &SearchOptions::default()).unwrap();
         let cpu: f64 = r.allocations.iter().map(|al| al.cpu()).sum();
         let mem: f64 = r.allocations.iter().map(|al| al.memory()).sum();
         prop_assert!(cpu <= 1.0 + 1e-9);
@@ -85,7 +85,7 @@ proptest! {
         let space = SearchSpace::cpu_only(0.5);
         let models = reciprocal_models(&[alpha, 4.0 * alpha], &[1.0; 2]);
         let qos = vec![QoS::with_limit(limit), QoS::default()];
-        let r = greedy_search(&space, &qos, &models);
+        let r = greedy_search_with(&space, &qos, &models, &SearchOptions::default());
         if r.limits_met[0] {
             let full = alpha / 1.0 + 1.0;
             prop_assert!(r.costs[0] <= limit * full + 1e-6);
@@ -96,14 +96,14 @@ proptest! {
     /// cost surface (the bit-identical contract of `SearchOptions`).
     #[test]
     fn parallel_enumeration_matches_serial(a in alphas(4), betas in alphas(4)) {
-        use vda::core::enumerate::{exhaustive_search_with, greedy_search_with, SearchOptions};
         let space = SearchSpace::cpu_only(0.5);
         let models = reciprocal_models(&a, &betas);
         let serial = greedy_search_with(&space, &[QoS::default(); 4], &models, &SearchOptions::serial());
         let parallel = greedy_search_with(&space, &[QoS::default(); 4], &models, &SearchOptions::parallel());
         prop_assert_eq!(serial, parallel);
-        let es = exhaustive_search_with(&space, &[QoS::default(); 4], &models, &SearchOptions::serial());
-        let ep = exhaustive_search_with(&space, &[QoS::default(); 4], &models, &SearchOptions::parallel());
+        let es = try_exhaustive_search_with(&space, &[QoS::default(); 4], &models, &SearchOptions::serial());
+        let ep = try_exhaustive_search_with(&space, &[QoS::default(); 4], &models, &SearchOptions::parallel());
+        prop_assert!(es.is_some());
         prop_assert_eq!(es, ep);
     }
 
