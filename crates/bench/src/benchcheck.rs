@@ -201,7 +201,7 @@ mod tests {
       "probe_cache_rows": 120000,
       "per_event_wall_ms": 2400.0,
       "batched_wall_ms": 2200.0,
-      "capped_wall_ms": 8600.0,
+      "capped_wall_ms": 2300.0,
       "event_optimizer_calls_batched": 5850,
       "waves_per_event": 501,
       "waves_batched": 21,
@@ -211,7 +211,8 @@ mod tests {
       "probe_bytes_capped": 9304480,
       "serial_equivalence": true,
       "batching_cuts_waves": true,
-      "cache_bounded": true
+      "cache_bounded": true,
+      "capped_within_1_5x": true
     }
   },
   "adaptive": {
@@ -688,7 +689,7 @@ mod tests {
         // dimensions and knobs, optimizer-call totals, wave counts,
         // coalescing/eviction/ring counters, resident-byte accounting
         // (a deterministic size model, not a heap measurement), and
-        // the four contract booleans are gated; the three per-leg wall
+        // the five contract booleans are gated; the three per-leg wall
         // times are not.
         for (field, original, replacement) in [
             ("batch_size", "\"batch_size\": 25", "\"batch_size\": 50"),
@@ -747,6 +748,11 @@ mod tests {
                 "\"cache_bounded\": true",
                 "\"cache_bounded\": false",
             ),
+            (
+                "capped_within_1_5x",
+                "\"capped_within_1_5x\": true",
+                "\"capped_within_1_5x\": false",
+            ),
         ] {
             let cand = BASE.replace(original, replacement);
             assert_ne!(cand, BASE, "{field} must appear in the fixture");
@@ -762,7 +768,7 @@ mod tests {
                 "\"per_event_wall_ms\": 1.0",
             )
             .replace("\"batched_wall_ms\": 2200.0", "\"batched_wall_ms\": 2.0")
-            .replace("\"capped_wall_ms\": 8600.0", "\"capped_wall_ms\": 3.0");
+            .replace("\"capped_wall_ms\": 2300.0", "\"capped_wall_ms\": 3.0");
         assert!(
             compare_reports(BASE, &cand).is_empty(),
             "scaled per-leg wall times must stay unguarded"

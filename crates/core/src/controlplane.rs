@@ -1172,7 +1172,9 @@ impl ControlPlane {
     /// refit), the class registry, probe-cache entries, placements,
     /// per-machine warm-start state, and the decision log. Subsequent
     /// events then cost delta solves, and their results are
-    /// bit-identical to a process that never restarted.
+    /// bit-identical to a process that never restarted. Probe rows
+    /// beyond `options.probe_cache_capacity` are evicted before this
+    /// returns, in the cache's usual victim order.
     ///
     /// # Errors
     ///
@@ -1202,6 +1204,10 @@ impl ControlPlane {
         // restored cache treats everything as just-used.
         probe.set_epoch(snapshot.seq);
         probe.import(&snapshot.probes);
+        // The restoring process may run a tighter cap than the one
+        // that wrote the snapshot: bound the cache now, as `new` does,
+        // not at the first decision.
+        probe.enforce_capacity();
         for (m, (adv, ms)) in machines.iter_mut().zip(&snapshot.machines).enumerate() {
             let hw = adv.hypervisor().machine().fingerprint();
             if hw != ms.hardware {
@@ -2688,6 +2694,59 @@ mod tests {
         assert!(capped.probe_cache().approx_bytes() <= uncapped.probe_cache().approx_bytes());
     }
 
+    /// The plane's topology rebuilt as [`ControlPlane::restore`] wants
+    /// it: uncalibrated advisors with the same hardware, tenants and
+    /// QoS, plus the same search spaces.
+    fn fresh_topology(
+        plane: &ControlPlane,
+    ) -> (Vec<VirtualizationDesignAdvisor>, Vec<SearchSpace>) {
+        (0..plane.machine_count())
+            .map(|m| {
+                let live = plane.machine(m);
+                let mut adv =
+                    VirtualizationDesignAdvisor::new(Hypervisor::new(*live.hypervisor().machine()));
+                for (i, &q) in live.qos().iter().enumerate() {
+                    adv.add_tenant(live.tenant(i).clone(), q);
+                }
+                (adv, *plane.space(m))
+            })
+            .unzip()
+    }
+
+    #[test]
+    fn restore_under_a_tighter_cap_evicts_at_once_and_decides_alike() {
+        let mut uncapped = small_fleet();
+        let snapshot = uncapped.snapshot();
+        assert!(
+            snapshot.probes.len() > 8,
+            "the snapshot must overflow the cap"
+        );
+        let (machines, spaces) = fresh_topology(&uncapped);
+        let options = ControlPlaneOptions {
+            probe_cache_capacity: 8,
+            ..ControlPlaneOptions::default()
+        };
+        let mut capped =
+            ControlPlane::restore(machines, spaces, options, &snapshot).expect("snapshot restores");
+        assert!(
+            capped.probe_cache().len() <= 8,
+            "restore must enforce the cap"
+        );
+        assert!(capped.stats().probe_evictions > 0);
+        assert!(capped.stats().probe_bytes < uncapped.stats().probe_bytes);
+
+        let event = FleetEvent::WorkloadScaled {
+            machine: 0,
+            slot: 0,
+            factor: 1.5,
+        };
+        let u = uncapped.process_event(event.clone());
+        let c = capped.process_event(event);
+        assert_eq!(u.action, c.action);
+        assert_eq!(u.resolved, c.resolved);
+        assert_eq!(u.objective.to_bits(), c.objective.to_bits());
+    }
+
     // ------------------------------------------------------------------
     // Adaptive tuning lifecycle
     // ------------------------------------------------------------------
@@ -2902,19 +2961,7 @@ mod tests {
         let parsed = FleetSnapshot::from_json(&json).expect("snapshot parses");
         assert_eq!(parsed, snapshot);
 
-        // Rebuild a fresh topology and restore.
-        let mut fresh = Vec::new();
-        let mut spaces = Vec::new();
-        for m in 0..plane.machine_count() {
-            let live = plane.machine(m);
-            let mut adv =
-                VirtualizationDesignAdvisor::new(Hypervisor::new(*live.hypervisor().machine()));
-            for (i, &q) in live.qos().iter().enumerate() {
-                adv.add_tenant(live.tenant(i).clone(), q);
-            }
-            fresh.push(adv);
-            spaces.push(*plane.space(m));
-        }
+        let (fresh, spaces) = fresh_topology(&plane);
         let resumed = ControlPlane::restore(
             fresh,
             spaces,

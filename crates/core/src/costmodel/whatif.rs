@@ -40,7 +40,8 @@ use crate::problem::{AllocKey, Allocation};
 use crate::tenant::Tenant;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vda_simdb::hash::Fnv64;
@@ -177,6 +178,14 @@ impl SharedEstimateCache {
 ///   count fits. The key order tie-break makes the victim sequence
 ///   reproducible bit-for-bit across runs and thread counts.
 ///
+/// The cache keeps that victim order as a maintained index and keeps
+/// a running row count, so upkeep never walks the whole cache. A
+/// generation's first touch in an epoch moves its index entry
+/// (`O(log n)` in the number of generations); further touches in the
+/// same epoch are a compare. Each victim costs one `O(log n)` pop plus
+/// its removal, and [`Self::len`] and [`Self::approx_bytes`] are
+/// `O(1)`.
+///
 /// Because the cache is strictly read-through (a miss recomputes the
 /// identical deterministic estimate), a capped cache returns the same
 /// answers as an unbounded one — only the hit/miss/eviction counters
@@ -216,14 +225,40 @@ const PROBE_ROW_BYTES: u64 = 64;
 /// and the recency stamp.
 const PROBE_GENERATION_BYTES: u64 = 96;
 
+/// One `(model, tenant)` generation: its allocation-keyed rows plus
+/// the last logical epoch that read or wrote any of them.
+#[derive(Debug)]
+struct Generation {
+    rows: BTreeMap<AllocKey, Estimate>,
+    last_used: u64,
+}
+
+impl Generation {
+    /// Stamp this generation (`id` in `recency`) with `epoch`. Its
+    /// victim-index entry moves only when the stamp changes, so repeat
+    /// touches within one epoch are a compare. The old entry is found
+    /// by the *stored* stamp, which keeps this correct when epochs go
+    /// backwards (a restore installs the snapshot's sequence number).
+    fn stamp(&mut self, id: (u64, u64), epoch: u64, recency: &mut BTreeSet<(u64, (u64, u64))>) {
+        if self.last_used != epoch {
+            recency.remove(&(self.last_used, id));
+            recency.insert((epoch, id));
+            self.last_used = epoch;
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct ProbeCacheInner {
     // Ordered for the same reason as `CacheGeneration::map`, and so
     // `export` is deterministic by construction.
-    map: BTreeMap<(u64, u64), BTreeMap<AllocKey, Estimate>>,
-    // Last logical epoch that read or wrote each generation. BTreeMap
-    // so the eviction scan's tie-break is key order, not hash order.
-    last_used: BTreeMap<(u64, u64), u64>,
+    map: BTreeMap<(u64, u64), Generation>,
+    // The victim index: one `(last_used, generation)` entry per
+    // generation in `map`. Its first entry is the next victim, and
+    // ties break by key order, not hash order.
+    recency: BTreeSet<(u64, (u64, u64))>,
+    // Total rows across every generation in `map`.
+    rows: usize,
     epoch: u64,
     capacity: usize,
     hits: u64,
@@ -232,13 +267,40 @@ struct ProbeCacheInner {
 }
 
 impl ProbeCacheInner {
-    fn rows(&self) -> usize {
-        self.map.values().map(BTreeMap::len).sum()
+    /// Store a row under its generation and stamp the generation with
+    /// the current epoch. Overwriting an existing key adds no row.
+    fn put(&mut self, id: (u64, u64), key: AllocKey, estimate: Estimate) {
+        let epoch = self.epoch;
+        let gen = match self.map.entry(id) {
+            Entry::Occupied(e) => {
+                let gen = e.into_mut();
+                gen.stamp(id, epoch, &mut self.recency);
+                gen
+            }
+            Entry::Vacant(e) => {
+                self.recency.insert((epoch, id));
+                e.insert(Generation {
+                    rows: BTreeMap::new(),
+                    last_used: epoch,
+                })
+            }
+        };
+        if gen.rows.insert(key, estimate).is_none() {
+            self.rows += 1;
+        }
     }
 
-    fn touch(&mut self, model: u64, tenant: u64) {
-        let epoch = self.epoch;
-        self.last_used.insert((model, tenant), epoch);
+    /// Keep only the generations `keep` accepts, unlinking each
+    /// dropped one from the victim index in the same pass.
+    fn retain(&mut self, keep: impl Fn((u64, u64)) -> bool) {
+        self.map.retain(|&id, gen| {
+            let kept = keep(id);
+            if !kept {
+                self.recency.remove(&(gen.last_used, id));
+                self.rows -= gen.rows.len();
+            }
+            kept
+        });
     }
 }
 
@@ -252,17 +314,16 @@ impl ProbeCache {
     /// counting the lookup as a hit or a miss. A hit refreshes the
     /// generation's recency stamp (see the eviction policy above).
     fn get(&self, model: u64, tenant: u64, key: AllocKey) -> Option<Estimate> {
-        let mut inner = self.inner.lock();
-        let hit = inner
-            .map
-            .get(&(model, tenant))
-            .and_then(|g| g.get(&key))
-            .copied();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let id = (model, tenant);
+        let hit = inner.map.get_mut(&id).and_then(|gen| {
+            let est = gen.rows.get(&key).copied()?;
+            gen.stamp(id, inner.epoch, &mut inner.recency);
+            Some(est)
+        });
         match hit {
-            Some(_) => {
-                inner.hits += 1;
-                inner.touch(model, tenant);
-            }
+            Some(_) => inner.hits += 1,
             None => inner.misses += 1,
         }
         hit
@@ -271,13 +332,7 @@ impl ProbeCache {
     /// Store an estimate under its (model, tenant) generation,
     /// stamping the generation with the current epoch.
     fn insert(&self, model: u64, tenant: u64, key: AllocKey, estimate: Estimate) {
-        let mut inner = self.inner.lock();
-        inner
-            .map
-            .entry((model, tenant))
-            .or_default()
-            .insert(key, estimate);
-        inner.touch(model, tenant);
+        self.inner.lock().put((model, tenant), key, estimate);
     }
 
     /// All cached (allocation, estimate) pairs of one generation.
@@ -287,7 +342,8 @@ impl ProbeCache {
             .map
             .get(&(model, tenant))
             .map(|g| {
-                g.iter()
+                g.rows
+                    .iter()
                     .map(|(&key, &est)| (Allocation::from_key(key), est))
                     .collect()
             })
@@ -302,11 +358,9 @@ impl ProbeCache {
     /// recalibrations and are dropped here too once the tenant's
     /// workload moves on.)
     pub fn retain_tenants(&self, live: &std::collections::HashSet<u64>) {
-        let mut inner = self.inner.lock();
-        inner.map.retain(|&(_, tenant), _| live.contains(&tenant));
-        inner
-            .last_used
-            .retain(|&(_, tenant), _| live.contains(&tenant));
+        self.inner
+            .lock()
+            .retain(|(_, tenant)| live.contains(&tenant));
     }
 
     /// Drop every generation whose *model* fingerprint is not in
@@ -317,11 +371,7 @@ impl ProbeCache {
     /// with the fingerprints of the calibrations still installed
     /// somewhere in the fleet whenever machines are decommissioned.
     pub fn retain_models(&self, live: &std::collections::HashSet<u64>) {
-        let mut inner = self.inner.lock();
-        inner.map.retain(|&(model, _), _| live.contains(&model));
-        inner
-            .last_used
-            .retain(|&(model, _), _| live.contains(&model));
+        self.inner.lock().retain(|(model, _)| live.contains(&model));
     }
 
     /// Every cached entry, flattened to `(model fingerprint, tenant
@@ -330,16 +380,16 @@ impl ProbeCache {
     /// snapshot export. Pair with [`Self::import`] to rebuild the
     /// cache in a restarted process.
     pub fn export(&self) -> Vec<(u64, u64, AllocKey, Estimate)> {
-        let inner = self.inner.lock();
-        let mut rows: Vec<(u64, u64, AllocKey, Estimate)> = inner
+        self.inner
+            .lock()
             .map
             .iter()
             .flat_map(|(&(model, tenant), g)| {
-                g.iter().map(move |(&key, &est)| (model, tenant, key, est))
+                g.rows
+                    .iter()
+                    .map(move |(&key, &est)| (model, tenant, key, est))
             })
-            .collect();
-        rows.sort_by_key(|r| (r.0, r.1, r.2));
-        rows
+            .collect()
     }
 
     /// Insert previously [`export`](Self::export)ed rows. Existing
@@ -352,12 +402,7 @@ impl ProbeCache {
     pub fn import(&self, rows: &[(u64, u64, AllocKey, Estimate)]) {
         let mut inner = self.inner.lock();
         for &(model, tenant, key, est) in rows {
-            inner
-                .map
-                .entry((model, tenant))
-                .or_default()
-                .insert(key, est);
-            inner.touch(model, tenant);
+            inner.put((model, tenant), key, est);
         }
     }
 
@@ -395,22 +440,17 @@ impl ProbeCache {
         if inner.capacity == 0 {
             return 0;
         }
-        let mut evicted = 0u64;
-        while inner.rows() > inner.capacity {
-            let victim = inner
+        let mut evicted = 0;
+        while inner.rows > inner.capacity {
+            let Some((_, id)) = inner.recency.pop_first() else {
+                break;
+            };
+            let gen = inner
                 .map
-                .keys()
-                .map(|&gen| (inner.last_used.get(&gen).copied().unwrap_or(0), gen))
-                .min()
-                .map(|(_, gen)| gen);
-            match victim {
-                Some(gen) => {
-                    let rows = inner.map.remove(&gen).map(|g| g.len()).unwrap_or(0) as u64;
-                    inner.last_used.remove(&gen);
-                    evicted += rows;
-                }
-                None => break,
-            }
+                .remove(&id)
+                .expect("the victim index holds only cached generations");
+            inner.rows -= gen.rows.len();
+            evicted += gen.rows.len() as u64;
         }
         inner.evictions += evicted;
         evicted
@@ -428,7 +468,7 @@ impl ProbeCache {
     /// counts, not a heap measurement.
     pub fn approx_bytes(&self) -> u64 {
         let inner = self.inner.lock();
-        inner.rows() as u64 * PROBE_ROW_BYTES + inner.map.len() as u64 * PROBE_GENERATION_BYTES
+        inner.rows as u64 * PROBE_ROW_BYTES + inner.map.len() as u64 * PROBE_GENERATION_BYTES
     }
 
     /// Cache hits recorded over the cache's lifetime.
@@ -443,7 +483,7 @@ impl ProbeCache {
 
     /// Total cached estimates across all generations.
     pub fn len(&self) -> usize {
-        self.inner.lock().rows()
+        self.inner.lock().rows
     }
 
     /// Whether the cache holds no entries.
@@ -954,6 +994,231 @@ mod tests {
         assert_eq!(warm.optimizer_calls(), 0);
         assert_eq!(e, est.estimate(Allocation::new(0.25, 0.5)));
         assert_eq!(restored.export(), rows);
+    }
+
+    fn row(value: u64) -> Estimate {
+        Estimate {
+            seconds: value as f64,
+            plan_regime: value,
+            avg_cost_per_statement: 0.5,
+        }
+    }
+
+    #[test]
+    fn a_hit_moves_its_generation_to_the_back_of_the_victim_order() {
+        let cache = ProbeCache::new();
+        for (epoch, tenant) in [(1, 10), (2, 11), (3, 12)] {
+            cache.set_epoch(epoch);
+            cache.import(&[(42, tenant, [0; 4], row(tenant))]);
+        }
+        let order = |cache: &ProbeCache| -> Vec<(u64, (u64, u64))> {
+            cache.inner.lock().recency.iter().copied().collect()
+        };
+        assert_eq!(order(&cache), [(1, (42, 10)), (2, (42, 11)), (3, (42, 12))]);
+
+        cache.set_epoch(4);
+        assert_eq!(cache.get(42, 10, [0; 4]), Some(row(10)));
+        let after_first_hit = order(&cache);
+        assert_eq!(
+            after_first_hit,
+            [(2, (42, 11)), (3, (42, 12)), (4, (42, 10))]
+        );
+        assert_eq!(cache.get(42, 10, [0; 4]), Some(row(10)));
+        assert_eq!(
+            order(&cache),
+            after_first_hit,
+            "a same-epoch hit moves nothing"
+        );
+        assert_eq!(cache.hits(), 2);
+
+        // The oldest generations go first; the refreshed one survives.
+        cache.set_capacity(1);
+        assert_eq!(cache.enforce_capacity(), 2);
+        assert_eq!(cache.export(), [(42, 10, [0; 4], row(10))]);
+        assert_eq!(order(&cache), [(4, (42, 10))]);
+    }
+
+    /// Equivalence of the indexed cache with a reference that is the
+    /// full-scan algorithm written out: a `last_used` map beside the
+    /// rows, a row recount and a `min` scan over every generation for
+    /// each victim, and a sorted export.
+    mod indexed_eviction {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::HashSet;
+
+        #[derive(Debug, Default)]
+        struct FullScan {
+            map: BTreeMap<(u64, u64), BTreeMap<AllocKey, Estimate>>,
+            last_used: BTreeMap<(u64, u64), u64>,
+            epoch: u64,
+            capacity: usize,
+            hits: u64,
+            misses: u64,
+            evictions: u64,
+        }
+
+        impl FullScan {
+            fn rows(&self) -> usize {
+                self.map.values().map(BTreeMap::len).sum()
+            }
+
+            fn get(&mut self, id: (u64, u64), key: AllocKey) -> Option<Estimate> {
+                let hit = self.map.get(&id).and_then(|g| g.get(&key)).copied();
+                match hit {
+                    Some(_) => {
+                        self.hits += 1;
+                        self.last_used.insert(id, self.epoch);
+                    }
+                    None => self.misses += 1,
+                }
+                hit
+            }
+
+            fn insert(&mut self, id: (u64, u64), key: AllocKey, estimate: Estimate) {
+                self.map.entry(id).or_default().insert(key, estimate);
+                self.last_used.insert(id, self.epoch);
+            }
+
+            fn retain(&mut self, keep: impl Fn((u64, u64)) -> bool) {
+                self.map.retain(|&id, _| keep(id));
+                self.last_used.retain(|&id, _| keep(id));
+            }
+
+            fn enforce_capacity(&mut self) -> u64 {
+                if self.capacity == 0 {
+                    return 0;
+                }
+                let mut evicted = 0;
+                while self.rows() > self.capacity {
+                    let (_, victim) = self
+                        .map
+                        .keys()
+                        .map(|&id| (self.last_used[&id], id))
+                        .min()
+                        .expect("rows above capacity means a generation exists");
+                    evicted += self.map.remove(&victim).map_or(0, |g| g.len()) as u64;
+                    self.last_used.remove(&victim);
+                }
+                self.evictions += evicted;
+                evicted
+            }
+
+            fn export(&self) -> Vec<(u64, u64, AllocKey, Estimate)> {
+                let mut rows: Vec<_> = self
+                    .map
+                    .iter()
+                    .flat_map(|(&(m, t), g)| g.iter().map(move |(&k, &e)| (m, t, k, e)))
+                    .collect();
+                rows.sort_by_key(|r| (r.0, r.1, r.2));
+                rows
+            }
+
+            fn approx_bytes(&self) -> u64 {
+                self.rows() as u64 * PROBE_ROW_BYTES
+                    + self.map.len() as u64 * PROBE_GENERATION_BYTES
+            }
+        }
+
+        /// A `(model, tenant, key, value)` draw over small domains, so
+        /// generations and keys collide often.
+        type Draw = (u64, u64, u32, u64);
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            SetEpoch(u64),
+            Insert(Draw),
+            Get(Draw),
+            Import(Vec<Draw>),
+            RetainTenants(Vec<u64>),
+            RetainModels(Vec<u64>),
+            SetCapacity(usize),
+            Enforce,
+        }
+
+        fn draw() -> impl Strategy<Value = Draw> {
+            (0u64..3, 0u64..6, 0u32..4, 0u64..1000)
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (0u64..8).prop_map(Op::SetEpoch),
+                draw().prop_map(Op::Insert),
+                draw().prop_map(Op::Insert),
+                draw().prop_map(Op::Get),
+                draw().prop_map(Op::Get),
+                draw().prop_map(Op::Get),
+                proptest::collection::vec(draw(), 0..8).prop_map(Op::Import),
+                proptest::collection::vec(0u64..6, 0..6).prop_map(Op::RetainTenants),
+                proptest::collection::vec(0u64..3, 0..3).prop_map(Op::RetainModels),
+                (0usize..14).prop_map(Op::SetCapacity),
+                Just(Op::Enforce),
+                Just(Op::Enforce),
+            ]
+        }
+
+        fn key(k: u32) -> AllocKey {
+            [k, 0, 0, 0]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn indexed_eviction_equals_the_full_scan(
+                ops in proptest::collection::vec(op(), 1..120)
+            ) {
+                let cache = ProbeCache::new();
+                let mut reference = FullScan::default();
+                for op in ops {
+                    match op {
+                        Op::SetEpoch(epoch) => {
+                            cache.set_epoch(epoch);
+                            reference.epoch = epoch;
+                        }
+                        Op::Insert((m, t, k, v)) => {
+                            cache.insert(m, t, key(k), row(v));
+                            reference.insert((m, t), key(k), row(v));
+                        }
+                        Op::Get((m, t, k, _)) => {
+                            prop_assert_eq!(cache.get(m, t, key(k)), reference.get((m, t), key(k)));
+                        }
+                        Op::Import(draws) => {
+                            let rows: Vec<_> =
+                                draws.iter().map(|&(m, t, k, v)| (m, t, key(k), row(v))).collect();
+                            cache.import(&rows);
+                            for (m, t, k, e) in rows {
+                                reference.insert((m, t), k, e);
+                            }
+                        }
+                        Op::RetainTenants(live) => {
+                            let live: HashSet<u64> = live.into_iter().collect();
+                            cache.retain_tenants(&live);
+                            reference.retain(|(_, t)| live.contains(&t));
+                        }
+                        Op::RetainModels(live) => {
+                            let live: HashSet<u64> = live.into_iter().collect();
+                            cache.retain_models(&live);
+                            reference.retain(|(m, _)| live.contains(&m));
+                        }
+                        Op::SetCapacity(rows) => {
+                            cache.set_capacity(rows);
+                            reference.capacity = rows;
+                        }
+                        Op::Enforce => {
+                            prop_assert_eq!(cache.enforce_capacity(), reference.enforce_capacity());
+                        }
+                    }
+                    prop_assert_eq!(cache.export(), reference.export());
+                    prop_assert_eq!(cache.len(), reference.rows());
+                    prop_assert_eq!(cache.is_empty(), reference.map.is_empty());
+                    prop_assert_eq!(cache.approx_bytes(), reference.approx_bytes());
+                    prop_assert_eq!(
+                        (cache.hits(), cache.misses(), cache.evictions()),
+                        (reference.hits, reference.misses, reference.evictions)
+                    );
+                }
+            }
+        }
     }
 
     #[test]
