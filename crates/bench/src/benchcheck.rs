@@ -193,6 +193,7 @@ mod tests {
     "call_ratio": 11.4,
     "event_kinds": { "scaled": 121, "changed_major": 9, "changed_minor": 6 },
     "snapshot_bytes": 3100000,
+    "snapshot_fnv": "1cc7ddb8e8106564",
     "snapshot_roundtrip": true,
     "resume_matches": true,
     "meets_5x": true,
@@ -622,9 +623,9 @@ mod tests {
     fn fleet_section_deterministic_fields_are_gated() {
         // The control-plane fleet section of BENCH_fleet.json:
         // optimizer-call totals, the call ratio (deterministic, unlike
-        // a wall-clock speedup), shard/event tallies, snapshot size,
-        // and the three contract booleans are gated; the wall times
-        // and latency percentiles are not.
+        // a wall-clock speedup), shard/event tallies, snapshot size
+        // and content digest, and the three contract booleans are
+        // gated; the wall times and latency percentiles are not.
         for (field, original, replacement) in [
             ("shards", "\"shards\": 4", "\"shards\": 3"),
             (
@@ -652,6 +653,11 @@ mod tests {
                 "snapshot_bytes",
                 "\"snapshot_bytes\": 3100000",
                 "\"snapshot_bytes\": 17",
+            ),
+            (
+                "snapshot_fnv",
+                "\"snapshot_fnv\": \"1cc7ddb8e8106564\"",
+                "\"snapshot_fnv\": \"1cc7ddb8e8106565\"",
             ),
             (
                 "snapshot_roundtrip",

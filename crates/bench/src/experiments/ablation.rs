@@ -87,7 +87,7 @@ pub fn run() -> Report {
         cal_table.row(vec![
             levels.to_string(),
             fmt_pct(err),
-            fmt_f(model.cost.simulated_seconds, 0),
+            fmt_f(model.cost().simulated_seconds, 0),
         ]);
     }
     report.section(

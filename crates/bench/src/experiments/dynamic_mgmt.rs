@@ -76,7 +76,7 @@ fn simulate(mode: ManagementMode) -> Vec<(f64, f64, f64, String)> {
                     w.merge_scaled(&unit, 1.0);
                     w
                 };
-                adv.tenant_mut(i).set_workload(grown).expect("tpch grows");
+                adv.set_tenant_workload(i, grown).expect("tpch grows");
             }
         }
         // Major change: swap the VMs' workloads (databases move with

@@ -197,7 +197,7 @@ pub fn measure() -> DynamicBench {
     for p in 1..=PERIODS {
         let (g, factor) = drift_for(p);
         let (m, slot) = host_of(g);
-        cold_fleet[m].tenant_mut(slot).scale_workload(factor);
+        cold_fleet[m].scale_tenant_workload(slot, factor);
         let mut calls = 0;
         let mut results = Vec::with_capacity(MACHINES);
         for adv in &cold_fleet {
@@ -233,7 +233,7 @@ pub fn measure() -> DynamicBench {
     for p in 1..=PERIODS {
         let (g, factor) = drift_for(p);
         let (m, slot) = host_of(g);
-        warm_fleet[m].tenant_mut(slot).scale_workload(factor);
+        warm_fleet[m].scale_tenant_workload(slot, factor);
         let mut calls = 0;
         for (adv, cold) in warm_fleet.iter().zip(&cold_history[p - 1]) {
             let rec = adv.recommend_c2f_warm(&space);

@@ -91,6 +91,7 @@ use vda_core::VirtualizationDesignAdvisor;
 use vda_core::{ControlPlane, ControlPlaneOptions, EventOutcome, FleetEvent, FleetSnapshot};
 use vda_simdb::catalog::Catalog;
 use vda_simdb::engines::Engine;
+use vda_simdb::hash::fnv1a;
 use vda_vmm::{Hypervisor, PhysicalMachine};
 
 /// Scenario dimensions. [`FULL`] is the committed `BENCH_fleet.json`
@@ -492,6 +493,12 @@ pub struct FleetBench {
     pub final_objective: f64,
     /// Size of the serialized mid-stream snapshot, bytes.
     pub snapshot_bytes: usize,
+    /// FNV-1a of the serialized mid-stream snapshot
+    /// ([`vda_simdb::hash::fnv1a`]): pins its content, where
+    /// [`Self::snapshot_bytes`] only pins its size. Fingerprints are
+    /// written as fixed-width hex, so a changed fingerprint value
+    /// leaves the size alone but not the digest.
+    pub snapshot_fnv: u64,
     /// Snapshot JSON parsed back equal, and the restored plane's
     /// immediate re-snapshot byte-identical to the saved document.
     pub snapshot_roundtrip: bool,
@@ -635,6 +642,7 @@ pub fn measure_with(scale: FleetScale) -> Result<FleetBench, String> {
         warm_solve_stats,
         final_objective: warm.objective(),
         snapshot_bytes: snap_json.len(),
+        snapshot_fnv: fnv1a(&snap_json),
         snapshot_roundtrip,
         resume_matches,
         results_match,
@@ -909,6 +917,10 @@ pub fn run_from(m: FleetBench) -> Report {
         "snapshot bytes".to_string(),
         m.snapshot_bytes.to_string(),
     ]);
+    counters.row(vec![
+        "snapshot fnv".to_string(),
+        format!("{:016x}", m.snapshot_fnv),
+    ]);
     counters.row(vec!["p99 latency ms".to_string(), fmt_f(m.p99_ms, 3)]);
     counters.row(vec!["call ratio".to_string(), fmt_f(m.call_ratio(), 1)]);
     report.section("incremental-leg counters", counters);
@@ -966,6 +978,7 @@ pub fn to_json(m: &FleetBench) -> String {
             "  \"initial_objective\": {:.9},\n",
             "  \"final_objective\": {:.9},\n",
             "  \"snapshot_bytes\": {},\n",
+            "  \"snapshot_fnv\": \"{:016x}\",\n",
             "  \"snapshot_roundtrip\": {},\n",
             "  \"resume_matches\": {},\n",
             "  \"results_match\": {},\n",
@@ -1003,6 +1016,7 @@ pub fn to_json(m: &FleetBench) -> String {
         m.initial_objective,
         m.final_objective,
         m.snapshot_bytes,
+        m.snapshot_fnv,
         m.snapshot_roundtrip,
         m.resume_matches,
         m.results_match,
@@ -1217,6 +1231,7 @@ mod tests {
         assert!(json.contains("\"results_match\": true"));
         assert!(json.contains("\"resume_matches\": true"));
         assert!(json.contains("\"snapshot_roundtrip\": true"));
+        assert!(json.contains(&format!("\"snapshot_fnv\": \"{:016x}\"", m.snapshot_fnv)));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

@@ -32,9 +32,9 @@ pub fn run() -> Report {
         let model = Calibrator::new(&hv).calibrate(&engine);
         cal_table.row(vec![
             name.to_string(),
-            format!("{:.1} min", model.cost.simulated_seconds / 60.0),
-            model.cost.vm_configurations.to_string(),
-            model.cost.queries_run.to_string(),
+            format!("{:.1} min", model.cost().simulated_seconds / 60.0),
+            model.cost().vm_configurations.to_string(),
+            model.cost().queries_run.to_string(),
         ]);
     }
     report.section(

@@ -37,7 +37,9 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use vda_simdb::engines::EngineKind;
 use vda_simdb::hash::Fnv64;
+use vda_simdb::Result as DbResult;
 use vda_vmm::Hypervisor;
+use vda_workloads::Workload;
 
 /// A recommendation produced by the advisor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -195,10 +197,22 @@ impl VirtualizationDesignAdvisor {
         &self.tenants[i]
     }
 
-    /// Mutable access to a tenant (dynamic workload changes between
-    /// monitoring periods).
-    pub fn tenant_mut(&mut self, i: usize) -> &mut Tenant {
-        &mut self.tenants[i]
+    /// Replace tenant `i`'s workload (dynamic workload changes between
+    /// monitoring periods) — [`Tenant::set_workload`] on the hosted
+    /// tenant, which keeps its fingerprint in step.
+    ///
+    /// # Errors
+    ///
+    /// When a statement of `workload` does not bind against the
+    /// tenant's catalog; the tenant is left unchanged.
+    pub fn set_tenant_workload(&mut self, i: usize, workload: Workload) -> DbResult<()> {
+        self.tenants[i].set_workload(workload)
+    }
+
+    /// Scale tenant `i`'s workload intensity by `factor` —
+    /// [`Tenant::scale_workload`] on the hosted tenant.
+    pub fn scale_tenant_workload(&mut self, i: usize, factor: f64) {
+        self.tenants[i].scale_workload(factor);
     }
 
     /// Swap two tenants between their VM slots (the §7.10 scenario:
@@ -576,7 +590,7 @@ impl VirtualizationDesignAdvisor {
         let kind = self.tenants[i].engine.kind();
         let factor = self
             .calibration(kind)
-            .and_then(|model| model.adaption)
+            .and_then(|model| model.adaption())
             .map_or(1.0, |a| a.factor(alloc));
         let predicted = installed / factor;
         let actual = self.actual_cost(i, alloc);
@@ -1034,11 +1048,11 @@ mod tests {
         assert_eq!(first.result, second.result);
         // One tenant drifts: delta-solve, matching a cold solve on a
         // fresh identical advisor bit-for-bit.
-        adv.tenant_mut(0).scale_workload(3.0);
+        adv.scale_tenant_workload(0, 3.0);
         let drifted = adv.recommend_c2f_warm(&space);
         assert_eq!(adv.warm_stats().1, 1, "drift must delta-solve");
         let mut cold = advisor_two_dss();
-        cold.tenant_mut(0).scale_workload(3.0);
+        cold.scale_tenant_workload(0, 3.0);
         let reference = cold.recommend_c2f_warm(&space);
         assert_eq!(drifted.result, reference.result);
     }
@@ -1054,10 +1068,19 @@ mod tests {
         // state and cached lattices must be invalidated — the next
         // recommend is a full cold re-solve, not a cache hit.
         let kind = adv.tenant(0).engine.kind();
-        let mut model = adv.calibration(kind).unwrap().clone();
-        let old_fingerprint = model.fingerprint();
-        model.machine_mem_mb *= 2.0;
-        assert_ne!(model.fingerprint(), old_fingerprint);
+        let old = adv.calibration(kind).unwrap();
+        // The same fits on a machine with twice the memory, rebuilt
+        // through the constructor (model fields are read-only).
+        let model = CalibratedModel::new(
+            old.kind(),
+            old.machine_mem_mb() * 2.0,
+            old.cpu_fits().clone(),
+            old.io(),
+            old.disk_fit(),
+            old.renorm(),
+            old.cost(),
+        );
+        assert_ne!(model.fingerprint(), old.fingerprint());
         adv.install_calibration(kind, model);
         let after = adv.recommend_c2f_warm(&space);
         assert_eq!(adv.warm_stats().0, 2, "calibration flip must cold re-solve");

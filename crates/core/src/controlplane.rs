@@ -82,7 +82,7 @@ use crate::tenant::Tenant;
 use parking_lot::Mutex;
 use rayon::prelude::ParallelMapSlice;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use vda_simdb::engines::EngineKind;
 use vda_workloads::Workload;
 
@@ -140,8 +140,8 @@ pub enum FleetEvent {
     },
     /// An *empty* machine left the fleet (swap-remove: the last
     /// machine takes index `machine`). Dead calibrations and their
-    /// probe-cache entries are pruned immediately — see
-    /// [`ProbeCache::retain_models`].
+    /// probe-cache entries are pruned immediately, in the middle of
+    /// the batch — the rows [`ProbeCache::retain_models`] would drop.
     MachineDecommissioned {
         /// Index of the machine to remove; it must host no tenants.
         machine: usize,
@@ -192,7 +192,9 @@ pub struct ControlPlaneOptions {
     /// reconcile pass prices per migration candidate.
     pub reconcile_fanout: usize,
     /// Prune the probe cache and class registry every this many events
-    /// (`0` disables periodic pruning; decommissions always prune).
+    /// (`0` disables periodic pruning; decommissions always prune). A
+    /// prune costs in proportion to the generations that died since
+    /// the last one, not to the fleet or cache size.
     pub prune_every: u64,
     /// `true` (the default): warm-started delta solves over persistent
     /// caches. `false`: every event invalidates all warm state and
@@ -526,6 +528,13 @@ pub struct ControlPlane {
     /// Current placement per machine (`None` while a machine is
     /// empty).
     placements: Vec<Option<SearchResult>>,
+    /// Hosted tenants per workload fingerprint. A fingerprint leaves
+    /// the map when its last tenant departs or changes workload, so a
+    /// fingerprint is live exactly while it is a key. Only looked up.
+    tenant_refs: HashMap<u64, usize>,
+    /// Fingerprints whose count reached zero since the last prune —
+    /// the only tenants whose probe generations a prune can find dead.
+    dead_tenants: BTreeSet<u64>,
     /// Per-(hardware class, engine kind) residual stores feeding the
     /// adaptive refits. Empty unless
     /// [`ControlPlaneOptions::adaptive`] is set.
@@ -576,6 +585,8 @@ impl ControlPlane {
             probe,
             class_models: BTreeMap::new(),
             placements,
+            tenant_refs: HashMap::new(),
+            dead_tenants: BTreeSet::new(),
             adaption: BTreeMap::new(),
             tuners: BTreeMap::new(),
             log,
@@ -598,6 +609,7 @@ impl ControlPlane {
                 plane.class_models.entry((hw, kind)).or_insert(model);
             }
         }
+        plane.count_hosted_tenants();
         for m in 0..k {
             plane.ensure_machine_calibrated(m);
         }
@@ -868,10 +880,11 @@ impl ControlPlane {
                     workload,
                 } => {
                     self.note_first_touch(&mut pending, &mut kinds, machine, slot);
+                    let before = self.machines[machine].tenant(slot).fingerprint();
                     self.machines[machine]
-                        .tenant_mut(slot)
-                        .set_workload(workload)
+                        .set_tenant_workload(slot, workload)
                         .expect("new workload must bind against the tenant's catalog");
+                    self.retag_tenant(machine, slot, before);
                     dirty.push(machine);
                     kinds.changed += 1;
                     if n == 1 {
@@ -884,9 +897,9 @@ impl ControlPlane {
                     factor,
                 } => {
                     self.note_first_touch(&mut pending, &mut kinds, machine, slot);
-                    self.machines[machine]
-                        .tenant_mut(slot)
-                        .scale_workload(factor);
+                    let before = self.machines[machine].tenant(slot).fingerprint();
+                    self.machines[machine].scale_tenant_workload(slot, factor);
+                    self.retag_tenant(machine, slot, before);
                     dirty.push(machine);
                     kinds.scaled += 1;
                     if n == 1 {
@@ -904,6 +917,7 @@ impl ControlPlane {
                         "machine {machine} has no free capacity slot"
                     );
                     let slot = self.machines[machine].add_tenant(*tenant, qos);
+                    self.tenant_entered(self.machines[machine].tenant(slot).fingerprint());
                     self.ensure_machine_calibrated(machine);
                     arrivals.push((machine, slot));
                     dirty.push(machine);
@@ -914,6 +928,7 @@ impl ControlPlane {
                 }
                 FleetEvent::TenantDeparted { machine, slot } => {
                     let (tenant, _) = self.machines[machine].remove_tenant(slot);
+                    self.tenant_left(tenant.fingerprint());
                     // A canary must not outlive its evidence stream: if
                     // the departed tenant was in any live canary subset,
                     // that candidate rolls back deterministically.
@@ -981,7 +996,8 @@ impl ControlPlane {
                     }
                     // Models only this machine's class used are now
                     // dead weight in the probe cache; reclaim
-                    // immediately.
+                    // immediately (mid-batch: the prune sees the fleet
+                    // as the events so far left it).
                     self.prune_caches();
                     kinds.decommissioned += 1;
                     if n == 1 {
@@ -1270,13 +1286,15 @@ impl ControlPlane {
                 )
             })
             .collect();
-        Ok(ControlPlane {
+        let mut plane = ControlPlane {
             machines,
             spaces,
             options,
             probe,
             class_models,
             placements,
+            tenant_refs: HashMap::new(),
+            dead_tenants: BTreeSet::new(),
             adaption,
             tuners,
             log,
@@ -1286,7 +1304,23 @@ impl ControlPlane {
             resolves: snapshot.resolves,
             waves: snapshot.waves,
             migrations: snapshot.migrations,
-        })
+        };
+        plane.count_hosted_tenants();
+        // A snapshot taken between prunes holds generations of tenants
+        // that had already left: queue them, as the uninterrupted
+        // plane's queue holds them, so the next prune drops them too.
+        // Rows are generation-ordered, so each run of one tenant's
+        // rows is checked once.
+        let mut last = None;
+        for &(_, tenant, _, _) in &snapshot.probes {
+            if last != Some(tenant) {
+                last = Some(tenant);
+                if !plane.tenant_refs.contains_key(&tenant) {
+                    plane.dead_tenants.insert(tenant);
+                }
+            }
+        }
+        Ok(plane)
     }
 
     // ------------------------------------------------------------------
@@ -1618,7 +1652,7 @@ impl ControlPlane {
         self.optimizer_calls += est.optimizer_calls();
         let installed_factor = self.machines[m]
             .calibration(kind)
-            .and_then(|model| model.adaption)
+            .and_then(|model| model.adaption())
             .map_or(1.0, |a| a.factor(alloc));
         let base_pred = installed_pred / installed_factor;
         let actual = self.machines[m].actual_cost(slot, alloc);
@@ -1628,7 +1662,7 @@ impl ControlPlane {
             .get(&key)
             .cloned()
             .expect("machine hosting a tenant is calibrated through the registry");
-        let incumbent_pred = base_pred * incumbent.adaption.map_or(1.0, |a| a.factor(alloc));
+        let incumbent_pred = base_pred * incumbent.adaption().map_or(1.0, |a| a.factor(alloc));
 
         let storage = self
             .adaption
@@ -1645,7 +1679,7 @@ impl ControlPlane {
         if !self.tuners.contains_key(&key) {
             let storage = &self.adaption[&key];
             if let Some(correction) = refit(storage, &tuning.adaption) {
-                let proposes_change = match incumbent.adaption {
+                let proposes_change = match incumbent.adaption() {
                     Some(current) => correction != current.correction,
                     None => !correction.is_identity(),
                 };
@@ -1817,11 +1851,56 @@ impl ControlPlane {
     // Cache management
     // ------------------------------------------------------------------
 
+    /// Count every hosted tenant's fingerprint (construction and
+    /// restore; events keep the counts from then on).
+    fn count_hosted_tenants(&mut self) {
+        for m in 0..self.machines.len() {
+            for i in 0..self.machines[m].tenant_count() {
+                self.tenant_entered(self.machines[m].tenant(i).fingerprint());
+            }
+        }
+    }
+
+    /// Count one more hosted tenant with workload fingerprint `fp`.
+    fn tenant_entered(&mut self, fp: u64) {
+        *self.tenant_refs.entry(fp).or_insert(0) += 1;
+    }
+
+    /// Count one hosted tenant with workload fingerprint `fp` fewer.
+    /// The last one queues `fp` for the next prune.
+    fn tenant_left(&mut self, fp: u64) {
+        let refs = self
+            .tenant_refs
+            .get_mut(&fp)
+            .expect("a hosted tenant's fingerprint is counted");
+        *refs -= 1;
+        if *refs == 0 {
+            self.tenant_refs.remove(&fp);
+            self.dead_tenants.insert(fp);
+        }
+    }
+
+    /// Move the count of tenant `slot` on `machine` from its
+    /// fingerprint `before` a workload mutation to its current one.
+    fn retag_tenant(&mut self, machine: usize, slot: usize, before: u64) {
+        let after = self.machines[machine].tenant(slot).fingerprint();
+        if after != before {
+            self.tenant_entered(after);
+            self.tenant_left(before);
+        }
+    }
+
     /// Drop probe entries and registry models that nothing in the
     /// fleet can read anymore: registry entries of departed hardware
-    /// classes, probe rows of dead model generations
-    /// ([`ProbeCache::retain_models`]) and of departed tenants
-    /// ([`ProbeCache::retain_tenants`]).
+    /// classes, probe rows of models no machine or registry entry
+    /// holds, and probe rows of tenant fingerprints no hosted tenant
+    /// carries. The same rows leave as under a full
+    /// [`ProbeCache::retain_models`] + [`ProbeCache::retain_tenants`]
+    /// sweep, but neither the fleet's tenants nor the cache is walked:
+    /// a generation can only have died with its model or its tenant
+    /// fingerprint, model liveness is recomputed from the few stored
+    /// calibration fingerprints, and a tenant fingerprint is dead
+    /// when it was queued at a zero count and has not come back.
     fn prune_caches(&mut self) {
         let hw_live: HashSet<u64> = (0..self.machines.len())
             .map(|m| self.hardware_class(m))
@@ -1838,13 +1917,11 @@ impl ControlPlane {
             .flat_map(|a| a.calibrations().iter().map(|(_, m)| m.fingerprint()))
             .chain(self.class_models.values().map(|m| m.fingerprint()))
             .collect();
-        self.probe.retain_models(&live_models);
-        let live_tenants: HashSet<u64> = self
-            .machines
-            .iter()
-            .flat_map(|a| (0..a.tenant_count()).map(|i| a.tenant(i).fingerprint()))
+        let dead_tenants: Vec<u64> = std::mem::take(&mut self.dead_tenants)
+            .into_iter()
+            .filter(|fp| !self.tenant_refs.contains_key(fp))
             .collect();
-        self.probe.retain_tenants(&live_tenants);
+        self.probe.drop_dead(&live_models, &dead_tenants);
     }
 
     /// Cold-baseline mode: drop every persistent cache so the next
@@ -1853,6 +1930,9 @@ impl ControlPlane {
     fn cold_start(&mut self) {
         self.probe = ProbeCache::new();
         self.probe.set_capacity(self.options.probe_cache_capacity);
+        // The fresh cache holds no generation a queued fingerprint
+        // could own.
+        self.dead_tenants.clear();
         for adv in &mut self.machines {
             adv.attach_probe_cache(self.probe.clone());
             adv.invalidate_warm();

@@ -137,35 +137,59 @@ pub struct IoPoint {
 }
 
 /// Fitted calibration functions `Cal_ik`: allocation → parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The fields are read-only: a model is built once
+/// ([`Self::new`], by the [`Calibrator`] or a snapshot import) and
+/// changed only through [`Self::with_adaption`] and
+/// [`Self::without_adaption`]. That is what lets the model carry its
+/// [`fingerprint`](Self::fingerprint), computed once when it is built
+/// or changed, instead of re-hashing itself on every cache lookup.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct CalibratedModel {
-    /// Which engine this model describes.
-    pub kind: EngineKind,
-    /// Physical-machine memory, MB (to turn memory shares into grants).
-    pub machine_mem_mb: f64,
-    /// Per-CPU-parameter fits over `1/cpu_share`.
-    pub cpu_fits: CpuFits,
-    /// Measured I/O constants.
-    pub io: IoConstants,
-    /// I/O-time multiplier over `1/disk_share`, relative to the
-    /// reference disk share the I/O constants were measured at
-    /// ([`CalibrationConfig::io_level`]). `None` when the disk axis
-    /// was never calibrated — the model then prices every allocation
-    /// at the reference disk share (the paper's M = 2 behaviour).
-    pub disk_fit: Option<LinearFit>,
-    /// Native-cost → seconds conversion.
-    pub renorm: Renormalizer,
-    /// What the calibration cost.
-    pub cost: CalibrationCost,
-    /// Optional online-adaptation overlay (§"Adaptive calibration" in
-    /// `docs/ARCHITECTURE.md`): a multiplicative per-axis correction
-    /// applied in [`Self::to_seconds_at`], downstream of the
-    /// optimizer, so it rescales predicted seconds without ever
-    /// changing plan choice. `None` prices bit-identically to the
-    /// pre-adaptation code path. Because [`Self::fingerprint`] hashes
-    /// the `Debug` rendering, any overlay (and any version bump of
-    /// one) re-keys every fingerprint-keyed cache automatically.
-    pub adaption: Option<Adaption>,
+    kind: EngineKind,
+    machine_mem_mb: f64,
+    cpu_fits: CpuFits,
+    io: IoConstants,
+    disk_fit: Option<LinearFit>,
+    renorm: Renormalizer,
+    cost: CalibrationCost,
+    adaption: Option<Adaption>,
+    /// [`Self::fingerprint`] of the eight fields above.
+    fingerprint: u64,
+}
+
+/// The identity text [`CalibratedModel::fingerprint`] hashes: the
+/// eight model fields exactly as `#[derive(Debug)]` renders them. The
+/// stored fingerprint is not part of it.
+impl std::fmt::Debug for CalibratedModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CalibratedModel")
+            .field("kind", &self.kind)
+            .field("machine_mem_mb", &self.machine_mem_mb)
+            .field("cpu_fits", &self.cpu_fits)
+            .field("io", &self.io)
+            .field("disk_fit", &self.disk_fit)
+            .field("renorm", &self.renorm)
+            .field("cost", &self.cost)
+            .field("adaption", &self.adaption)
+            .finish()
+    }
+}
+
+/// Field-wise equality over the eight model fields, as a derived
+/// `PartialEq` would compare them (the stored fingerprint is derived
+/// from those fields and takes no part).
+impl PartialEq for CalibratedModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.kind == other.kind
+            && self.machine_mem_mb == other.machine_mem_mb
+            && self.cpu_fits == other.cpu_fits
+            && self.io == other.io
+            && self.disk_fit == other.disk_fit
+            && self.renorm == other.renorm
+            && self.cost == other.cost
+            && self.adaption == other.adaption
+    }
 }
 
 /// CPU calibration functions per engine.
@@ -225,11 +249,51 @@ pub enum IoConstants {
 }
 
 impl CalibratedModel {
+    /// A model without an adaptation overlay. The [`Calibrator`] and
+    /// the snapshot import build every model through here.
+    pub fn new(
+        kind: EngineKind,
+        machine_mem_mb: f64,
+        cpu_fits: CpuFits,
+        io: IoConstants,
+        disk_fit: Option<LinearFit>,
+        renorm: Renormalizer,
+        cost: CalibrationCost,
+    ) -> Self {
+        CalibratedModel {
+            kind,
+            machine_mem_mb,
+            cpu_fits,
+            io,
+            disk_fit,
+            renorm,
+            cost,
+            adaption: None,
+            fingerprint: 0,
+        }
+        .rehashed()
+    }
+
+    /// This model with its stored fingerprint recomputed from the
+    /// fields.
+    fn rehashed(mut self) -> Self {
+        let mut h = vda_simdb::hash::Fnv64::new();
+        // Debug renders every f64 at round-trip precision, so any
+        // numeric difference between two calibrations changes the
+        // string (and equal models render identically).
+        h.write_str(&format!("{self:?}"));
+        self.fingerprint = h.finish();
+        self
+    }
+
     /// Stable 64-bit fingerprint over everything that determines this
     /// model's estimates: engine kind, machine memory, every fitted
-    /// parameter, the I/O constants, the disk fit, and the
-    /// renormalization. Two models compare [`PartialEq`]-equal iff
-    /// their fingerprints agree, so caches keyed by it (the fleet
+    /// parameter, the I/O constants, the disk fit, the
+    /// renormalization, the calibration cost and the adaptation
+    /// overlay — the FNV-1a hash of the model's `Debug` rendering.
+    /// Computed once when the model is built or changed, so this is a
+    /// read. Two models compare [`PartialEq`]-equal iff their
+    /// fingerprints agree, so caches keyed by it (the fleet
     /// [`ProbeCache`](crate::costmodel::whatif::ProbeCache), the
     /// warm-start state of
     /// [`coarse_to_fine_search_warm`](crate::enumerate::coarse_to_fine_search_warm))
@@ -237,12 +301,58 @@ impl CalibratedModel {
     /// the model — an estimate priced under an old calibration is
     /// never served under a new one.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = vda_simdb::hash::Fnv64::new();
-        // Debug renders every f64 at round-trip precision, so any
-        // numeric difference between two calibrations changes the
-        // string (and equal models render identically).
-        h.write_str(&format!("{self:?}"));
-        h.finish()
+        self.fingerprint
+    }
+
+    /// Which engine this model describes.
+    pub fn kind(&self) -> EngineKind {
+        self.kind
+    }
+
+    /// Physical-machine memory, MB (to turn memory shares into grants).
+    pub fn machine_mem_mb(&self) -> f64 {
+        self.machine_mem_mb
+    }
+
+    /// Per-CPU-parameter fits over `1/cpu_share`.
+    pub fn cpu_fits(&self) -> &CpuFits {
+        &self.cpu_fits
+    }
+
+    /// Measured I/O constants.
+    pub fn io(&self) -> IoConstants {
+        self.io
+    }
+
+    /// I/O-time multiplier over `1/disk_share`, relative to the
+    /// reference disk share the I/O constants were measured at
+    /// ([`CalibrationConfig::io_level`]). `None` when the disk axis
+    /// was never calibrated — the model then prices every allocation
+    /// at the reference disk share (the paper's M = 2 behaviour).
+    pub fn disk_fit(&self) -> Option<LinearFit> {
+        self.disk_fit
+    }
+
+    /// Native-cost → seconds conversion.
+    pub fn renorm(&self) -> Renormalizer {
+        self.renorm
+    }
+
+    /// What the calibration cost.
+    pub fn cost(&self) -> CalibrationCost {
+        self.cost
+    }
+
+    /// Optional online-adaptation overlay (§"Adaptive calibration" in
+    /// `docs/ARCHITECTURE.md`): a multiplicative per-axis correction
+    /// applied in [`Self::to_seconds_at`], downstream of the
+    /// optimizer, so it rescales predicted seconds without ever
+    /// changing plan choice. `None` prices bit-identically to the
+    /// pre-adaptation code path. The overlay is part of the hashed
+    /// fields, so installing one (or bumping its version) re-keys
+    /// every fingerprint-keyed cache automatically.
+    pub fn adaption(&self) -> Option<Adaption> {
+        self.adaption
     }
 
     /// The I/O-time multiplier at a disk-bandwidth share, relative to
@@ -350,7 +460,7 @@ impl CalibratedModel {
     #[must_use]
     pub fn with_adaption(mut self, adaption: Adaption) -> Self {
         self.adaption = Some(adaption);
-        self
+        self.rehashed()
     }
 
     /// This model with any adaptation overlay removed — the exact
@@ -358,8 +468,10 @@ impl CalibratedModel {
     /// produced (rollback reinstalls this).
     #[must_use]
     pub fn without_adaption(mut self) -> Self {
-        self.adaption = None;
-        self
+        match self.adaption.take() {
+            Some(_) => self.rehashed(),
+            None => self,
+        }
     }
 }
 
@@ -473,16 +585,15 @@ impl<'a> Calibrator<'a> {
 
         let disk_fit = self.calibrate_disk_fit(io_t_seq, &mut cost);
 
-        CalibratedModel {
-            kind: engine.kind(),
-            machine_mem_mb: self.hv.machine().memory_mb,
+        CalibratedModel::new(
+            engine.kind(),
+            self.hv.machine().memory_mb,
             cpu_fits,
             io,
             disk_fit,
             renorm,
             cost,
-            adaption: None,
-        }
+        )
     }
 
     /// Fit the I/O-time multiplier over `1/disk_share` (relative to

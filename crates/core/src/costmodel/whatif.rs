@@ -41,7 +41,7 @@ use crate::tenant::Tenant;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vda_simdb::hash::Fnv64;
@@ -152,7 +152,7 @@ impl SharedEstimateCache {
 /// * a recalibration never serves stale estimates: the model
 ///   fingerprint ([`CalibratedModel::fingerprint`]) changes, so old
 ///   entries become unreachable (and reclaimable via
-///   [`Self::retain_tenants`]).
+///   [`Self::retain_models`] / [`Self::retain_tenants`]).
 ///
 /// Hit/miss counters live in the cache itself, so cross-period cache
 /// effectiveness is observable even though estimator instances (and
@@ -290,17 +290,54 @@ impl ProbeCacheInner {
         }
     }
 
-    /// Keep only the generations `keep` accepts, unlinking each
-    /// dropped one from the victim index in the same pass.
+    /// Remove generation `id`, unlinking it from the victim index and
+    /// the row count. Returns the rows it held, `None` when it was not
+    /// cached. Every removal — eviction, sweep, targeted prune — goes
+    /// through here.
+    fn remove(&mut self, id: (u64, u64)) -> Option<usize> {
+        let gen = self.map.remove(&id)?;
+        self.recency.remove(&(gen.last_used, id));
+        self.rows -= gen.rows.len();
+        Some(gen.rows.len())
+    }
+
+    /// Keep only the generations `keep` accepts — one pass over the
+    /// whole cache.
     fn retain(&mut self, keep: impl Fn((u64, u64)) -> bool) {
-        self.map.retain(|&id, gen| {
-            let kept = keep(id);
-            if !kept {
-                self.recency.remove(&(gen.last_used, id));
-                self.rows -= gen.rows.len();
+        let dropped: Vec<(u64, u64)> = self.map.keys().copied().filter(|&id| !keep(id)).collect();
+        for id in dropped {
+            self.remove(id);
+        }
+    }
+
+    /// Remove every generation of a model not in `live_models` and
+    /// every generation of a tenant in `dead_tenants`, by lookups in
+    /// the `(model, tenant)`-ordered map: one range probe steps to
+    /// each next cached model, a dead model's generations are one
+    /// contiguous range, and a dead tenant's generation under a live
+    /// model is one point lookup.
+    fn drop_dead(&mut self, live_models: &HashSet<u64>, dead_tenants: &[u64]) {
+        let mut next = Some(0);
+        while let Some(from) = next {
+            let Some(&(model, _)) = self.map.range((from, 0)..).next().map(|(id, _)| id) else {
+                break;
+            };
+            next = model.checked_add(1);
+            if live_models.contains(&model) {
+                for &tenant in dead_tenants {
+                    self.remove((model, tenant));
+                }
+            } else {
+                let dead: Vec<(u64, u64)> = self
+                    .map
+                    .range((model, 0)..=(model, u64::MAX))
+                    .map(|(&id, _)| id)
+                    .collect();
+                for id in dead {
+                    self.remove(id);
+                }
             }
-            kept
-        });
+        }
     }
 }
 
@@ -351,13 +388,14 @@ impl ProbeCache {
     }
 
     /// Drop every generation whose *tenant* fingerprint is not in
-    /// `live` — the periodic pruning hook: workload drift mints new
+    /// `live` — a full sweep over the cache: workload drift mints new
     /// tenant fingerprints each period, and without pruning the dead
     /// generations would accumulate forever. (Stale *model*
     /// generations of a live tenant are bounded by the number of
     /// recalibrations and are dropped here too once the tenant's
-    /// workload moves on.)
-    pub fn retain_tenants(&self, live: &std::collections::HashSet<u64>) {
+    /// workload moves on.) The control plane drops the same rows
+    /// without the sweep: it knows which fingerprints died.
+    pub fn retain_tenants(&self, live: &HashSet<u64>) {
         self.inner
             .lock()
             .retain(|(_, tenant)| live.contains(&tenant));
@@ -369,9 +407,22 @@ impl ProbeCache {
     /// calibration's generations behind with perfectly live tenant
     /// fingerprints — nothing ever made them unreachable. Call this
     /// with the fingerprints of the calibrations still installed
-    /// somewhere in the fleet whenever machines are decommissioned.
-    pub fn retain_models(&self, live: &std::collections::HashSet<u64>) {
+    /// somewhere in the fleet whenever machines are decommissioned
+    /// (the control plane does the equivalent by lookup).
+    pub fn retain_models(&self, live: &HashSet<u64>) {
         self.inner.lock().retain(|(model, _)| live.contains(&model));
+    }
+
+    /// The control plane's prune: drop every generation of a model
+    /// not in `live_models` and every generation of a tenant
+    /// fingerprint in `dead_tenants` — the same rows
+    /// [`Self::retain_models`] and [`Self::retain_tenants`] would drop
+    /// when every tenant fingerprint with generations but no live
+    /// tenant is listed, without walking the cache. The cost follows
+    /// the distinct cached models and the generations dropped, not
+    /// the cache size.
+    pub(crate) fn drop_dead(&self, live_models: &HashSet<u64>, dead_tenants: &[u64]) {
+        self.inner.lock().drop_dead(live_models, dead_tenants);
     }
 
     /// Every cached entry, flattened to `(model fingerprint, tenant
@@ -445,12 +496,10 @@ impl ProbeCache {
             let Some((_, id)) = inner.recency.pop_first() else {
                 break;
             };
-            let gen = inner
-                .map
-                .remove(&id)
+            let rows = inner
+                .remove(id)
                 .expect("the victim index holds only cached generations");
-            inner.rows -= gen.rows.len();
-            evicted += gen.rows.len() as u64;
+            evicted += rows as u64;
         }
         inner.evictions += evicted;
         evicted

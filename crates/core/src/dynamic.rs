@@ -360,8 +360,8 @@ mod tests {
         // Swap the two tenants' workloads (the §7.10 scenario).
         let w0 = adv.tenant(0).workload.clone();
         let w1 = adv.tenant(1).workload.clone();
-        adv.tenant_mut(0).set_workload(w1).unwrap();
-        adv.tenant_mut(1).set_workload(w0).unwrap();
+        adv.set_tenant_workload(0, w1).unwrap();
+        adv.set_tenant_workload(1, w0).unwrap();
         let report = mgr.process_period(&adv);
         assert!(
             report.decisions.contains(&PeriodDecision::RebuildOnChange),
@@ -377,7 +377,7 @@ mod tests {
             DynamicConfigManager::new(&adv, SearchSpace::cpu_only(0.5), DynamicOptions::default());
         mgr.process_period(&adv);
         // Double the arrival rate: per-query estimates are unchanged.
-        adv.tenant_mut(0).scale_workload(2.0);
+        adv.scale_tenant_workload(0, 2.0);
         let report = mgr.process_period(&adv);
         assert_eq!(report.decisions[0], PeriodDecision::ContinueRefinement);
         assert!(report.change_metrics[0] < 0.01);
@@ -394,8 +394,8 @@ mod tests {
         mgr.process_period(&adv);
         let w0 = adv.tenant(0).workload.clone();
         let w1 = adv.tenant(1).workload.clone();
-        adv.tenant_mut(0).set_workload(w1).unwrap();
-        adv.tenant_mut(1).set_workload(w0).unwrap();
+        adv.set_tenant_workload(0, w1).unwrap();
+        adv.set_tenant_workload(1, w0).unwrap();
         let report = mgr.process_period(&adv);
         assert!(report
             .decisions
@@ -410,7 +410,7 @@ mod tests {
             DynamicConfigManager::new(&adv, SearchSpace::cpu_only(0.5), DynamicOptions::default());
         for p in 0..4 {
             if p == 2 {
-                adv.tenant_mut(0).scale_workload(1.5);
+                adv.scale_tenant_workload(0, 1.5);
             }
             let report = mgr.process_period(&adv);
             let total: f64 = report.allocations.iter().map(|a| a.cpu()).sum();

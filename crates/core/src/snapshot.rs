@@ -409,7 +409,7 @@ fn fit_to_json(f: &LinearFit) -> Json {
 }
 
 fn model_to_json(m: &CalibratedModel) -> Json {
-    let cpu_fits = match &m.cpu_fits {
+    let cpu_fits = match m.cpu_fits() {
         CpuFits::Pg {
             tuple,
             operator,
@@ -431,7 +431,7 @@ fn model_to_json(m: &CalibratedModel) -> Json {
             ("index", fit_to_json(index)),
         ]),
     };
-    let io = match m.io {
+    let io = match m.io() {
         IoConstants::Pg { random_page_cost } => obj(vec![
             ("variant", Json::Str("pg".to_string())),
             ("random_page_cost", Json::Num(random_page_cost)),
@@ -450,7 +450,7 @@ fn model_to_json(m: &CalibratedModel) -> Json {
             ("seek", Json::Num(seek)),
         ]),
     };
-    let renorm = match m.renorm {
+    let renorm = match m.renorm() {
         Renormalizer::SecondsPerUnit { secs_per_unit } => obj(vec![
             ("variant", Json::Str("seconds_per_unit".to_string())),
             ("secs_per_unit", Json::Num(secs_per_unit)),
@@ -461,30 +461,31 @@ fn model_to_json(m: &CalibratedModel) -> Json {
             ("intercept", Json::Num(intercept)),
         ]),
     };
+    let cost = m.cost();
     obj(vec![
-        ("kind", kind_to_json(m.kind)),
-        ("machine_mem_mb", Json::Num(m.machine_mem_mb)),
+        ("kind", kind_to_json(m.kind())),
+        ("machine_mem_mb", Json::Num(m.machine_mem_mb())),
         ("cpu_fits", cpu_fits),
         ("io", io),
         (
             "disk_fit",
-            m.disk_fit.as_ref().map_or(Json::Null, fit_to_json),
+            m.disk_fit().as_ref().map_or(Json::Null, fit_to_json),
         ),
         ("renorm", renorm),
         (
             "cost",
             obj(vec![
-                ("simulated_seconds", Json::Num(m.cost.simulated_seconds)),
+                ("simulated_seconds", Json::Num(cost.simulated_seconds)),
                 (
                     "vm_configurations",
-                    Json::Num(m.cost.vm_configurations as f64),
+                    Json::Num(cost.vm_configurations as f64),
                 ),
-                ("queries_run", Json::Num(m.cost.queries_run as f64)),
+                ("queries_run", Json::Num(cost.queries_run as f64)),
             ]),
         ),
         (
             "adaption",
-            m.adaption.as_ref().map_or(Json::Null, adaption_to_json),
+            m.adaption().as_ref().map_or(Json::Null, adaption_to_json),
         ),
     ])
 }
@@ -860,19 +861,22 @@ fn model_from_json(j: &Json) -> Result<CalibratedModel, String> {
         Json::Null => None,
         a => Some(adaption_from_json(a)?),
     };
-    Ok(CalibratedModel {
-        kind: kind_from_json(field(j, "kind")?)?,
-        machine_mem_mb: f64_field(j, "machine_mem_mb")?,
+    let model = CalibratedModel::new(
+        kind_from_json(field(j, "kind")?)?,
+        f64_field(j, "machine_mem_mb")?,
         cpu_fits,
         io,
         disk_fit,
         renorm,
-        cost: CalibrationCost {
+        CalibrationCost {
             simulated_seconds: f64_field(cost_j, "simulated_seconds")?,
             vm_configurations: usize_field(cost_j, "vm_configurations")?,
             queries_run: usize_field(cost_j, "queries_run")?,
         },
-        adaption,
+    );
+    Ok(match adaption {
+        Some(a) => model.with_adaption(a),
+        None => model,
     })
 }
 
@@ -959,10 +963,10 @@ mod tests {
     use super::*;
 
     fn sample_model() -> CalibratedModel {
-        CalibratedModel {
-            kind: EngineKind::PgSim,
-            machine_mem_mb: 1024.0,
-            cpu_fits: CpuFits::Pg {
+        CalibratedModel::new(
+            EngineKind::PgSim,
+            1024.0,
+            CpuFits::Pg {
                 tuple: LinearFit {
                     intercept: 0.01,
                     slope: 0.1,
@@ -979,24 +983,23 @@ mod tests {
                     r_squared: 0.98,
                 },
             },
-            io: IoConstants::Pg {
+            IoConstants::Pg {
                 random_page_cost: 4.0,
             },
-            disk_fit: Some(LinearFit {
+            Some(LinearFit {
                 intercept: 0.1,
                 slope: 0.9,
                 r_squared: 0.97,
             }),
-            renorm: Renormalizer::SecondsPerUnit {
+            Renormalizer::SecondsPerUnit {
                 secs_per_unit: 1e-4,
             },
-            cost: CalibrationCost {
+            CalibrationCost {
                 simulated_seconds: 12.5,
                 vm_configurations: 6,
                 queries_run: 42,
             },
-            adaption: None,
-        }
+        )
     }
 
     fn sample_adaption() -> Adaption {

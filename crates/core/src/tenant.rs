@@ -6,10 +6,12 @@
 //! only pays for optimization, not parsing.
 
 use crate::problem::Allocation;
+use std::sync::OnceLock;
 use vda_simdb::bind::{bind_statement, BoundQuery};
 use vda_simdb::catalog::Catalog;
 use vda_simdb::engines::Engine;
 use vda_simdb::exec::{ExecContext, ExecOutcome, Executor};
+use vda_simdb::hash::Fnv64;
 use vda_simdb::Result as DbResult;
 use vda_vmm::Hypervisor;
 use vda_workloads::Workload;
@@ -37,9 +39,13 @@ pub struct Tenant {
     /// The current workload description.
     pub workload: Workload,
     bound: Vec<BoundStatement>,
-    /// Memoized [`Self::fingerprint`]; engine and catalog are fixed
-    /// for a tenant's lifetime, so only workload mutations reset it.
-    fingerprint: std::sync::OnceLock<u64>,
+    /// FNV-1a state after hashing the engine and the catalog — the
+    /// fixed part of [`Self::fingerprint`], computed on first use and
+    /// never reset (engine and catalog are fixed for a tenant's
+    /// lifetime).
+    prefix: OnceLock<u64>,
+    /// Memoized [`Self::fingerprint`]; workload mutations reset it.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Tenant {
@@ -58,7 +64,8 @@ impl Tenant {
             catalog,
             workload,
             bound,
-            fingerprint: std::sync::OnceLock::new(),
+            prefix: OnceLock::new(),
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -77,7 +84,7 @@ impl Tenant {
     pub fn set_workload(&mut self, workload: Workload) -> DbResult<()> {
         self.bound = bind_workload(&workload, &self.catalog)?;
         self.workload = workload;
-        self.fingerprint = std::sync::OnceLock::new();
+        self.fingerprint = OnceLock::new();
         Ok(())
     }
 
@@ -88,7 +95,7 @@ impl Tenant {
         for s in &mut self.bound {
             s.count *= factor;
         }
-        self.fingerprint = std::sync::OnceLock::new();
+        self.fingerprint = OnceLock::new();
     }
 
     /// Stable identity of everything that determines a what-if
@@ -97,14 +104,31 @@ impl Tenant {
     /// catalog statistics, and the workload's statements with their
     /// frequencies. Shared estimate caches key entries by it, so a
     /// workload change makes old entries unreachable rather than
-    /// wrong. Memoized: computed once per workload generation
-    /// (mutating the `workload` field directly bypasses the reset —
-    /// use [`Self::set_workload`]/[`Self::scale_workload`]).
+    /// wrong.
+    ///
+    /// Memoized in two parts, so a stored value is a read and a
+    /// workload change re-hashes only the statements: the hash state
+    /// after the engine and the catalog is kept for the tenant's
+    /// lifetime, and the full value until [`Self::set_workload`] or
+    /// [`Self::scale_workload`] resets it. Writing the public
+    /// `engine`, `catalog` or `workload` fields directly bypasses both
+    /// memos and leaves a stale fingerprint: change a workload through
+    /// those two methods (or the advisor's
+    /// [`set_tenant_workload`](crate::advisor::VirtualizationDesignAdvisor::set_tenant_workload)
+    /// and
+    /// [`scale_tenant_workload`](crate::advisor::VirtualizationDesignAdvisor::scale_tenant_workload)),
+    /// and build a new tenant for a new engine or catalog.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
-            let mut h = vda_simdb::hash::Fnv64::new();
-            h.write_str(&format!("{:?}", self.engine));
-            h.write_u64(self.catalog.signature());
+            let prefix = *self.prefix.get_or_init(|| {
+                let mut h = Fnv64::new();
+                h.write_str(&format!("{:?}", self.engine));
+                h.write_u64(self.catalog.signature());
+                h.finish()
+            });
+            // FNV-1a has no finalization step: resuming from the
+            // stored state hashes exactly as one pass would.
+            let mut h = Fnv64::resume(prefix);
             for s in &self.workload.statements {
                 h.write_str(&s.sql);
                 h.write_u64(s.count.to_bits());

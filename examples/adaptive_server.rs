@@ -59,7 +59,7 @@ fn main() {
         // Minor change each period: the DSS workload intensifies.
         for i in 0..2 {
             if advisor.tenant(i).name == "dss" {
-                advisor.tenant_mut(i).scale_workload(1.2);
+                advisor.scale_tenant_workload(i, 1.2);
             }
         }
         // Major change after period 4: the workloads trade VMs.

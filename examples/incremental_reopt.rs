@@ -69,7 +69,7 @@ fn main() {
         // One tenant drifts per period; everyone re-solves.
         let machine = (period - 1) % fleet.len();
         let factor = if period <= 3 { 1.3 } else { 1.0 / 1.3 };
-        fleet[machine].tenant_mut(0).scale_workload(factor);
+        fleet[machine].scale_tenant_workload(0, factor);
 
         let recs: Vec<_> = fleet
             .iter()

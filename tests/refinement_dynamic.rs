@@ -145,7 +145,7 @@ fn intensity_growth_is_classified_minor() {
     let mut mgr =
         DynamicConfigManager::new(&adv, SearchSpace::cpu_only(0.25), DynamicOptions::default());
     mgr.process_period(&adv);
-    adv.tenant_mut(1).scale_workload(3.0);
+    adv.scale_tenant_workload(1, 3.0);
     let report = mgr.process_period(&adv);
     assert_eq!(
         report.decisions[1],
