@@ -1196,7 +1196,10 @@ impl ControlPlane {
     ///
     /// A human-readable description when the provided fleet does not
     /// match the snapshot (machine count, per-machine hardware
-    /// fingerprint, or per-slot tenant fingerprints).
+    /// fingerprint, or per-slot tenant fingerprints), or when a
+    /// machine's warm export disagrees with the rest of its snapshot
+    /// (its last solve is not the placement, its centers are not that
+    /// solve's allocations, or its fingerprints are not the tenants).
     pub fn restore(
         mut machines: Vec<VirtualizationDesignAdvisor>,
         spaces: Vec<SearchSpace>,
@@ -1234,6 +1237,25 @@ impl ControlPlane {
                 .collect();
             if tenants != ms.tenants {
                 return Err(format!("machine {m}: tenant set mismatch"));
+            }
+            // A live plane's warm export is its last solve: the
+            // placement, centred on that placement, for these tenants.
+            if let Some(w) = &ms.warm {
+                if ms.placement.as_ref() != Some(&w.last) {
+                    return Err(format!(
+                        "machine {m}: warm export's last solve is not the placement"
+                    ));
+                }
+                if w.centers != w.last.allocations {
+                    return Err(format!(
+                        "machine {m}: warm export's centers are not its last allocations"
+                    ));
+                }
+                if w.fingerprints != tenants {
+                    return Err(format!(
+                        "machine {m}: warm export's fingerprints are not the tenant set"
+                    ));
+                }
             }
             for (kind, model) in &ms.calibrations {
                 adv.install_calibration(*kind, model.clone());

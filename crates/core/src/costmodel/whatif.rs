@@ -267,9 +267,10 @@ struct ProbeCacheInner {
 }
 
 impl ProbeCacheInner {
-    /// Store a row under its generation and stamp the generation with
-    /// the current epoch. Overwriting an existing key adds no row.
-    fn put(&mut self, id: (u64, u64), key: AllocKey, estimate: Estimate) {
+    /// Store rows under generation `id` and stamp the generation with
+    /// the current epoch: one map lookup and one stamp however many
+    /// rows. Overwriting an existing key adds no row.
+    fn put(&mut self, id: (u64, u64), rows: impl IntoIterator<Item = (AllocKey, Estimate)>) {
         let epoch = self.epoch;
         let gen = match self.map.entry(id) {
             Entry::Occupied(e) => {
@@ -285,9 +286,9 @@ impl ProbeCacheInner {
                 })
             }
         };
-        if gen.rows.insert(key, estimate).is_none() {
-            self.rows += 1;
-        }
+        let before = gen.rows.len();
+        gen.rows.extend(rows);
+        self.rows += gen.rows.len() - before;
     }
 
     /// Remove generation `id`, unlinking it from the victim index and
@@ -369,7 +370,7 @@ impl ProbeCache {
     /// Store an estimate under its (model, tenant) generation,
     /// stamping the generation with the current epoch.
     fn insert(&self, model: u64, tenant: u64, key: AllocKey, estimate: Estimate) {
-        self.inner.lock().put((model, tenant), key, estimate);
+        self.inner.lock().put((model, tenant), [(key, estimate)]);
     }
 
     /// All cached (allocation, estimate) pairs of one generation.
@@ -449,11 +450,17 @@ impl ProbeCache {
     /// imported history). Imported generations are stamped with the
     /// *current* epoch: recency is runtime state, not durable state,
     /// so a restored cache treats everything it was handed as
-    /// just-used (see `docs/FORMATS.md`).
+    /// just-used (see `docs/FORMATS.md`). Each run of adjacent rows
+    /// with one `(model, tenant)` — a whole generation, in export
+    /// order — is stored with one lookup.
     pub fn import(&self, rows: &[(u64, u64, AllocKey, Estimate)]) {
         let mut inner = self.inner.lock();
-        for &(model, tenant, key, est) in rows {
-            inner.put((model, tenant), key, est);
+        for run in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (model, tenant, _, _) = run[0];
+            inner.put(
+                (model, tenant),
+                run.iter().map(|&(_, _, key, est)| (key, est)),
+            );
         }
     }
 

@@ -220,7 +220,16 @@ fn write_num(x: f64, out: &mut String) {
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
+    // Everything before the first character that needs an escape goes
+    // out in one copy: snapshot columns are megabytes of hex digits.
+    // The four escaped characters are ASCII, so `plain` ends on a char
+    // boundary.
+    let plain = s
+        .bytes()
+        .position(|b| matches!(b, b'"' | b'\\' | b'\n' | b'\t'))
+        .unwrap_or(s.len());
+    out.push_str(&s[..plain]);
+    for c in s[plain..].chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
@@ -313,10 +322,25 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
+    // Fast path: scan to the first quote or backslash. A string that
+    // ends before any backslash is one slice, validated and copied
+    // once.
+    let start = *pos;
+    let run = bytes[start..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\')
+        .ok_or("unterminated string")?;
+    *pos = start + run;
+    if bytes[*pos] == b'"' {
+        *pos += 1;
+        return std::str::from_utf8(&bytes[start..start + run])
+            .map(str::to_owned)
+            .map_err(|e| format!("string is not valid UTF-8: {e}"));
+    }
     // Accumulate raw bytes and validate once at the closing quote:
     // pushing each byte as a `char` would re-encode bytes >= 0x80 and
     // mangle multi-byte UTF-8 sequences.
-    let mut out: Vec<u8> = Vec::new();
+    let mut out: Vec<u8> = bytes[start..*pos].to_vec();
     while *pos < bytes.len() {
         match bytes[*pos] {
             b'"' => {

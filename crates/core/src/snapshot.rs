@@ -9,7 +9,7 @@
 //! and resumes at delta-solve cost with bit-identical results.
 //!
 //! The wire format is the repo's hand-rolled JSON ([`crate::jsonio`]),
-//! with two schema-level conventions on top of it:
+//! with four schema-level conventions on top of it:
 //!
 //! - every `f64` round-trips **exactly** (shortest-round-trip
 //!   formatting, see the [`crate::jsonio`] module docs), which is what
@@ -17,7 +17,17 @@
 //!   solves stay bit-identical;
 //! - `u64` fingerprints and keys are encoded as 16-char hex *strings*
 //!   ([`crate::jsonio::Json::hex_u64`]) — values above 2⁵³ do not
-//!   survive a JSON number.
+//!   survive a JSON number;
+//! - the probe cache, almost all of a snapshot, is written one
+//!   `(model, tenant)` generation at a time, its rows as fixed-width
+//!   lowercase hex *columns*: 8 digits per allocation-key axis, 16
+//!   per plan regime, and each `f64` as the 16 hex digits of its bit
+//!   pattern (exact for every value, `-0.0`, subnormals and
+//!   non-finite values included);
+//! - the document ends with a `digest` member sealing every byte
+//!   before it, which [`FleetSnapshot::from_json`] checks before it
+//!   decodes anything — a re-formatted or hand-edited file is
+//!   rejected by design.
 //!
 //! See `docs/FORMATS.md` for the field-by-field schema.
 
@@ -31,19 +41,47 @@ use crate::guardrail::{ErrorAccumulator, GuardrailExport, GuardrailState};
 use crate::jsonio::{self, Json};
 use crate::problem::{AllocKey, Allocation, Resource, ResourceVector};
 use vda_simdb::engines::EngineKind;
+use vda_simdb::hash::Fnv64;
 use vda_stats::LinearFit;
 
 /// Format marker written into every snapshot.
 const FORMAT: &str = "vda-fleet-snapshot";
-/// Schema version this module reads and writes. Version 2 added the
-/// re-solve wave counter (`waves`), the ring-buffer decision log's
-/// drop counter (`log_dropped`), and turned each decision's
-/// `migration` (object or null) into a `migrations` array — batches
-/// can take several. Version 3 added the adaptive-calibration state:
-/// a nullable `adaption` overlay on every serialized model, the
-/// per-(hardware class, engine) residual stores (`adaption`), and the
-/// guardrail trackers (`tuners`).
-const VERSION: f64 = 3.0;
+/// Schema version this module reads and writes; no other version is
+/// read. Version 2 added the re-solve wave counter (`waves`), the
+/// ring-buffer decision log's drop counter (`log_dropped`), and turned
+/// each decision's `migration` (object or null) into a `migrations`
+/// array — batches can take several. Version 3 added the
+/// adaptive-calibration state: a nullable `adaption` overlay on every
+/// serialized model, the per-(hardware class, engine) residual stores
+/// (`adaption`), and the guardrail trackers (`tuners`). Version 4
+/// writes each probe generation once, its rows as hex columns, and
+/// seals the document with a trailing `digest`.
+const VERSION: f64 = 4.0;
+
+/// Hex digits per allocation-key axis in a probe generation's `keys`
+/// column: a whole `u32`, so every [`AllocKey`] fits.
+const KEY_DIGITS: usize = 8;
+/// Hex digits per `u64` (a plan regime, or an `f64`'s bit pattern) in
+/// the other probe columns.
+const WORD_DIGITS: usize = 16;
+/// The lowercase hex digits, by value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+/// The value of each byte as a lowercase hex digit; `0xff` marks a
+/// byte that is not one.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut digit = 0;
+    while digit < 16 {
+        table[HEX_DIGITS[digit] as usize] = digit as u8;
+        digit += 1;
+    }
+    table
+};
+/// What every snapshot ends with, before the digest's digits and the
+/// closing `"}`.
+const DIGEST_KEY: &str = ",\"digest\":\"";
+/// Length of the whole seal: key, digits, closing quote and brace.
+const SEAL_LEN: usize = DIGEST_KEY.len() + WORD_DIGITS + 2;
 
 /// One machine's durable state inside a [`FleetSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
@@ -131,7 +169,9 @@ pub struct FleetSnapshot {
     pub registry: Vec<(u64, EngineKind, CalibratedModel)>,
     /// The fleet probe cache: `(model fingerprint, tenant fingerprint,
     /// allocation key, estimate)` rows, sorted (see
-    /// [`crate::costmodel::whatif::ProbeCache::export`]).
+    /// [`crate::costmodel::whatif::ProbeCache::export`]). On disk each
+    /// run of adjacent rows with one `(model, tenant)` is one
+    /// generation, so any order round-trips.
     pub probes: Vec<(u64, u64, AllocKey, Estimate)>,
     /// The decision log's retained entries, oldest → newest (the ring
     /// buffer's *logical* order — the head position is not durable
@@ -150,7 +190,8 @@ pub struct FleetSnapshot {
 
 impl FleetSnapshot {
     /// Serialize to the snapshot JSON format (compact, deterministic:
-    /// the same snapshot always produces the same bytes).
+    /// the same snapshot always produces the same bytes), sealed with
+    /// a trailing `digest`.
     pub fn to_json(&self) -> String {
         let machines = Json::Arr(self.machines.iter().map(machine_to_json).collect());
         let registry = Json::Arr(
@@ -167,18 +208,8 @@ impl FleetSnapshot {
         );
         let probes = Json::Arr(
             self.probes
-                .iter()
-                .map(|(model, tenant, key, est)| {
-                    obj(vec![
-                        ("model", Json::hex_u64(*model)),
-                        ("tenant", Json::hex_u64(*tenant)),
-                        (
-                            "key",
-                            Json::Arr(key.iter().map(|&k| Json::Num(k as f64)).collect()),
-                        ),
-                        ("estimate", estimate_to_json(est)),
-                    ])
-                })
+                .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+                .map(generation_to_json)
                 .collect(),
         );
         let log = Json::Arr(self.log.iter().map(decision_to_json).collect());
@@ -200,26 +231,40 @@ impl FleetSnapshot {
             ("adaption", adaption),
             ("tuners", tuners),
         ]);
-        jsonio::write(&root)
+        seal(jsonio::write(&root))
     }
 
     /// Parse a snapshot previously produced by [`Self::to_json`].
     ///
+    /// The digest is checked before anything is decoded, so a file
+    /// changed in any byte — corrupted, truncated, re-formatted or
+    /// hand-edited — is rejected. A document with no digest at all is
+    /// parsed only to say why it is not a current snapshot: foreign
+    /// JSON names its format, an older snapshot its version.
+    ///
     /// # Errors
     ///
-    /// A human-readable description of the first structural problem
-    /// (bad JSON, wrong format marker, unknown version, missing or
-    /// mistyped field).
+    /// A human-readable description of the first problem: a missing
+    /// or mismatched digest, bad JSON, wrong format marker, unknown
+    /// version, missing or mistyped field, or a malformed probe column
+    /// (named with its generation index).
     pub fn from_json(input: &str) -> Result<FleetSnapshot, String> {
+        match unseal(input) {
+            Some((body, stored)) => {
+                let actual = digest(body);
+                if stored != actual {
+                    return Err(format!(
+                        "snapshot digest mismatch: stored {stored:016x}, contents hash to {actual:016x}"
+                    ));
+                }
+            }
+            None => {
+                check_header(&jsonio::parse(input)?)?;
+                return Err("snapshot does not end with its \"digest\" field".to_string());
+            }
+        }
         let root = jsonio::parse(input)?;
-        let format = str_field(&root, "format")?;
-        if format != FORMAT {
-            return Err(format!("not a fleet snapshot (format {format:?})"));
-        }
-        let version = f64_field(&root, "version")?;
-        if version != VERSION {
-            return Err(format!("unsupported snapshot version {version}"));
-        }
+        check_header(&root)?;
         let machines = arr_field(&root, "machines")?
             .iter()
             .map(machine_from_json)
@@ -234,25 +279,11 @@ impl FleetSnapshot {
                 ))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let probes = arr_field(&root, "probes")?
-            .iter()
-            .map(|j| {
-                let key_arr = arr_field(j, "key")?;
-                if key_arr.len() != Resource::COUNT {
-                    return Err(format!("probe key must have {} axes", Resource::COUNT));
-                }
-                let mut key: AllocKey = [0; Resource::COUNT];
-                for (slot, item) in key.iter_mut().zip(key_arr) {
-                    *slot = item.as_f64().ok_or("probe key entries must be numbers")? as u32;
-                }
-                Ok((
-                    hex_field(j, "model")?,
-                    hex_field(j, "tenant")?,
-                    key,
-                    estimate_from_json(field(j, "estimate")?)?,
-                ))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+        let mut probes = Vec::new();
+        for (index, generation) in arr_field(&root, "probes")?.iter().enumerate() {
+            generation_from_json(generation, &mut probes)
+                .map_err(|e| format!("probe generation {index}: {e}"))?;
+        }
         let log = arr_field(&root, "log")?
             .iter()
             .map(decision_from_json)
@@ -389,15 +420,56 @@ fn result_to_json(r: &SearchResult) -> Json {
     ])
 }
 
-fn estimate_to_json(e: &Estimate) -> Json {
+/// One probe generation — a run of rows sharing `(model, tenant)` —
+/// with its rows as hex columns, each built in one buffer.
+fn generation_to_json(run: &[(u64, u64, AllocKey, Estimate)]) -> Json {
+    let mut keys = Vec::with_capacity(run.len() * Resource::COUNT * KEY_DIGITS);
+    let mut seconds = Vec::with_capacity(run.len() * WORD_DIGITS);
+    let mut regimes = Vec::with_capacity(run.len() * WORD_DIGITS);
+    let mut per_statement = Vec::with_capacity(run.len() * WORD_DIGITS);
+    for (_, _, key, est) in run {
+        for &axis in key {
+            push_hex::<KEY_DIGITS>(&mut keys, u64::from(axis));
+        }
+        push_hex::<WORD_DIGITS>(&mut seconds, est.seconds.to_bits());
+        push_hex::<WORD_DIGITS>(&mut regimes, est.plan_regime);
+        push_hex::<WORD_DIGITS>(&mut per_statement, est.avg_cost_per_statement.to_bits());
+    }
+    let column =
+        |digits: Vec<u8>| Json::Str(String::from_utf8(digits).expect("hex digits are ASCII"));
     obj(vec![
-        ("seconds", Json::Num(e.seconds)),
-        ("plan_regime", Json::hex_u64(e.plan_regime)),
-        (
-            "avg_cost_per_statement",
-            Json::Num(e.avg_cost_per_statement),
-        ),
+        ("model", Json::hex_u64(run[0].0)),
+        ("tenant", Json::hex_u64(run[0].1)),
+        ("keys", column(keys)),
+        ("seconds", column(seconds)),
+        ("regimes", column(regimes)),
+        ("per_statement", column(per_statement)),
     ])
+}
+
+/// Append the low `DIGITS` hex digits of `value`, most significant
+/// first.
+fn push_hex<const DIGITS: usize>(out: &mut Vec<u8>, value: u64) {
+    let mut digits = [0u8; DIGITS];
+    for (i, digit) in digits.iter_mut().enumerate() {
+        *digit = HEX_DIGITS[(value >> (4 * (DIGITS - 1 - i))) as usize & 0xf];
+    }
+    out.extend_from_slice(&digits);
+}
+
+/// The snapshot digest of `body`: [`Fnv64::write_words`] over it.
+fn digest(body: &[u8]) -> u64 {
+    Fnv64::new().write_words(body).finish()
+}
+
+/// Close a serialized root object with the `digest` of every byte
+/// before its final `}`.
+fn seal(mut doc: String) -> String {
+    let close = doc.pop();
+    assert_eq!(close, Some('}'), "a snapshot is one JSON object");
+    let digest = digest(doc.as_bytes());
+    doc.push_str(&format!("{DIGEST_KEY}{digest:016x}\"}}"));
+    doc
 }
 
 fn fit_to_json(f: &LinearFit) -> Json {
@@ -713,12 +785,100 @@ fn result_from_json(j: &Json) -> Result<SearchResult, String> {
     })
 }
 
-fn estimate_from_json(j: &Json) -> Result<Estimate, String> {
-    Ok(Estimate {
-        seconds: f64_field(j, "seconds")?,
-        plan_regime: hex_field(j, "plan_regime")?,
-        avg_cost_per_statement: f64_field(j, "avg_cost_per_statement")?,
-    })
+/// Split a sealed document into the bytes its digest covers and the
+/// stored digest; `None` when it does not end with a well-formed seal.
+fn unseal(input: &str) -> Option<(&[u8], u64)> {
+    let split = input.len().checked_sub(SEAL_LEN)?;
+    let (body, seal) = input.as_bytes().split_at(split);
+    let digits = seal
+        .strip_prefix(DIGEST_KEY.as_bytes())?
+        .strip_suffix(b"\"}")?;
+    Some((body, hex_value(digits)?))
+}
+
+/// The format marker and version a document must carry.
+fn check_header(root: &Json) -> Result<(), String> {
+    let format = str_field(root, "format")?;
+    if format != FORMAT {
+        return Err(format!("not a fleet snapshot (format {format:?})"));
+    }
+    let version = f64_field(root, "version")?;
+    if version != VERSION {
+        return Err(format!("unsupported snapshot version {version}"));
+    }
+    Ok(())
+}
+
+/// Lowercase hex digits as a `u64`; `None` on any other byte. Callers
+/// bound the length (at most 16 digits).
+fn hex_value(digits: &[u8]) -> Option<u64> {
+    let mut value = 0u64;
+    let mut invalid = 0u8;
+    for &d in digits {
+        let v = HEX_VALUES[d as usize];
+        invalid |= v;
+        value = value << 4 | u64::from(v & 0xf);
+    }
+    (invalid & 0xf0 == 0).then_some(value)
+}
+
+/// One probe column: `width`-digit hex values, `per_row` to a row.
+fn hex_column(j: &Json, name: &str, per_row: usize, width: usize) -> Result<Vec<u64>, String> {
+    let digits = str_field(j, name)?.as_bytes();
+    let row_digits = per_row * width;
+    if digits.len() % row_digits != 0 {
+        return Err(format!(
+            "column {name:?} holds {} digits, not a whole number of {row_digits}-digit rows",
+            digits.len()
+        ));
+    }
+    digits
+        .chunks_exact(width)
+        .enumerate()
+        .map(|(i, value)| {
+            hex_value(value)
+                .ok_or_else(|| format!("column {name:?} has a non-hex digit in value {i}"))
+        })
+        .collect()
+}
+
+/// Decode one probe generation, appending its rows to `probes`.
+fn generation_from_json(
+    j: &Json,
+    probes: &mut Vec<(u64, u64, AllocKey, Estimate)>,
+) -> Result<(), String> {
+    let model = hex_field(j, "model")?;
+    let tenant = hex_field(j, "tenant")?;
+    let keys = hex_column(j, "keys", Resource::COUNT, KEY_DIGITS)?;
+    let seconds = hex_column(j, "seconds", 1, WORD_DIGITS)?;
+    let regimes = hex_column(j, "regimes", 1, WORD_DIGITS)?;
+    let per_statement = hex_column(j, "per_statement", 1, WORD_DIGITS)?;
+    let rows = keys.len() / Resource::COUNT;
+    if rows == 0 {
+        return Err("a generation must hold at least one row".to_string());
+    }
+    for (name, column) in [
+        ("seconds", &seconds),
+        ("regimes", &regimes),
+        ("per_statement", &per_statement),
+    ] {
+        if column.len() != rows {
+            return Err(format!(
+                "column {name:?} holds {} rows, column \"keys\" {rows}",
+                column.len()
+            ));
+        }
+    }
+    probes.extend((0..rows).map(|r| {
+        let key: AllocKey = std::array::from_fn(|axis| keys[r * Resource::COUNT + axis] as u32);
+        let estimate = Estimate {
+            seconds: f64::from_bits(seconds[r]),
+            plan_regime: regimes[r],
+            avg_cost_per_statement: f64::from_bits(per_statement[r]),
+        };
+        (model, tenant, key, estimate)
+    }));
+    Ok(())
 }
 
 fn fit_from_json(j: &Json) -> Result<LinearFit, String> {
@@ -1139,6 +1299,12 @@ mod tests {
         assert_eq!(json, back.to_json());
     }
 
+    /// Replace a hand-edited document's digest with one over its new
+    /// contents, so a test reaches the check behind the digest.
+    fn reseal(doc: &str) -> String {
+        seal(format!("{}}}", &doc[..doc.len() - SEAL_LEN]))
+    }
+
     #[test]
     fn snapshot_rejects_foreign_and_versioned_input() {
         assert!(FleetSnapshot::from_json("{}").is_err());
@@ -1147,19 +1313,32 @@ mod tests {
         assert!(FleetSnapshot::from_json(wrong_format)
             .unwrap_err()
             .contains("format"));
-        let wrong_version = sample_snapshot()
+        let edited = sample_snapshot()
             .to_json()
-            .replace("\"version\":3,\"seq\"", "\"version\":4,\"seq\"");
-        assert!(FleetSnapshot::from_json(&wrong_version)
-            .unwrap_err()
-            .contains("version"));
+            .replace("\"version\":4,\"seq\"", "\"version\":5,\"seq\"");
+        let err = FleetSnapshot::from_json(&edited).unwrap_err();
+        assert!(err.contains("digest"), "{err}");
+        let err = FleetSnapshot::from_json(&reseal(&edited)).unwrap_err();
+        assert!(err.contains("version 5"), "{err}");
     }
 
     #[test]
     fn snapshot_reports_missing_fields_by_name() {
-        let broken = sample_snapshot().to_json().replace("\"resolves\"", "\"x\"");
+        let broken = reseal(&sample_snapshot().to_json().replace("\"resolves\"", "\"x\""));
         let err = FleetSnapshot::from_json(&broken).unwrap_err();
         assert!(err.contains("resolves"), "{err}");
+    }
+
+    #[test]
+    fn snapshot_ends_with_a_digest_of_everything_before_it() {
+        let json = sample_snapshot().to_json();
+        let (body, stored) = unseal(&json).expect("sealed");
+        assert_eq!(stored, digest(body));
+        assert_eq!(
+            body,
+            &json.as_bytes()[..json.rfind(",\"digest\":").unwrap()]
+        );
+        assert_eq!(reseal(&json), json);
     }
 
     #[test]

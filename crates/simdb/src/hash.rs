@@ -41,6 +41,28 @@ impl Fnv64 {
         self
     }
 
+    /// Absorb `bytes` one little-endian 64-bit word per step (a short
+    /// last word zero-padded), then their length. Each step is the FNV-1a
+    /// step on a word instead of a byte — a different hash from
+    /// [`Self::write`], about eight times fewer multiplies on long
+    /// inputs. Each step is a bijection of the state, so a change
+    /// confined to one word always changes the result.
+    pub fn write_words(&mut self, bytes: &[u8]) -> &mut Self {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let word: [u8; 8] = word.try_into().expect("chunks_exact yields 8 bytes");
+            self.0 = (self.0 ^ u64::from_le_bytes(word)).wrapping_mul(FNV_PRIME);
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.0 = (self.0 ^ u64::from_le_bytes(word)).wrapping_mul(FNV_PRIME);
+        }
+        self.0 = (self.0 ^ bytes.len() as u64).wrapping_mul(FNV_PRIME);
+        self
+    }
+
     /// Absorb a `u64` (little-endian).
     pub fn write_u64(&mut self, v: u64) -> &mut Self {
         self.write(&v.to_le_bytes())
@@ -90,5 +112,20 @@ mod tests {
         // appends a terminator so test the raw path.
         let h = Fnv64::new().finish();
         assert_eq!(h, 0xcbf2_9ce4_8422_2325);
+    }
+
+    #[test]
+    fn word_hash_sees_every_byte_and_the_length() {
+        let words = |bytes: &[u8]| Fnv64::new().write_words(bytes).finish();
+        let text = b"{\"format\":\"vda-fleet-snapshot\",\"version\":4}".to_vec();
+        let base = words(&text);
+        for at in 0..text.len() {
+            let mut changed = text.clone();
+            changed[at] ^= 0x20;
+            assert_ne!(words(&changed), base, "byte {at}");
+        }
+        // The zero-padded tail is told apart from real zero bytes.
+        assert_ne!(words(b"ab"), words(b"ab\0"));
+        assert_ne!(words(b""), words(&[0; 8]));
     }
 }

@@ -310,8 +310,9 @@ fn ring_buffer_snapshot_restores_at_a_wrapped_head_position() {
     );
 }
 
-/// A restored plane rejects topologies that do not match the snapshot:
-/// wrong machine count, wrong hardware, wrong tenants.
+/// A restored plane rejects topologies that do not match the snapshot
+/// (wrong machine count, wrong hardware, wrong tenants) and warm
+/// exports that disagree with their own machine.
 #[test]
 fn restore_validates_the_rebuilt_topology() {
     let (machines, spaces) = fleet();
@@ -333,4 +334,24 @@ fn restore_validates_the_rebuilt_topology() {
     machines[0].remove_tenant(1);
     let err = ControlPlane::restore(machines, spaces, options(), &snapshot).unwrap_err();
     assert!(err.contains("tenant"), "{err}");
+
+    // Each warm export must be its machine's last solve: the
+    // placement, centred on its allocations, for the machine's tenants.
+    for what in ["placement", "centers", "fingerprints"] {
+        let mut edited = snapshot.clone();
+        let warm = edited.machines[1]
+            .warm
+            .as_mut()
+            .expect("a solved machine is warm");
+        match what {
+            "placement" => warm.last.weighted_cost += 1.0,
+            "centers" => warm.centers.push(warm.centers[0]),
+            _ => warm.fingerprints[0] ^= 1,
+        }
+        let (machines, spaces) = fleet();
+        let err = ControlPlane::restore(machines, spaces, options(), &edited).unwrap_err();
+        assert!(err.contains("machine 1") && err.contains(what), "{err}");
+    }
+    let (machines, spaces) = fleet();
+    assert!(ControlPlane::restore(machines, spaces, options(), &snapshot).is_ok());
 }
