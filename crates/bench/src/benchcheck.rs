@@ -173,8 +173,7 @@ mod tests {
     "steady_optimizer_calls_cold": 24729,
     "steady_optimizer_calls_incremental": 1256,
     "incremental_calls_per_period": [157, 98, 0, 5],
-    "delta_solves": 20,
-    "lattice_reuses": 48,
+    "cold_solves": 23,
     "probe_hits": 12285,
     "final_objectives": [890.642, 222.932],
     "speedup": 19.689,
@@ -454,7 +453,7 @@ mod tests {
     fn dynamic_section_deterministic_fields_are_gated() {
         // The incremental re-optimization section of
         // BENCH_dynamic.json: optimizer-call totals and per-period
-        // series, warm-solve/lattice/probe counters, objectives, and
+        // series, cold-solve and probe counters, objectives, and
         // the two contract booleans are deterministic and gated; both
         // wall times (and the environment-dependent speedup ratio)
         // are not.
@@ -474,16 +473,7 @@ mod tests {
                 "\"incremental_calls_per_period\": [157, 98, 0, 5]",
                 "\"incremental_calls_per_period\": [157, 98, 7, 5]",
             ),
-            (
-                "delta_solves",
-                "\"delta_solves\": 20",
-                "\"delta_solves\": 23",
-            ),
-            (
-                "lattice_reuses",
-                "\"lattice_reuses\": 48",
-                "\"lattice_reuses\": 0",
-            ),
+            ("cold_solves", "\"cold_solves\": 23", "\"cold_solves\": 3"),
             ("probe_hits", "\"probe_hits\": 12285", "\"probe_hits\": 12"),
             (
                 "final_objectives",

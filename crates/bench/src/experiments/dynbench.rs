@@ -10,9 +10,10 @@
 //! * **cold** — the baseline: fresh estimators, full coarse-to-fine
 //!   search on every machine every period;
 //! * **incremental** — [`VirtualizationDesignAdvisor::recommend_c2f_warm`]
-//!   with a fleet-wide [`ProbeCache`]: unchanged machines return the
-//!   cached solve at zero optimizer calls, the drifted machine
-//!   delta-solves against its retained coarse lattice.
+//!   with a fleet-wide [`ProbeCache`]: unchanged machines return their
+//!   memoized solve at zero optimizer calls, and the drifted machine
+//!   cold-solves with its unchanged tenants' probes served by the
+//!   cache.
 //!
 //! Both legs must agree bit-for-bit on every period's objective,
 //! allocations, and limit verdicts (`results_match`), and the
@@ -58,8 +59,7 @@ const MIX: [(usize, f64); TENANTS] = [
 
 /// Degradation limit given to each machine's first tenant — loose
 /// enough to be met, finite so every machine exercises the limit-aware
-/// coarse-to-fine path (the one that retains a coarse lattice for
-/// delta-solves).
+/// coarse-to-fine path (coarse feasibility map plus boundary band).
 const FIRST_TENANT_LIMIT: f64 = 6.0;
 
 /// One leg's fleet: three identically-built machines.
@@ -137,12 +137,11 @@ pub struct DynamicBench {
     pub cold_calls_per_period: Vec<u64>,
     /// Per-period optimizer calls, incremental leg.
     pub warm_calls_per_period: Vec<u64>,
-    /// Summed warm-start counters over the fleet's machines:
-    /// `(cold_solves, delta_solves, lattice_reuses)`.
-    pub warm_solve_stats: (u64, u64, u64),
+    /// Cold solves summed over the incremental leg's machines; every
+    /// other incremental solve is a memo hit.
+    pub cold_solves: u64,
     /// Incremental-leg accounting: steady-state optimizer calls plus
-    /// the fleet probe cache's cross-period hit/miss counters and the
-    /// lattice-reuse count.
+    /// the fleet probe cache's cross-period hit/miss counters.
     pub accounting: CostAccounting,
     /// Whether every period's incremental result matched the cold one
     /// bit-for-bit (objective, allocations, limit verdicts).
@@ -244,21 +243,14 @@ pub fn measure() -> DynamicBench {
     }
     let warm_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let mut warm_solve_stats = (0, 0, 0);
-    for adv in &warm_fleet {
-        let (c, d, l) = adv.warm_stats();
-        warm_solve_stats.0 += c;
-        warm_solve_stats.1 += d;
-        warm_solve_stats.2 += l;
-    }
+    let cold_solves = warm_fleet.iter().map(|adv| adv.warm_stats().0).sum();
     let steady_warm: u64 = warm_calls_per_period.iter().sum();
     let accounting = CostAccounting {
         optimizer_calls: steady_warm,
         cache_hits: 0,
         ..CostAccounting::default()
     }
-    .with_probe_cache(&probe)
-    .with_lattice_reuses(warm_solve_stats.2);
+    .with_probe_cache(&probe);
 
     let final_objectives = cold_history
         .last()
@@ -272,7 +264,7 @@ pub fn measure() -> DynamicBench {
         init_warm_calls,
         cold_calls_per_period,
         warm_calls_per_period,
-        warm_solve_stats,
+        cold_solves,
         accounting,
         results_match,
         final_objectives,
@@ -316,13 +308,7 @@ pub fn run_from(m: DynamicBench) -> Report {
     report.section("cold vs incremental optimizer calls", table);
 
     let mut counters = Table::new(vec!["counter", "value"]);
-    let (cold_solves, delta_solves, lattice_reuses) = m.warm_solve_stats;
-    counters.row(vec!["cold solves".to_string(), cold_solves.to_string()]);
-    counters.row(vec!["delta solves".to_string(), delta_solves.to_string()]);
-    counters.row(vec![
-        "lattice reuses".to_string(),
-        lattice_reuses.to_string(),
-    ]);
+    counters.row(vec!["cold solves".to_string(), m.cold_solves.to_string()]);
     counters.row(vec![
         "probe hits".to_string(),
         m.accounting.probe_hits.to_string(),
@@ -355,7 +341,6 @@ pub fn to_json(m: &DynamicBench) -> String {
         .iter()
         .map(|o| format!("{o:.9}"))
         .collect();
-    let (cold_solves, delta_solves, lattice_reuses) = m.warm_solve_stats;
     format!(
         concat!(
             "{{\n",
@@ -374,8 +359,6 @@ pub fn to_json(m: &DynamicBench) -> String {
             "  \"cold_calls_per_period\": [{}],\n",
             "  \"incremental_calls_per_period\": [{}],\n",
             "  \"cold_solves\": {},\n",
-            "  \"delta_solves\": {},\n",
-            "  \"lattice_reuses\": {},\n",
             "  \"probe_hits\": {},\n",
             "  \"probe_misses\": {},\n",
             "  \"final_objectives\": [{}],\n",
@@ -395,9 +378,7 @@ pub fn to_json(m: &DynamicBench) -> String {
         m.steady_warm_calls(),
         cold.join(", "),
         warm.join(", "),
-        cold_solves,
-        delta_solves,
-        lattice_reuses,
+        m.cold_solves,
         m.accounting.probe_hits,
         m.accounting.probe_misses,
         finals.join(", "),
@@ -429,13 +410,9 @@ mod tests {
             m.steady_cold_calls(),
             m.steady_warm_calls()
         );
-        let (cold_solves, delta_solves, _) = m.warm_solve_stats;
-        assert_eq!(cold_solves, MACHINES as u64, "one cold solve per machine");
-        assert_eq!(
-            delta_solves, PERIODS as u64,
-            "exactly the drifted machine delta-solves each period"
-        );
-        assert!(m.accounting.lattice_reuses > 0);
+        // One cold solve per machine to start, then exactly the
+        // drifted machine each period; every other solve is a hit.
+        assert_eq!(m.cold_solves, (MACHINES + PERIODS) as u64);
     }
 
     #[test]

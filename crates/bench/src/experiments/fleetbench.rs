@@ -7,8 +7,8 @@
 //! decommissions) three times over:
 //!
 //! * **incremental** — [`ControlPlane`] with its default warm path:
-//!   per-event delta re-solves over persistent warm-start lattices and
-//!   the fleet-wide probe cache;
+//!   per-event re-solves through each machine's memo of its last solve
+//!   and the fleet-wide probe cache;
 //! * **cold** — the same events with
 //!   [`ControlPlaneOptions::incremental`] off: every event invalidates
 //!   all warm state and cold-starts the probe cache, the baseline the
@@ -114,8 +114,8 @@ pub struct FleetScale {
 /// spares), 1000 tenants, 150 events, snapshot mid-stream. Five
 /// tenants per machine keeps the automatic coarse ladder
 /// ([`vda_core::CoarseToFineOptions::auto`]) non-degenerate on the
-/// 20-share CPU grid, so drift events exercise warm *delta*-solves
-/// over retained lattices, not just probe-cache reuse.
+/// 20-share CPU grid, so drift re-solves run the full coarse-to-fine
+/// path over the probe cache.
 pub const FULL: FleetScale = FleetScale {
     populated: 200,
     spares: 2,
@@ -189,8 +189,8 @@ const MIX: [(usize, f64); 10] = [
 const CYCLE: [usize; 5] = [18, 6, 21, 7, 16];
 
 /// Degradation limit on each machine's first tenant: finite, so every
-/// machine exercises the limit-aware coarse-to-fine path (the one that
-/// retains a coarse lattice for delta-solves).
+/// machine exercises the limit-aware coarse-to-fine path (coarse
+/// feasibility map plus boundary band).
 const FIRST_TENANT_LIMIT: f64 = 6.0;
 
 /// Control-plane knobs for the scenario. The migration threshold and
@@ -486,9 +486,9 @@ pub struct FleetBench {
     pub probe_hits: u64,
     /// See [`Self::probe_hits`].
     pub probe_misses: u64,
-    /// Summed warm-start counters over the incremental leg's machines:
-    /// `(cold_solves, delta_solves, lattice_reuses)`.
-    pub warm_solve_stats: (u64, u64, u64),
+    /// Cold solves summed over the incremental leg's machines; every
+    /// other re-solve is a memo hit.
+    pub cold_solves: u64,
     /// Fleet objective after the final event (`{:.9}`-gated).
     pub final_objective: f64,
     /// Size of the serialized mid-stream snapshot, bytes.
@@ -617,13 +617,9 @@ pub fn measure_with(scale: FleetScale) -> Result<FleetBench, String> {
         }
     }
     let stats = warm.stats();
-    let mut warm_solve_stats = (0, 0, 0);
-    for m in 0..warm.machine_count() {
-        let (c, d, l) = warm.machine(m).warm_stats();
-        warm_solve_stats.0 += c;
-        warm_solve_stats.1 += d;
-        warm_solve_stats.2 += l;
-    }
+    let cold_solves = (0..warm.machine_count())
+        .map(|m| warm.machine(m).warm_stats().0)
+        .sum();
     let latencies: Vec<f64> = warm_outcomes.iter().map(|o| o.latency_ms).collect();
     let mean_ms = latencies.iter().sum::<f64>() / latencies.len().max(1) as f64;
 
@@ -639,7 +635,7 @@ pub fn measure_with(scale: FleetScale) -> Result<FleetBench, String> {
         resolves: stats.resolves,
         probe_hits: stats.probe_hits,
         probe_misses: stats.probe_misses,
-        warm_solve_stats,
+        cold_solves,
         final_objective: warm.objective(),
         snapshot_bytes: snap_json.len(),
         snapshot_fnv: fnv1a(&snap_json),
@@ -904,13 +900,7 @@ pub fn run_from(m: FleetBench) -> Report {
     ]);
     counters.row(vec!["migrations".to_string(), m.migrations.to_string()]);
     counters.row(vec!["re-solves".to_string(), m.resolves.to_string()]);
-    let (cold_solves, delta_solves, lattice_reuses) = m.warm_solve_stats;
-    counters.row(vec!["cold solves".to_string(), cold_solves.to_string()]);
-    counters.row(vec!["delta solves".to_string(), delta_solves.to_string()]);
-    counters.row(vec![
-        "lattice reuses".to_string(),
-        lattice_reuses.to_string(),
-    ]);
+    counters.row(vec!["cold solves".to_string(), m.cold_solves.to_string()]);
     counters.row(vec!["probe hits".to_string(), m.probe_hits.to_string()]);
     counters.row(vec!["probe misses".to_string(), m.probe_misses.to_string()]);
     counters.row(vec![
@@ -939,7 +929,6 @@ pub fn run_from(m: FleetBench) -> Report {
 /// `check_bench` (including `call_ratio` — it counts optimizer calls,
 /// not wall-clock).
 pub fn to_json(m: &FleetBench) -> String {
-    let (cold_solves, delta_solves, lattice_reuses) = m.warm_solve_stats;
     format!(
         concat!(
             "{{\n",
@@ -971,8 +960,6 @@ pub fn to_json(m: &FleetBench) -> String {
             "  \"migrations\": {},\n",
             "  \"resolves\": {},\n",
             "  \"cold_solves\": {},\n",
-            "  \"delta_solves\": {},\n",
-            "  \"lattice_reuses\": {},\n",
             "  \"probe_hits\": {},\n",
             "  \"probe_misses\": {},\n",
             "  \"initial_objective\": {:.9},\n",
@@ -1008,9 +995,7 @@ pub fn to_json(m: &FleetBench) -> String {
         m.kinds.decommissioned,
         m.migrations,
         m.resolves,
-        cold_solves,
-        delta_solves,
-        lattice_reuses,
+        m.cold_solves,
         m.probe_hits,
         m.probe_misses,
         m.initial_objective,
@@ -1220,11 +1205,6 @@ mod tests {
         assert!(m.kinds.arrived >= 1 && m.kinds.departed >= 1);
         assert!(m.kinds.changed_major + m.kinds.changed_minor >= 1);
         assert_eq!(m.shards, 4, "four hardware classes, one space");
-        assert!(
-            m.warm_solve_stats.1 > 0,
-            "drift events must hit the warm delta-solve path, got {:?}",
-            m.warm_solve_stats
-        );
 
         let json = to_json(&m);
         assert!(json.contains("\"experiment\": \"fleetbench\""));

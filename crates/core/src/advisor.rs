@@ -336,8 +336,8 @@ impl VirtualizationDesignAdvisor {
         for cache in &mut self.caches {
             *cache = SharedEstimateCache::new();
         }
-        // New calibration ⇒ new model fingerprints; warm-start state
-        // and cached coarse lattices are stale.
+        // New calibration ⇒ new model fingerprints; the memoized solve
+        // is stale.
         self.warm.get_mut().invalidate();
     }
 
@@ -388,7 +388,7 @@ impl VirtualizationDesignAdvisor {
             }
         }
         // A genuinely different calibration invalidates the previous
-        // period's solve and coarse lattices.
+        // period's solve.
         self.warm.get_mut().invalidate();
     }
 
@@ -486,14 +486,14 @@ impl VirtualizationDesignAdvisor {
         }
     }
 
-    /// Warm-started coarse-to-fine recommendation: bit-identical to a
+    /// Memoized coarse-to-fine recommendation: bit-identical to a
     /// cold [`try_coarse_to_fine_search_with`](crate::enumerate::try_coarse_to_fine_search_with)
-    /// over the same estimators, but period-over-period re-runs reuse
-    /// the previous solve. The warm key folds in every calibrated
-    /// model's fingerprint, so a recalibration (or QoS / search-space
-    /// change) cold re-solves automatically; per-tenant workload
-    /// fingerprints route unchanged tenants to the cached coarse
-    /// tables ([`WarmStart`] delta-solves).
+    /// over the same estimators. The [`WarmStart`] memo key folds in
+    /// every calibrated model's fingerprint and every tenant's
+    /// workload fingerprint, so a repeat of the last solve is answered
+    /// at zero optimizer calls and anything else (a drifted tenant, a
+    /// recalibration, a QoS or search-space change) cold re-solves
+    /// through this advisor's estimate caches.
     pub fn recommend_c2f_warm(&self, space: &SearchSpace) -> Recommendation {
         let estimators = self.estimators();
         let c2f = CoarseToFineOptions::auto(space, estimators.len());
@@ -523,37 +523,30 @@ impl VirtualizationDesignAdvisor {
         }
     }
 
-    /// Cumulative warm-start counters of [`Self::recommend_c2f_warm`]:
-    /// `(cold_solves, delta_solves, lattice_reuses)`.
+    /// Cumulative warm-start counters of [`Self::recommend_c2f_warm`]
+    /// as `(cold_solves, 0, 0)`. A transition form: the two zeros
+    /// stand where delta solves and lattice reuses were counted, so
+    /// callers that destructure the triple keep building.
     pub fn warm_stats(&self) -> (u64, u64, u64) {
-        let warm = self.warm.borrow();
-        (
-            warm.cold_solves(),
-            warm.delta_solves(),
-            warm.lattice_reuses(),
-        )
+        (self.warm.borrow().cold_solves(), 0, 0)
     }
 
-    /// The durable part of this machine's warm-start state (see
-    /// [`WarmStart::export`]), or `None` when cold — what a
-    /// [`crate::snapshot::FleetSnapshot`] persists per machine.
-    pub fn export_warm(&self) -> Option<(u64, Vec<u64>, Vec<Allocation>, SearchResult)> {
+    /// The durable part of this machine's warm-start memo: its key, or
+    /// `None` when cold (see [`WarmStart::export`]). The memoized
+    /// result is the machine's placement, which a
+    /// [`crate::snapshot::FleetSnapshot`] already persists.
+    pub fn export_warm(&self) -> Option<u64> {
         self.warm.borrow().export()
     }
 
-    /// Reinstall a previously [`export_warm`](Self::export_warm)ed
-    /// state plus its [`WarmStart::counters`]. The key is re-checked on
-    /// the next [`Self::recommend_c2f_warm`], so restoring a snapshot
-    /// taken under different calibrations/QoS simply cold re-solves.
-    pub fn restore_warm(
-        &mut self,
-        key: u64,
-        fingerprints: Vec<u64>,
-        centers: Vec<Allocation>,
-        last: SearchResult,
-        counters: (u64, u64, u64),
-    ) {
-        *self.warm.get_mut() = WarmStart::restore(key, fingerprints, centers, last, counters);
+    /// Reinstall an [`export_warm`](Self::export_warm)ed key with the
+    /// result it memoized (`None` for a cold memo) and the cold-solve
+    /// counter. The key is re-checked on the next
+    /// [`Self::recommend_c2f_warm`], so restoring a snapshot taken
+    /// under different calibrations, QoS or workloads simply cold
+    /// re-solves.
+    pub fn restore_warm(&mut self, memo: Option<(u64, SearchResult)>, cold_solves: u64) {
+        *self.warm.get_mut() = WarmStart::restore(memo, cold_solves);
     }
 
     /// Drop the warm-start state so the next
@@ -1035,26 +1028,34 @@ mod tests {
     }
 
     #[test]
-    fn warm_recommend_caches_and_delta_solves_on_drift() {
+    fn warm_recommend_caches_and_cold_solves_on_drift() {
         let mut adv = advisor_two_dss();
         let space = SearchSpace::cpu_only(0.5);
         let first = adv.recommend_c2f_warm(&space);
-        assert_eq!(adv.warm_stats().0, 1, "first call is cold");
+        assert_eq!(adv.warm_stats(), (1, 0, 0), "first call is cold");
         assert!(first.optimizer_calls > 0);
-        // Unchanged period: cached result, zero optimizer calls.
+        // Unchanged period: memo hit, zero optimizer calls.
         let second = adv.recommend_c2f_warm(&space);
-        assert_eq!(adv.warm_stats(), (1, 0, adv.warm_stats().2));
+        assert_eq!(adv.warm_stats(), (1, 0, 0));
         assert_eq!(second.optimizer_calls, 0, "{second:?}");
         assert_eq!(first.result, second.result);
-        // One tenant drifts: delta-solve, matching a cold solve on a
+        // One tenant drifts: a cold solve whose unchanged tenant is
+        // priced from its estimate cache, matching a cold solve on a
         // fresh identical advisor bit-for-bit.
         adv.scale_tenant_workload(0, 3.0);
         let drifted = adv.recommend_c2f_warm(&space);
-        assert_eq!(adv.warm_stats().1, 1, "drift must delta-solve");
+        assert_eq!(adv.warm_stats().0, 2, "drift must cold-solve");
+        assert!(
+            drifted.optimizer_calls < first.optimizer_calls,
+            "{drifted:?}"
+        );
         let mut cold = advisor_two_dss();
         cold.scale_tenant_workload(0, 3.0);
         let reference = cold.recommend_c2f_warm(&space);
         assert_eq!(drifted.result, reference.result);
+        // The drifted state again: a hit.
+        let repeat = adv.recommend_c2f_warm(&space);
+        assert_eq!((adv.warm_stats().0, repeat.optimizer_calls), (2, 0));
     }
 
     #[test]
@@ -1064,9 +1065,9 @@ mod tests {
         let before = adv.recommend_c2f_warm(&space);
         let _ = adv.recommend_c2f_warm(&space);
         assert_eq!(adv.warm_stats().0, 1, "second call must stay cached");
-        // Flip the calibration (a genuinely different model): the warm
-        // state and cached lattices must be invalidated — the next
-        // recommend is a full cold re-solve, not a cache hit.
+        // Flip the calibration (a genuinely different model): the memo
+        // must miss — the next recommend is a full cold re-solve, not a
+        // cache hit.
         let kind = adv.tenant(0).engine.kind();
         let old = adv.calibration(kind).unwrap();
         // The same fits on a machine with twice the memory, rebuilt

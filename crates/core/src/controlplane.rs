@@ -17,11 +17,13 @@
 //!    fleet-wide [`ProbeCache`]), and therefore most of each other's
 //!    optimizer work.
 //! 2. **Re-solve only the dirty machines** of an event, in parallel,
-//!    each through its advisor's warm-started coarse-to-fine search
+//!    each through its advisor's memoized coarse-to-fine search
 //!    ([`VirtualizationDesignAdvisor::recommend_c2f_warm`]): unchanged
-//!    machines keep their placements, drifted machines delta-solve
-//!    against their retained DP lattices, and everything stays
-//!    bit-identical to a cold re-solve of the whole fleet.
+//!    machines keep their placements, a dirty machine whose tenants
+//!    did not change returns its memoized solve, and a drifted machine
+//!    cold-solves with the probes of its unchanged tenants served by
+//!    the fleet [`ProbeCache`]. Everything stays bit-identical to a
+//!    cold re-solve of the whole fleet.
 //! 3. **Reconcile**: a *major* workload change (the §6.1 per-query
 //!    estimate metric against
 //!    [`ControlPlaneOptions::change_threshold`]) or a tenant arrival
@@ -58,11 +60,12 @@
 //! retained history.
 //!
 //! The whole control-plane state — calibrations, class registry,
-//! placements, warm-start exports, probe entries, decision log — is
+//! placements, warm-start memo keys, probe entries, decision log — is
 //! durable: [`ControlPlane::snapshot`] captures a
 //! [`crate::snapshot::FleetSnapshot`] and
-//! [`ControlPlane::restore`] resumes from one at delta-solve cost, with
-//! results bit-identical to a process that never restarted.
+//! [`ControlPlane::restore`] resumes from one at the optimizer-call
+//! cost of a process that never restarted, with results bit-identical
+//! to it.
 
 use crate::advisor::{Recommendation, VirtualizationDesignAdvisor};
 use crate::costmodel::adaptive::{refit, Adaption, AdaptionOptions, RuntimeAdaptionStorage};
@@ -75,9 +78,7 @@ use crate::guardrail::{GuardrailOptions, GuardrailState, GuardrailTracker};
 use crate::metrics::{Clock, CostAccounting};
 use crate::placement::machine_capacity;
 use crate::problem::{QoS, SearchSpace};
-use crate::snapshot::{
-    AdaptionSnapshot, FleetSnapshot, MachineSnapshot, TunerSnapshot, WarmSnapshot,
-};
+use crate::snapshot::{AdaptionSnapshot, FleetSnapshot, MachineSnapshot, TunerSnapshot};
 use crate::tenant::Tenant;
 use parking_lot::Mutex;
 use rayon::prelude::ParallelMapSlice;
@@ -196,10 +197,11 @@ pub struct ControlPlaneOptions {
     /// prune costs in proportion to the generations that died since
     /// the last one, not to the fleet or cache size.
     pub prune_every: u64,
-    /// `true` (the default): warm-started delta solves over persistent
-    /// caches. `false`: every event invalidates all warm state and
-    /// cold-starts the probe cache first — the baseline the incremental
-    /// path is measured against. Results are bit-identical either way.
+    /// `true` (the default): memoized re-solves over the persistent
+    /// fleet probe cache. `false`: every event invalidates all warm
+    /// state and cold-starts the probe cache first — the baseline the
+    /// incremental path is measured against. Results are bit-identical
+    /// either way.
     pub incremental: bool,
     /// Row capacity of the fleet [`ProbeCache`] (`0`, the default:
     /// unbounded). When set, least-recently-used `(model, tenant)`
@@ -1125,15 +1127,8 @@ impl ControlPlane {
                         .collect(),
                     calibrations: adv.calibrations().to_vec(),
                     placement: self.placements[m].clone(),
-                    warm: adv.export_warm().map(|(key, fingerprints, centers, last)| {
-                        WarmSnapshot {
-                            key,
-                            fingerprints,
-                            centers,
-                            last,
-                        }
-                    }),
-                    warm_counters: adv.warm_stats(),
+                    warm_key: adv.export_warm(),
+                    cold_solves: adv.warm_stats().0,
                 }
             })
             .collect();
@@ -1186,20 +1181,24 @@ impl ControlPlane {
     /// machine with the same hardware, tenants (in order), and QoS —
     /// and `restore` reinstalls everything durable: calibrations (no
     /// refit), the class registry, probe-cache entries, placements,
-    /// per-machine warm-start state, and the decision log. Subsequent
-    /// events then cost delta solves, and their results are
-    /// bit-identical to a process that never restarted. Probe rows
-    /// beyond `options.probe_cache_capacity` are evicted before this
-    /// returns, in the cache's usual victim order.
+    /// per-machine warm-start memos (each machine's `warm_key` with its
+    /// placement as the memoized solve), and the decision log.
+    /// Subsequent events cost what they would have cost the process
+    /// that never restarted, and their results are bit-identical to
+    /// it. Probe rows beyond `options.probe_cache_capacity` are
+    /// evicted before this returns, in the cache's usual victim order.
     ///
     /// # Errors
     ///
-    /// A human-readable description when the provided fleet does not
-    /// match the snapshot (machine count, per-machine hardware
-    /// fingerprint, or per-slot tenant fingerprints), or when a
-    /// machine's warm export disagrees with the rest of its snapshot
-    /// (its last solve is not the placement, its centers are not that
-    /// solve's allocations, or its fingerprints are not the tenants).
+    /// A human-readable description naming the machine when the
+    /// provided fleet does not match the snapshot (machine count,
+    /// per-machine hardware fingerprint, or per-slot tenant
+    /// fingerprints), or when a machine's state is one a live plane
+    /// never has: a placement on an empty machine or none on an
+    /// occupied one, a placement whose allocations, costs or limit
+    /// verdicts do not number the tenants, a `warm_key` with no
+    /// placement, or calibrations that miss a hosted tenant's engine
+    /// kind.
     pub fn restore(
         mut machines: Vec<VirtualizationDesignAdvisor>,
         spaces: Vec<SearchSpace>,
@@ -1238,38 +1237,48 @@ impl ControlPlane {
             if tenants != ms.tenants {
                 return Err(format!("machine {m}: tenant set mismatch"));
             }
-            // A live plane's warm export is its last solve: the
-            // placement, centred on that placement, for these tenants.
-            if let Some(w) = &ms.warm {
-                if ms.placement.as_ref() != Some(&w.last) {
+            // A live plane solves every occupied machine, one
+            // allocation, cost and verdict per tenant, and empties the
+            // memo with the machine.
+            let n = tenants.len();
+            match &ms.placement {
+                None if n > 0 => {
+                    return Err(format!("machine {m}: no placement for {n} tenants"));
+                }
+                Some(_) if n == 0 => {
+                    return Err(format!("machine {m}: placement on an empty machine"));
+                }
+                Some(p) if [p.allocations.len(), p.costs.len(), p.limits_met.len()] != [n; 3] => {
                     return Err(format!(
-                        "machine {m}: warm export's last solve is not the placement"
+                        "machine {m}: placement has {} allocations, {} costs and {} limit verdicts for {n} tenants",
+                        p.allocations.len(),
+                        p.costs.len(),
+                        p.limits_met.len()
                     ));
                 }
-                if w.centers != w.last.allocations {
-                    return Err(format!(
-                        "machine {m}: warm export's centers are not its last allocations"
-                    ));
+                _ => {}
+            }
+            let memo = match (ms.warm_key, &ms.placement) {
+                (Some(key), Some(p)) => Some((key, p.clone())),
+                (Some(_), None) => {
+                    return Err(format!("machine {m}: warm_key without a placement"))
                 }
-                if w.fingerprints != tenants {
-                    return Err(format!(
-                        "machine {m}: warm export's fingerprints are not the tenant set"
-                    ));
-                }
+                (None, _) => None,
+            };
+            if let Some(t) = (0..n).find(|&i| {
+                let kind = adv.tenant(i).engine.kind();
+                ms.calibrations.iter().all(|(k, _)| *k != kind)
+            }) {
+                return Err(format!(
+                    "machine {m}: calibrations miss tenant {t}'s engine kind {}",
+                    adv.tenant(t).engine.kind().name()
+                ));
             }
             for (kind, model) in &ms.calibrations {
                 adv.install_calibration(*kind, model.clone());
             }
             adv.attach_probe_cache(probe.clone());
-            if let Some(w) = &ms.warm {
-                adv.restore_warm(
-                    w.key,
-                    w.fingerprints.clone(),
-                    w.centers.clone(),
-                    w.last.clone(),
-                    ms.warm_counters,
-                );
-            }
+            adv.restore_warm(memo, ms.cold_solves);
         }
         let class_models = snapshot
             .registry

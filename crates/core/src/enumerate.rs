@@ -22,8 +22,9 @@
 //!   fraction of the optimizer calls — including under finite
 //!   degradation limits, where the refinement windows track the limit
 //!   boundary (see the function docs). [`coarse_to_fine_search_warm`]
-//!   is its period-over-period incremental form, and
-//!   [`coarse_to_fine_search_with`] its panicking shorthand.
+//!   is its memoized form, which answers a repeat of the last solve
+//!   without solving, and [`coarse_to_fine_search_with`] its panicking
+//!   shorthand.
 //!
 //! All searches report jointly infeasible limits the same way: a
 //! best-effort allocation with the violations flagged in
@@ -730,12 +731,9 @@ fn lex_less(a: (u32, f64), b: (u32, f64)) -> bool {
     a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
 }
 
-/// The DP core over pre-evaluated option tables, factored out of
-/// [`grid_search`] so delta-solves can re-run it over *retained*
-/// tables (rebuilding only a drifted workload's cells) without paying
-/// a single optimizer call. DP over (workload index, per-axis units
-/// left): lexicographically minimal (unmet limits, weighted cost)
-/// completing workloads `i..n`.
+/// The DP core of [`grid_search`] over its evaluated option tables.
+/// DP over (workload index, per-axis units left): lexicographically
+/// minimal (unmet limits, weighted cost) completing workloads `i..n`.
 fn solve_dp(
     space: &SearchSpace,
     lattice: &BudgetLattice,
@@ -976,12 +974,9 @@ pub fn try_coarse_to_fine_search_with<M: CostModel>(
     c2f: &CoarseToFineOptions,
     options: &SearchOptions,
 ) -> Option<SearchResult> {
-    cold_coarse_to_fine(space, qos, models, c2f, options, None)
-}
-
-/// The levels of `c2f`'s ladder strictly coarser than every varied
-/// axis's fine δ, coarsest first.
-fn coarse_ladder(space: &SearchSpace, c2f: &CoarseToFineOptions) -> Vec<f64> {
+    let n = models.len();
+    assert!(n >= 1);
+    assert!(c2f.window_steps > 0.0, "window must be positive");
     let mut ladder: Vec<f64> = c2f
         .coarse_deltas
         .iter()
@@ -989,29 +984,9 @@ fn coarse_ladder(space: &SearchSpace, c2f: &CoarseToFineOptions) -> Vec<f64> {
         .filter(|&d| d > space.max_varied_delta() + 1e-12)
         .collect();
     ladder.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    ladder
-}
-
-/// The one cold coarse-to-fine solve, behind both
-/// [`try_coarse_to_fine_search_with`] and the cold leg of
-/// [`coarse_to_fine_search_warm`]. Dispatches on the limits: any
-/// finite `L_i` takes [`limit_aware_refinement`], which hands its
-/// evaluated coarse level to `capture` when given one.
-fn cold_coarse_to_fine<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    c2f: &CoarseToFineOptions,
-    options: &SearchOptions,
-    capture: Option<&mut Option<CoarseCache>>,
-) -> Option<SearchResult> {
-    let n = models.len();
-    assert!(n >= 1);
-    assert!(c2f.window_steps > 0.0, "window must be positive");
-    let ladder = coarse_ladder(space, c2f);
 
     if qos.iter().any(|q| q.degradation_limit.is_finite()) {
-        return limit_aware_refinement(space, qos, models, c2f, options, &ladder, capture);
+        return limit_aware_refinement(space, qos, models, c2f, options, &ladder);
     }
 
     // Unconstrained path: each level's optimum becomes the next
@@ -1103,9 +1078,6 @@ const RECENTER_CAP: usize = 100;
 ///    global full-grid fallback.
 /// 4. If the best refined result still violates a limit, run the full
 ///    grid: only it can certify joint infeasibility.
-///
-/// A caller that wants the evaluated coarse level for a warm-start
-/// cache passes a slot for it.
 fn limit_aware_refinement<M: CostModel>(
     space: &SearchSpace,
     qos: &[QoS],
@@ -1113,7 +1085,6 @@ fn limit_aware_refinement<M: CostModel>(
     c2f: &CoarseToFineOptions,
     options: &SearchOptions,
     ladder: &[f64],
-    capture: Option<&mut Option<CoarseCache>>,
 ) -> Option<SearchResult> {
     let n = models.len();
     let full_grid = || grid_search(space, qos, models, options, None).map(|s| s.result);
@@ -1133,90 +1104,31 @@ fn limit_aware_refinement<M: CostModel>(
     let Some((coarse, coarse_delta)) = seed else {
         return full_grid();
     };
-    // Hand the evaluated coarse level to a warm-start cache, so the
-    // next period can delta-solve it instead of re-evaluating it.
-    if let Some(slot) = capture {
-        *slot = Some(CoarseCache {
-            delta: coarse_delta,
-            lattice: BudgetLattice::new(&space.with_delta(coarse_delta)),
-            tables: coarse.tables.clone(),
-        });
-    }
     let ranges = axis_ranges(space, n)?;
-
-    let band = band_for(space, qos, &coarse.tables, coarse_delta, &ranges);
-    let best = windowed_fine_loop(
-        space,
-        qos,
-        models,
-        options,
-        coarse.result.allocations.clone(),
-        c2f.window_steps * coarse_delta,
-        &band,
-        &ranges,
-    );
-    match best {
-        Some(r) if r.limits_met.iter().all(|&m| m) => Some(r),
-        // The windowed search found no limit-satisfying configuration;
-        // only the full grid can certify joint infeasibility (and its
-        // best-effort optimum is the reference answer).
-        _ => full_grid(),
-    }
-}
-
-/// Boundary-band cells per workload from a coarse level's evaluated
-/// tables (empty for unconstrained workloads).
-fn band_for(
-    space: &SearchSpace,
-    qos: &[QoS],
-    tables: &[Vec<GridCell>],
-    coarse_delta: f64,
-    ranges: &[(usize, usize); Resource::COUNT],
-) -> Vec<Vec<Units>> {
-    (0..qos.len())
+    let band: Vec<Vec<Units>> = (0..n)
         .map(|i| {
             if qos[i].degradation_limit.is_finite() {
-                boundary_band_cells(space, &tables[i], coarse_delta, ranges)
+                boundary_band_cells(space, &coarse.tables[i], coarse_delta, &ranges)
             } else {
                 Vec::new()
             }
         })
-        .collect()
-}
+        .collect();
 
-/// The fine phase shared by the cold limit-aware path and the
-/// warm-started search: windowed refinement around `centers` with
-/// re-centering and per-window widening. A chosen cell on its window's
-/// edge means the window clipped the descent direction there; that
-/// workload's window is widened (doubling, then full range) rather
-/// than escalating the whole search. Returns the lexicographically
-/// best result seen; the *caller* certifies limit verdicts (via the
-/// full grid) before trusting a limit-violating best.
-// Mirrors the grid-search parameter list plus the three window knobs
-// shared by both callers; bundling them into a struct would only move
-// the argument count into a builder.
-#[allow(clippy::too_many_arguments)]
-fn windowed_fine_loop<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    options: &SearchOptions,
-    mut centers: Vec<Allocation>,
-    initial_half: f64,
-    band: &[Vec<Units>],
-    ranges: &[(usize, usize); Resource::COUNT],
-) -> Option<SearchResult> {
-    let n = models.len();
-    let mut half = vec![initial_half; n];
+    // Fine phase: a chosen cell on its window's edge means the window
+    // clipped the descent direction there, so that workload's window
+    // is widened rather than escalating the whole search.
+    let mut centers = coarse.result.allocations;
+    let mut half = vec![c2f.window_steps * coarse_delta; n];
     let mut full_range = vec![false; n];
     let mut best: Option<SearchResult> = None;
     for _ in 0..RECENTER_CAP {
         let allowed: Vec<Vec<Units>> = (0..n)
             .map(|i| {
                 if full_range[i] {
-                    full_cells(space, ranges)
+                    full_cells(space, &ranges)
                 } else {
-                    let mut cells = window_cells(space, centers[i], half[i], ranges);
+                    let mut cells = window_cells(space, centers[i], half[i], &ranges);
                     cells.extend_from_slice(&band[i]);
                     cells.sort_unstable();
                     cells.dedup();
@@ -1235,7 +1147,7 @@ fn windowed_fine_loop<M: CostModel>(
             if full_range[i] {
                 continue;
             }
-            if on_window_edge(&r.allocations[i], &allowed[i], space, ranges) {
+            if on_window_edge(&r.allocations[i], &allowed[i], space, &ranges) {
                 half[i] *= 2.0;
                 grew = true;
                 if half[i] >= 1.0 {
@@ -1252,52 +1164,39 @@ fn windowed_fine_loop<M: CostModel>(
             break;
         }
     }
-    best
+    match best {
+        Some(r) if r.limits_met.iter().all(|&m| m) => Some(r),
+        // The windowed search found no limit-satisfying configuration;
+        // only the full grid can certify joint infeasibility (and its
+        // best-effort optimum is the reference answer).
+        _ => full_grid(),
+    }
 }
 
 /// Persistent warm-start state for one machine's period-over-period
-/// coarse-to-fine solves ([`coarse_to_fine_search_warm`]).
+/// coarse-to-fine solves ([`coarse_to_fine_search_warm`]): a memo of
+/// the last solve.
 ///
-/// Holds the previous period's optimum (the fine windows' seed), the
-/// evaluated coarse level (δ, DP lattice, per-workload option tables —
-/// the substrate of delta-solves), and the per-workload fingerprints
-/// the cached state was computed under. All of it is guarded by a
-/// validity key covering the machine class, the calibration salt, the
-/// QoS vector, and the coarse-to-fine settings: *any* change — a
-/// different δ grid, a recalibrated model, a new degradation limit —
-/// misses the key and triggers a full cold re-solve. The warm path is
-/// an optimizer-call optimization only: it returns the same objective,
-/// allocations, and `limits_met` the cold solve would (pinned by
-/// `tests/warm_start.rs`).
+/// The memo key covers everything the solve reads: the machine class,
+/// the calibration salt, the QoS vector, the coarse-to-fine settings,
+/// and every workload's fingerprint. A key match returns the stored
+/// result, which is what the deterministic cold solve would return.
+/// Any change (a drifted workload, a different δ grid, a recalibrated
+/// model, a new degradation limit) misses the key and runs the one
+/// cold solve. Its probes of unchanged workloads at cells probed before
+/// are hits in a cache that outlives the search (the fleet
+/// [`ProbeCache`](crate::costmodel::ProbeCache), or an advisor's
+/// per-tenant estimate caches), so a miss pays optimizer calls mostly
+/// for what drifted. The memo never changes an answer:
+/// `tests/warm_start.rs` pins warm ≡ cold.
 #[derive(Debug, Default)]
 pub struct WarmStart {
-    /// Validity key; `None` until the first successful cold solve.
+    /// Memo key; `None` until the first successful cold solve.
     key: Option<u64>,
-    /// Per-workload fingerprints behind the cached state.
-    fingerprints: Vec<u64>,
-    /// Previous optimum — the fine windows' seed.
-    centers: Vec<Allocation>,
-    /// Retained coarse level for delta-solves (limit-aware path only;
-    /// the unconstrained path needs no coarse feasibility map).
-    coarse: Option<CoarseCache>,
-    /// Previous result, returned verbatim on a no-drift period.
+    /// The result stored under `key`.
     last: Option<SearchResult>,
-    /// Cumulative per-workload coarse tables retained (not re-evaluated)
-    /// across delta-solves.
-    lattice_reuses: u64,
-    /// Cumulative full cold solves (first call, or after invalidation).
+    /// Cumulative cold solves (every key miss).
     cold_solves: u64,
-    /// Cumulative delta-solves (some but not all workloads drifted).
-    delta_solves: u64,
-}
-
-/// A retained coarse level: its δ, the DP budget lattice over it, and
-/// the per-workload evaluated option tables.
-#[derive(Debug)]
-struct CoarseCache {
-    delta: f64,
-    lattice: BudgetLattice,
-    tables: Vec<Vec<GridCell>>,
 }
 
 impl WarmStart {
@@ -1306,93 +1205,56 @@ impl WarmStart {
         Self::default()
     }
 
-    /// Whether a cached solve is present (the next matching call can
-    /// warm-start).
+    /// Whether a solve is memoized (the next matching call returns it).
     pub fn is_warm(&self) -> bool {
         self.key.is_some()
     }
 
-    /// Cumulative count of per-workload coarse option tables retained
-    /// across delta-solves instead of re-evaluated.
-    pub fn lattice_reuses(&self) -> u64 {
-        self.lattice_reuses
-    }
-
-    /// Cumulative count of full cold solves (including the first).
+    /// Cumulative count of cold solves (including the first).
     pub fn cold_solves(&self) -> u64 {
         self.cold_solves
     }
 
-    /// Cumulative count of delta-solves.
-    pub fn delta_solves(&self) -> u64 {
-        self.delta_solves
-    }
-
-    /// Drop all cached state (counters survive). The next call cold
+    /// Drop the memo (the counter survives). The next call cold
     /// re-solves unconditionally. Callers must invalidate whenever
-    /// machine state *outside* the warm key changes — the key already
-    /// covers the search space, QoS, ladder, and calibration salt.
+    /// state *outside* the key changes; the key already covers the
+    /// search space, QoS, ladder, calibration salt and fingerprints.
     pub fn invalidate(&mut self) {
-        *self = WarmStart {
-            lattice_reuses: self.lattice_reuses,
-            cold_solves: self.cold_solves,
-            delta_solves: self.delta_solves,
-            ..WarmStart::default()
-        };
+        self.key = None;
+        self.last = None;
     }
 
-    /// The durable part of the warm state: `(validity key,
-    /// per-workload fingerprints, window centers, last result)`, or
-    /// `None` when cold. The retained coarse DP lattice is *not*
-    /// exported — snapshots carry only what [`Self::restore`] needs,
-    /// and a restored drift-solve under finite limits falls back to a
-    /// cold re-solve whose probes the restored
-    /// [`ProbeCache`](crate::costmodel::ProbeCache) serves (see
-    /// `crate::snapshot`).
-    pub fn export(&self) -> Option<(u64, Vec<u64>, Vec<Allocation>, SearchResult)> {
-        let key = self.key?;
-        let last = self.last.clone()?;
-        Some((key, self.fingerprints.clone(), self.centers.clone(), last))
+    /// The durable part of the memo: its key, or `None` when cold. The
+    /// stored result is not exported: it is the last solve, which the
+    /// caller keeps as its placement and hands back to
+    /// [`Self::restore`].
+    pub fn export(&self) -> Option<u64> {
+        self.key
     }
 
-    /// Cumulative counters as `(cold_solves, delta_solves,
-    /// lattice_reuses)` — exported alongside [`Self::export`] so the
-    /// solve-regime history survives a restart.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.cold_solves, self.delta_solves, self.lattice_reuses)
-    }
-
-    /// Rebuild a warm state from an [`export`](Self::export) and
-    /// [`counters`](Self::counters). The restored state serves a
-    /// no-drift period verbatim (zero optimizer calls) and seeds
-    /// drift-solves from the snapshot's optimum; it carries no coarse
-    /// lattice, so a drift under finite degradation limits cold
-    /// re-solves (the limit-boundary band cannot be reconstructed
-    /// without it — see [`coarse_to_fine_search_warm`]).
-    pub fn restore(
-        key: u64,
-        fingerprints: Vec<u64>,
-        centers: Vec<Allocation>,
-        last: SearchResult,
-        counters: (u64, u64, u64),
-    ) -> Self {
+    /// Rebuild a memo from an [`export`](Self::export)ed key with the
+    /// result it was stored under (`None` for a cold memo), and the
+    /// [`cold_solves`](Self::cold_solves) counter.
+    pub fn restore(memo: Option<(u64, SearchResult)>, cold_solves: u64) -> Self {
+        let (key, last) = memo.unzip();
         WarmStart {
-            key: Some(key),
-            fingerprints,
-            centers,
-            coarse: None,
-            last: Some(last),
-            cold_solves: counters.0,
-            delta_solves: counters.1,
-            lattice_reuses: counters.2,
+            key,
+            last,
+            cold_solves,
         }
     }
 }
 
-/// The warm-start validity key: machine class (axis set, δs, fixed
-/// shares, min share) ⊕ caller salt (calibration identity) ⊕ the full
-/// QoS vector ⊕ the coarse-to-fine settings.
-fn warm_key(space: &SearchSpace, qos: &[QoS], c2f: &CoarseToFineOptions, salt: u64) -> u64 {
+/// The memo key: machine class (axis set, δs, fixed shares, min share)
+/// ⊕ caller salt (calibration identity) ⊕ the full QoS vector ⊕ the
+/// coarse-to-fine settings ⊕ the workload fingerprints.
+fn warm_key(
+    space: &SearchSpace,
+    qos: &[QoS],
+    c2f: &CoarseToFineOptions,
+    salt: u64,
+    fingerprints: &[u64],
+) -> u64 {
     let mut h = Fnv64::resume(MachineClass::of(space).id());
     h.write_u64(salt);
     h.write_u64(qos.len() as u64);
@@ -1404,103 +1266,30 @@ fn warm_key(space: &SearchSpace, qos: &[QoS], c2f: &CoarseToFineOptions, salt: u
         h.write_u64(d.to_bits());
     }
     h.write_u64(c2f.window_steps.to_bits());
+    h.write_u64(fingerprints.len() as u64);
+    for &f in fingerprints {
+        h.write_u64(f);
+    }
     h.finish()
 }
 
-/// Drop option cells that cannot matter to the DP: cell `a` is
-/// dominated when some `b` in the same table needs no more units on
-/// *every* varied axis, violates no more limits, and is strictly
-/// cheaper by a safety margin (1e-6 relative — three orders above the
-/// DP reconstruction tolerance, so pruning can never flip a
-/// near-tie). `b` fits every budget `a` fits, so reachability is
-/// preserved exactly and the DP optimum is unchanged. Used only on
-/// the warm delta-solve's coarse DP; cold paths keep their full
-/// tables bit-for-bit.
-fn prune_dominated(lattice: &BudgetLattice, tables: &[Vec<GridCell>]) -> Vec<Vec<GridCell>> {
-    tables
-        .iter()
-        .map(|table| {
-            table
-                .iter()
-                .filter(|a| {
-                    !table.iter().any(|b| {
-                        lattice.varied_idx.iter().all(|&j| b.units[j] <= a.units[j])
-                            && u32::from(!b.within_limit) <= u32::from(!a.within_limit)
-                            && b.weighted < a.weighted - 1e-6 * a.weighted.abs().max(1.0)
-                    })
-                })
-                .copied()
-                .collect()
-        })
-        .collect()
-}
-
-/// Re-evaluate only the `changed` workloads' cells of a retained
-/// coarse level, in place. The cell *coordinates* are kept (the
-/// lattice and the other workloads' tables are untouched); costs,
-/// weights, and limit verdicts are recomputed against the current
-/// models, including a fresh solo baseline for each changed workload.
-fn rebuild_tables<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    options: &SearchOptions,
-    changed: &[usize],
-    tables: &mut [Vec<GridCell>],
-) {
-    let eval = Evaluator::new(models, options);
-    let solo = space.solo_allocation();
-    let solo_costs = eval.costs(&changed.iter().map(|&i| (i, solo)).collect::<Vec<_>>());
-    let mut jobs: Vec<(usize, Allocation)> = Vec::new();
-    for &i in changed {
-        for cell in &tables[i] {
-            jobs.push((i, alloc_for(space, &cell.units)));
-        }
-    }
-    let costs = eval.costs(&jobs);
-    let mut cursor = 0;
-    for (k, &i) in changed.iter().enumerate() {
-        let full = solo_costs[k];
-        for cell in &mut tables[i] {
-            let c = costs[cursor];
-            cursor += 1;
-            *cell = GridCell {
-                units: cell.units,
-                cost: c,
-                weighted: qos[i].gain * c,
-                within_limit: within_limit(c, qos[i].degradation_limit, full),
-            };
-        }
-    }
-}
-
-/// Warm-started [`try_coarse_to_fine_search_with`]: bit-identical results,
-/// fewer optimizer calls when little changed since the previous call.
+/// Memoized [`try_coarse_to_fine_search_with`]: the same result, at
+/// zero optimizer calls when nothing changed since the previous call.
 ///
 /// `fingerprints[i]` identifies workload `i`'s content (e.g.
 /// [`Tenant::fingerprint`](crate::tenant::Tenant::fingerprint)); `salt`
 /// identifies everything else the models depend on (e.g. a fold of the
-/// calibrated-model fingerprints). Three regimes:
+/// calibrated-model fingerprints). Two regimes:
 ///
-/// * **Cold** — the validity key misses (first call, or the space /
-///   QoS / ladder / salt changed): full cold solve, caching the
-///   evaluated coarse level for later delta-solves.
-/// * **Hit** — key matches and no fingerprint changed: the cached
-///   result is returned with *zero* optimizer calls (the cold solve is
-///   deterministic, so re-running it would reproduce the cached answer
-///   bit-for-bit).
-/// * **Delta** — key matches, some fingerprints changed: only the
-///   drifted workloads' coarse option cells are re-evaluated (retained
-///   tables count into [`WarmStart::lattice_reuses`]), dominated cells
-///   are pruned, the DP re-runs over the retained lattice, and the
-///   fine windows are seeded at the *previous optimum* (falling back
-///   to the fresh coarse optimum for any workload whose optimum left
-///   the seed window). The usual edge-detection / window-doubling /
-///   full-grid re-certification machinery then guarantees the cold
-///   answer.
+/// * **Hit**: the [`WarmStart`] key matches, so the stored result is
+///   returned (the cold solve is deterministic, so re-running it would
+///   reproduce the stored answer bit for bit).
+/// * **Cold**: anything else. The cold solve runs and its result is
+///   stored under the new key.
 ///
 /// Returns `None` exactly when [`try_coarse_to_fine_search_with`]
-/// would (the fine grid cannot host every workload).
+/// would (the fine grid cannot host every workload), leaving the memo
+/// cold.
 #[allow(clippy::too_many_arguments)]
 pub fn coarse_to_fine_search_warm<M: CostModel>(
     space: &SearchSpace,
@@ -1512,139 +1301,20 @@ pub fn coarse_to_fine_search_warm<M: CostModel>(
     fingerprints: &[u64],
     warm: &mut WarmStart,
 ) -> Option<SearchResult> {
-    let n = models.len();
-    assert!(n >= 1);
-    assert_eq!(qos.len(), n);
-    assert_eq!(fingerprints.len(), n, "one fingerprint per workload");
-    assert!(c2f.window_steps > 0.0, "window must be positive");
-    let key = warm_key(space, qos, c2f, salt);
-    if warm.key != Some(key) || warm.fingerprints.len() != n {
-        return cold_resolve(space, qos, models, c2f, options, key, fingerprints, warm);
-    }
-    if warm.fingerprints == fingerprints {
-        // No drift: the cold solve is deterministic, so its answer is
-        // the cached one — at zero optimizer calls.
+    assert_eq!(qos.len(), models.len());
+    assert_eq!(
+        fingerprints.len(),
+        models.len(),
+        "one fingerprint per workload"
+    );
+    let key = warm_key(space, qos, c2f, salt, fingerprints);
+    if warm.key == Some(key) {
         return warm.last.clone();
     }
-
-    let Some(ranges) = axis_ranges(space, n) else {
-        warm.key = None;
-        return try_exhaustive_search_with(space, qos, models, options);
-    };
-    if warm.coarse.is_none() && qos.iter().any(|q| q.degradation_limit.is_finite()) {
-        // Finite limits but no retained coarse level — a snapshot-
-        // restored state (restore() drops the lattice), or a ladder
-        // that never produced one. The limit-boundary band cannot be
-        // rebuilt from what we have, and a band-less fine window may
-        // miss an optimum pressed against the limit boundary, so the
-        // bit-identical-to-cold contract forces a cold re-solve. The
-        // probes it issues are exactly the ones a restored ProbeCache
-        // holds, so a post-restart cold re-solve stays cheap in
-        // optimizer calls.
-        return cold_resolve(space, qos, models, c2f, options, key, fingerprints, warm);
-    }
-    let changed: Vec<usize> = (0..n)
-        .filter(|&i| warm.fingerprints[i] != fingerprints[i])
-        .collect();
-    warm.delta_solves += 1;
-
-    // Delta-solve the retained coarse level: re-evaluate only the
-    // drifted workloads' cells, prune dominated cells, re-run the DP
-    // over the retained lattice.
-    let mut coarse_opt: Option<SearchResult> = None;
-    let (band, initial_half) = match warm.coarse.as_mut() {
-        Some(cache) => {
-            let coarse_space = space.with_delta(cache.delta);
-            rebuild_tables(
-                &coarse_space,
-                qos,
-                models,
-                options,
-                &changed,
-                &mut cache.tables,
-            );
-            warm.lattice_reuses += (n - changed.len()) as u64;
-            let pruned = prune_dominated(&cache.lattice, &cache.tables);
-            coarse_opt = solve_dp(&coarse_space, &cache.lattice, &pruned);
-            let band = band_for(space, qos, &cache.tables, cache.delta, &ranges);
-            (band, c2f.window_steps * cache.delta)
-        }
-        None => {
-            // Unconstrained path: no coarse feasibility map to keep.
-            // Window size mirrors what the cold ladder would use: its
-            // finest level, else the fine δ.
-            let step = coarse_ladder(space, c2f)
-                .last()
-                .copied()
-                .unwrap_or_else(|| space.max_varied_delta());
-            (vec![Vec::new(); n], c2f.window_steps * step)
-        }
-    };
-
-    // Seed the fine windows at the previous optimum; any workload
-    // whose delta-solved coarse optimum left that window is re-seeded
-    // from the coarse solve (its old optimum is stale).
-    let mut centers = warm.centers.clone();
-    if let Some(coarse) = &coarse_opt {
-        for (center, fresh) in centers.iter_mut().zip(&coarse.allocations) {
-            let stale = space
-                .varied
-                .iter()
-                .any(|r| (fresh.get(r) - center.get(r)).abs() > initial_half + 1e-9);
-            if stale {
-                *center = *fresh;
-            }
-        }
-    }
-
-    let best = windowed_fine_loop(
-        space,
-        qos,
-        models,
-        options,
-        centers,
-        initial_half,
-        &band,
-        &ranges,
-    );
-    let result = match best {
-        Some(r) if r.limits_met.iter().all(|&m| m) => Some(r),
-        // Same certification rule as the cold path: only the full grid
-        // may certify joint infeasibility (or a window that excluded
-        // everything).
-        _ => grid_search(space, qos, models, options, None).map(|s| s.result),
-    };
-    let Some(result) = result else {
-        warm.key = None;
-        return None;
-    };
-    warm.fingerprints = fingerprints.to_vec();
-    warm.centers.clone_from(&result.allocations);
-    warm.last = Some(result.clone());
-    Some(result)
-}
-
-/// The cold leg of [`coarse_to_fine_search_warm`]: run the ordinary
-/// cold solve, keep its evaluated coarse level (limit-aware path),
-/// and prime the warm state.
-#[allow(clippy::too_many_arguments)]
-fn cold_resolve<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    c2f: &CoarseToFineOptions,
-    options: &SearchOptions,
-    key: u64,
-    fingerprints: &[u64],
-    warm: &mut WarmStart,
-) -> Option<SearchResult> {
+    warm.invalidate();
     warm.cold_solves += 1;
-    warm.key = None;
-    warm.coarse = None;
-    let result = cold_coarse_to_fine(space, qos, models, c2f, options, Some(&mut warm.coarse))?;
+    let result = try_coarse_to_fine_search_with(space, qos, models, c2f, options)?;
     warm.key = Some(key);
-    warm.fingerprints = fingerprints.to_vec();
-    warm.centers.clone_from(&result.allocations);
     warm.last = Some(result.clone());
     Some(result)
 }
@@ -2461,66 +2131,6 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 3);
     }
 
-    /// Per-workload tables over the full cell set with pseudo-random
-    /// costs drawn from `costs` (cyclically), limits flagged from the
-    /// cost value — enough variety to exercise every DP branch.
-    fn synth_tables(space: &SearchSpace, n: usize, costs: &[f64]) -> Vec<Vec<GridCell>> {
-        let ranges = axis_ranges(space, n).unwrap();
-        let cells = full_cells(space, &ranges);
-        (0..n)
-            .map(|i| {
-                cells
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &units)| {
-                        let c = costs[(i * cells.len() + k) % costs.len()];
-                        GridCell {
-                            units,
-                            cost: c,
-                            weighted: c,
-                            within_limit: c < 5.0,
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    fn assert_bit_identical(a: &SearchResult, b: &SearchResult) {
-        assert_eq!(a.weighted_cost.to_bits(), b.weighted_cost.to_bits());
-        assert_eq!(a.allocations, b.allocations);
-        assert_eq!(a.limits_met, b.limits_met);
-        assert_eq!(a.costs.len(), b.costs.len());
-        for (x, y) in a.costs.iter().zip(&b.costs) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    mod dp_paths {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-            /// Dominated-cell pruning leaves the DP optimum
-            /// bit-identical.
-            #[test]
-            fn pruning_preserves_the_dp_bitwise(
-                costs in proptest::collection::vec(0.01f64..10.0, 96)
-            ) {
-                let space = SearchSpace::cpu_and_memory().with_delta(0.1);
-                let n = 3;
-                let tables = synth_tables(&space, n, &costs);
-                let lattice = BudgetLattice::new(&space);
-                let full = solve_dp(&space, &lattice, &tables).unwrap();
-                let pruned = prune_dominated(&lattice, &tables);
-                assert!(pruned.iter().zip(&tables).all(|(p, t)| p.len() <= t.len()));
-                let from_pruned = solve_dp(&space, &lattice, &pruned).unwrap();
-                assert_bit_identical(&full, &from_pruned);
-            }
-        }
-    }
-
     #[test]
     fn grids_finer_than_the_key_resolution_are_rejected() {
         // Both δ are finer than the 1e-4 allocation key, so
@@ -2577,7 +2187,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_delta_solve_matches_cold_after_single_workload_drift() {
+    fn warm_drift_cold_solves_and_matches_cold_then_hits_on_repeat() {
         // Workload 1 drifts each period; 0 and 2 stay (finite limits
         // keep the limit-aware path and the boundary band engaged).
         let space = SearchSpace::cpu_only(0.4);
@@ -2596,24 +2206,18 @@ mod tests {
         assert_eq!(first, first_cold);
         for (p, fp) in [(2.0, 200u64), (0.5, 201), (6.0, 202)] {
             let m = models_at(p);
-            let w = coarse_to_fine_search_warm(
-                &space,
-                &qos,
-                &m,
-                &c2f,
-                &opts,
-                1,
-                &[1, fp, 3],
-                &mut warm,
-            )
-            .unwrap();
+            let fps = [1, fp, 3];
+            let w = coarse_to_fine_search_warm(&space, &qos, &m, &c2f, &opts, 1, &fps, &mut warm)
+                .unwrap();
             let c = coarse_to_fine_search_with(&space, &qos, &m, &c2f, &opts);
-            assert_eq!(w, c, "warm delta-solve must match the cold solve");
+            assert_eq!(w, c, "a drifted warm solve must match the cold solve");
+            // The same period again is a memo hit.
+            let hit = coarse_to_fine_search_warm(&space, &qos, &m, &c2f, &opts, 1, &fps, &mut warm)
+                .unwrap();
+            assert_eq!(hit, c);
         }
-        assert_eq!(warm.cold_solves(), 1);
-        assert_eq!(warm.delta_solves(), 3);
-        // Two untouched workloads' coarse tables retained per delta-solve.
-        assert_eq!(warm.lattice_reuses(), 6);
+        // One cold solve per distinct period, none for the repeats.
+        assert_eq!(warm.cold_solves(), 4);
     }
 
     #[test]

@@ -93,5 +93,5 @@ pub use placement::{
 };
 pub use problem::{Allocation, QoS, Resource, SearchSpace};
 pub use refine::{RefineOptions, RefinedModel, RefinementOutcome};
-pub use snapshot::{FleetSnapshot, MachineSnapshot, WarmSnapshot};
+pub use snapshot::{FleetSnapshot, MachineSnapshot};
 pub use tenant::{BoundStatement, Tenant};

@@ -92,11 +92,11 @@ impl Default for Clock {
 /// Aggregated optimizer-call/cache-hit accounting over a set of cost
 /// models (one search's worth of estimators, typically), plus the
 /// cross-period counters of incremental re-optimization: fleet-wide
-/// probe-cache hits/misses and warm-start lattice reuses. The
+/// probe-cache hits, misses, evictions and resident size. The
 /// per-search counters come from [`Self::tally`]; the cross-period
 /// counters are zero there (estimator instances die with the search)
-/// and are filled in from the persistent carriers via
-/// [`Self::with_probe_cache`] and [`Self::with_lattice_reuses`].
+/// and are filled in from the fleet cache via
+/// [`Self::with_probe_cache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CostAccounting {
     /// Total query-optimizer invocations.
@@ -118,10 +118,6 @@ pub struct CostAccounting {
     /// ([`ProbeCache::approx_bytes`](crate::costmodel::whatif::ProbeCache::approx_bytes)) —
     /// deterministic accounting, not a heap measurement.
     pub probe_bytes: u64,
-    /// Warm-start delta-solves that reused a retained DP lattice /
-    /// option-table instead of rebuilding it (see
-    /// [`WarmStart`](crate::enumerate::WarmStart)).
-    pub lattice_reuses: u64,
 }
 
 impl CostAccounting {
@@ -142,13 +138,6 @@ impl CostAccounting {
         self.probe_misses = cache.misses();
         self.probe_evictions = cache.evictions();
         self.probe_bytes = cache.approx_bytes();
-        self
-    }
-
-    /// Copy with the lattice-reuse counter set.
-    #[must_use]
-    pub fn with_lattice_reuses(mut self, reuses: u64) -> Self {
-        self.lattice_reuses = reuses;
         self
     }
 }

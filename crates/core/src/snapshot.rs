@@ -3,10 +3,11 @@
 //! [`FleetSnapshot`] is the serialized form of everything a
 //! [`ControlPlane`](crate::controlplane::ControlPlane) has *earned*:
 //! calibrated models (expensive benchmark runs), the class registry,
-//! current placements, each machine's warm-start export, the fleet
+//! current placements, each machine's warm-start memo key, the fleet
 //! probe cache, and the decision log. A restarted process feeds it to
 //! [`ControlPlane::restore`](crate::controlplane::ControlPlane::restore)
-//! and resumes at delta-solve cost with bit-identical results.
+//! and resumes without recalibrating or re-probing, with bit-identical
+//! results.
 //!
 //! The wire format is the repo's hand-rolled JSON ([`crate::jsonio`]),
 //! with four schema-level conventions on top of it:
@@ -17,7 +18,8 @@
 //!   solves stay bit-identical;
 //! - `u64` fingerprints and keys are encoded as 16-char hex *strings*
 //!   ([`crate::jsonio::Json::hex_u64`]) — values above 2⁵³ do not
-//!   survive a JSON number;
+//!   survive a JSON number, so a counter (written as a number) above
+//!   2⁵³ is refused on read;
 //! - the probe cache, almost all of a snapshot, is written one
 //!   `(model, tenant)` generation at a time, its rows as fixed-width
 //!   lowercase hex *columns*: 8 digits per allocation-key axis, 16
@@ -55,8 +57,13 @@ const FORMAT: &str = "vda-fleet-snapshot";
 /// serialized model, the per-(hardware class, engine) residual stores
 /// (`adaption`), and the guardrail trackers (`tuners`). Version 4
 /// writes each probe generation once, its rows as hex columns, and
-/// seals the document with a trailing `digest`.
-const VERSION: f64 = 4.0;
+/// seals the document with a trailing `digest`. Version 5 stores each
+/// machine's warm-start state as its memo key (`warm_key`) and
+/// cold-solve counter: the memoized result is the placement.
+const VERSION: f64 = 5.0;
+/// 2⁵³: every whole number up to it is an exact `f64`, and counters
+/// are written as JSON numbers, so none above it was written exactly.
+const MAX_EXACT_COUNT: f64 = 9_007_199_254_740_992.0;
 
 /// Hex digits per allocation-key axis in a probe generation's `keys`
 /// column: a whole `u32`, so every [`AllocKey`] fits.
@@ -97,24 +104,12 @@ pub struct MachineSnapshot {
     pub calibrations: Vec<(EngineKind, CalibratedModel)>,
     /// The machine's current placement (`None` while empty).
     pub placement: Option<SearchResult>,
-    /// The warm-start export (`None` when the machine was cold).
-    pub warm: Option<WarmSnapshot>,
-    /// Cumulative `(cold_solves, delta_solves, lattice_reuses)`.
-    pub warm_counters: (u64, u64, u64),
-}
-
-/// A machine's exported warm-start state (see
-/// [`crate::enumerate::WarmStart::export`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmSnapshot {
-    /// The warm key (space + QoS + models + ladder fingerprint).
-    pub key: u64,
-    /// Per-tenant workload fingerprints of the last solve.
-    pub fingerprints: Vec<u64>,
-    /// Fine-window centers of the last solve.
-    pub centers: Vec<Allocation>,
-    /// The last solve's full result.
-    pub last: SearchResult,
+    /// The warm-start memo key (see
+    /// [`crate::enumerate::WarmStart::export`]), `None` when the memo
+    /// was cold. The result it memoizes is [`Self::placement`].
+    pub warm_key: Option<u64>,
+    /// Cumulative cold solves of the machine's warm-start state.
+    pub cold_solves: u64,
 }
 
 /// One (hardware class, engine kind) runtime adaption store inside a
@@ -338,22 +333,6 @@ fn machine_to_json(m: &MachineSnapshot) -> Json {
             })
             .collect(),
     );
-    let warm = match &m.warm {
-        None => Json::Null,
-        Some(w) => obj(vec![
-            ("key", Json::hex_u64(w.key)),
-            (
-                "fingerprints",
-                Json::Arr(w.fingerprints.iter().map(|&f| Json::hex_u64(f)).collect()),
-            ),
-            (
-                "centers",
-                Json::Arr(w.centers.iter().map(alloc_to_json).collect()),
-            ),
-            ("last", result_to_json(&w.last)),
-        ]),
-    };
-    let (cold, delta, reuses) = m.warm_counters;
     obj(vec![
         ("hardware", Json::hex_u64(m.hardware)),
         (
@@ -365,15 +344,8 @@ fn machine_to_json(m: &MachineSnapshot) -> Json {
             "placement",
             m.placement.as_ref().map_or(Json::Null, result_to_json),
         ),
-        ("warm", warm),
-        (
-            "warm_counters",
-            Json::Arr(vec![
-                Json::Num(cold as f64),
-                Json::Num(delta as f64),
-                Json::Num(reuses as f64),
-            ]),
-        ),
+        ("warm_key", m.warm_key.map_or(Json::Null, Json::hex_u64)),
+        ("cold_solves", Json::Num(m.cold_solves as f64)),
     ])
 }
 
@@ -674,12 +646,15 @@ fn f64_field(j: &Json, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("field {key:?} must be a number"))
 }
 
+/// `x` as a count: a whole number from 0 to 2⁵³. A larger one cannot
+/// have been written exactly, and casting it would saturate.
+fn exact_count(x: f64) -> Option<u64> {
+    (x >= 0.0 && x.fract() == 0.0 && x <= MAX_EXACT_COUNT).then_some(x as u64)
+}
+
 fn u64_field(j: &Json, key: &str) -> Result<u64, String> {
-    let x = f64_field(j, key)?;
-    if x < 0.0 || x.fract() != 0.0 {
-        return Err(format!("field {key:?} must be a non-negative integer"));
-    }
-    Ok(x as u64)
+    exact_count(f64_field(j, key)?)
+        .ok_or_else(|| format!("field {key:?} must be a whole number from 0 to 2^53"))
 }
 
 fn usize_field(j: &Json, key: &str) -> Result<usize, String> {
@@ -1057,7 +1032,7 @@ fn decision_from_json(j: &Json) -> Result<Decision, String> {
         .iter()
         .map(|v| {
             v.as_f64()
-                .filter(|x| *x >= 0.0 && x.fract() == 0.0)
+                .and_then(exact_count)
                 .map(|x| x as usize)
                 .ok_or("resolved entries must be machine indices".to_string())
         })
@@ -1085,36 +1060,17 @@ fn machine_from_json(j: &Json) -> Result<MachineSnapshot, String> {
         Json::Null => None,
         p => Some(result_from_json(p)?),
     };
-    let warm = match field(j, "warm")? {
+    let warm_key = match field(j, "warm_key")? {
         Json::Null => None,
-        w => Some(WarmSnapshot {
-            key: hex_field(w, "key")?,
-            fingerprints: hex_arr(w, "fingerprints")?,
-            centers: arr_field(w, "centers")?
-                .iter()
-                .map(alloc_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            last: result_from_json(field(w, "last")?)?,
-        }),
-    };
-    let counters = arr_field(j, "warm_counters")?;
-    if counters.len() != 3 {
-        return Err("warm_counters must have 3 entries".to_string());
-    }
-    let counter = |i: usize| -> Result<u64, String> {
-        counters[i]
-            .as_f64()
-            .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-            .map(|x| x as u64)
-            .ok_or("warm_counters entries must be non-negative integers".to_string())
+        _ => Some(hex_field(j, "warm_key")?),
     };
     Ok(MachineSnapshot {
         hardware: hex_field(j, "hardware")?,
         tenants: hex_arr(j, "tenants")?,
         calibrations,
         placement,
-        warm,
-        warm_counters: (counter(0)?, counter(1)?, counter(2)?),
+        warm_key,
+        cold_solves: u64_field(j, "cold_solves")?,
     })
 }
 
@@ -1206,21 +1162,16 @@ mod tests {
                         model.clone().with_adaption(sample_adaption()),
                     )],
                     placement: Some(sample_result()),
-                    warm: Some(WarmSnapshot {
-                        key: 0xdead_beef_cafe_f00d,
-                        fingerprints: vec![(1 << 60) + 3, 42],
-                        centers: vec![Allocation::new(0.6, 0.5), Allocation::new(0.4, 0.5)],
-                        last: sample_result(),
-                    }),
-                    warm_counters: (4, 17, 9),
+                    warm_key: Some(0xdead_beef_cafe_f00d),
+                    cold_solves: 4,
                 },
                 MachineSnapshot {
                     hardware: 7,
                     tenants: vec![],
                     calibrations: vec![],
                     placement: None,
-                    warm: None,
-                    warm_counters: (0, 0, 0),
+                    warm_key: None,
+                    cold_solves: 0,
                 },
             ],
             registry: vec![(u64::MAX - 17, EngineKind::PgSim, model)],
@@ -1315,11 +1266,11 @@ mod tests {
             .contains("format"));
         let edited = sample_snapshot()
             .to_json()
-            .replace("\"version\":4,\"seq\"", "\"version\":5,\"seq\"");
+            .replace("\"version\":5,\"seq\"", "\"version\":6,\"seq\"");
         let err = FleetSnapshot::from_json(&edited).unwrap_err();
         assert!(err.contains("digest"), "{err}");
         let err = FleetSnapshot::from_json(&reseal(&edited)).unwrap_err();
-        assert!(err.contains("version 5"), "{err}");
+        assert!(err.contains("version 6"), "{err}");
     }
 
     #[test]
@@ -1339,6 +1290,34 @@ mod tests {
             &json.as_bytes()[..json.rfind(",\"digest\":").unwrap()]
         );
         assert_eq!(reseal(&json), json);
+    }
+
+    #[test]
+    fn counters_above_2_53_are_refused_by_name() {
+        // to_json writes u64::MAX as 1.8446744073709552e19, which a
+        // cast would saturate back to u64::MAX.
+        let mut snap = sample_snapshot();
+        snap.seq = u64::MAX;
+        let err = FleetSnapshot::from_json(&snap.to_json()).unwrap_err();
+        assert!(err.contains("\"seq\""), "{err}");
+        let json = sample_snapshot().to_json();
+        for (from, to, field) in [
+            ("\"seq\":75,", "\"seq\":1e20,", "\"seq\""),
+            (
+                "\"cold_solves\":4}",
+                "\"cold_solves\":18014398509481984}",
+                "\"cold_solves\"",
+            ),
+        ] {
+            assert!(json.contains(from), "{from}");
+            let edited = reseal(&json.replacen(from, to, 1));
+            let err = FleetSnapshot::from_json(&edited).unwrap_err();
+            assert!(err.contains(field) && err.contains("2^53"), "{err}");
+        }
+        // 2^53 itself is exact.
+        snap.seq = 1 << 53;
+        let back = FleetSnapshot::from_json(&snap.to_json()).unwrap();
+        assert_eq!(back.seq, 1 << 53);
     }
 
     #[test]

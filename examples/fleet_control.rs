@@ -3,15 +3,15 @@
 //!
 //! A three-machine fleet (two hardware classes) hosts six tenants. The
 //! [`ControlPlane`] partitions it into pricing-class shards, re-solves
-//! only the machines an event dirties (warm delta-solves over
-//! persistent lattices, probes served by the fleet-wide cache), and
+//! only the machines an event dirties (each machine memoizes its last
+//! solve, and probes are served by the fleet-wide cache), and
 //! reconciles major workload changes against migration candidates in
 //! other shards. Midway we serialize the whole earned state — models,
-//! placements, warm exports, probe cache, decision log — through the
-//! [`FleetSnapshot`] JSON format, restore it into a freshly built
-//! fleet, and finish the event stream on the restored plane: the
+//! placements, warm-start memo keys, probe cache, decision log —
+//! through the [`FleetSnapshot`] JSON format, restore it into a freshly
+//! built fleet, and finish the event stream on the restored plane: the
 //! decisions and placements are bit-identical to the uninterrupted
-//! run, at delta-solve cost instead of recalibration cost. A final
+//! run, at its optimizer-call cost instead of recalibration cost. A final
 //! burst goes through `ControlPlane::process_batch` — same-slot
 //! events coalesce and the batch re-solves in one parallel wave.
 //!

@@ -1,15 +1,16 @@
-//! Warm-started incremental re-optimization: period-over-period
-//! delta-solves against a persistent DP lattice, backed by a shared
-//! probe cache.
+//! Warm-started incremental re-optimization: each machine memoizes its
+//! last solve, backed by a shared probe cache.
 //!
 //! Two machines each host two tenants. Every monitoring period one
 //! tenant drifts (its workload intensifies or relaxes) and both
-//! machines re-solve. With [`recommend_c2f_warm`] the advisor keeps
-//! its coarse lattice and per-workload option tables between periods,
-//! so a drift on one tenant rebuilds only that tenant's cells; the
-//! shared [`ProbeCache`] means identical (model, workload, allocation)
-//! probes are priced once fleet-wide. The answers are bit-for-bit the
-//! same as a cold solve — only the optimizer-call bill shrinks.
+//! machines re-solve. With [`recommend_c2f_warm`] the machine that did
+//! not drift returns its memoized solve at zero optimizer calls, and
+//! the drifted one cold-solves; the shared [`ProbeCache`] means
+//! identical (model, workload, allocation) probes are priced once
+//! fleet-wide, so that cold solve pays optimizer calls only for the
+//! probes the cache does not hold yet, chiefly the drifted tenant's.
+//! The answers are bit-for-bit the same as a cold solve — only the
+//! optimizer-call bill shrinks.
 //!
 //! ```text
 //! cargo run --release --example incremental_reopt
@@ -87,11 +88,8 @@ fn main() {
     }
 
     for (i, adv) in fleet.iter().enumerate() {
-        let (cold, delta, reuses) = adv.warm_stats();
-        println!(
-            "machine {i}: {cold} cold solve(s), {delta} delta solve(s), \
-             {reuses} lattice reuse(s)"
-        );
+        let cold = adv.warm_stats().0;
+        println!("machine {i}: {cold} cold solve(s), the other periods memo hits");
     }
     println!(
         "probe cache: {} entries, {} hits, {} misses",

@@ -1,4 +1,4 @@
-//! The snapshot codec (schema v4): random snapshots round-trip bit for
+//! The snapshot codec (schema v5): random snapshots round-trip bit for
 //! bit and re-encode to the same bytes, malformed probe columns and
 //! older versions are refused by name, and `jsonio` strings round-trip
 //! across its bulk copy paths.
@@ -8,7 +8,7 @@ use vda::core::costmodel::Estimate;
 use vda::core::enumerate::SearchResult;
 use vda::core::jsonio::{self, Json};
 use vda::core::problem::{AllocKey, Allocation};
-use vda::core::{FleetSnapshot, MachineSnapshot, WarmSnapshot};
+use vda::core::{FleetSnapshot, MachineSnapshot};
 use vda::simdb::hash::Fnv64;
 
 type ProbeRow = (u64, u64, AllocKey, Estimate);
@@ -70,19 +70,19 @@ fn result(rng: &mut XorShift, tenants: usize) -> SearchResult {
 fn machine(rng: &mut XorShift) -> MachineSnapshot {
     let tenants: Vec<u64> = (0..rng.below(4)).map(|_| rng.fingerprint()).collect();
     let placement = (!tenants.is_empty()).then(|| result(rng, tenants.len()));
-    let warm = placement.clone().map(|last| WarmSnapshot {
-        key: rng.fingerprint(),
-        fingerprints: tenants.clone(),
-        centers: last.allocations.clone(),
-        last,
-    });
+    // A placed machine's memo may be warm or cold; an empty one's is
+    // cold.
+    let warm_key = placement
+        .as_ref()
+        .and_then(|_| (rng.below(4) != 0).then(|| rng.fingerprint()));
     MachineSnapshot {
         hardware: rng.fingerprint(),
         tenants,
         calibrations: Vec::new(),
         placement,
-        warm,
-        warm_counters: (rng.next() >> 12, rng.next() >> 12, rng.next() >> 12),
+        warm_key,
+        // Counters are written as JSON numbers: at most 2⁵³.
+        cold_solves: rng.next() >> 11,
     }
 }
 
@@ -288,7 +288,7 @@ fn a_version_3_document_is_refused_by_version() {
     let json = snapshot(Vec::new(), Vec::new()).to_json();
     let body = &json[..json.rfind(",\"digest\":").expect("a sealed snapshot")];
     // v3 had no digest and no probe columns.
-    let v3 = format!("{}}}", body.replacen("\"version\":4,", "\"version\":3,", 1));
+    let v3 = format!("{}}}", body.replacen("\"version\":5,", "\"version\":3,", 1));
     assert_eq!(
         FleetSnapshot::from_json(&v3).unwrap_err(),
         "unsupported snapshot version 3"
@@ -296,6 +296,19 @@ fn a_version_3_document_is_refused_by_version() {
     // An unsealed current document is refused for its missing digest.
     let err = FleetSnapshot::from_json(&format!("{body}}}")).unwrap_err();
     assert!(err.contains("digest"), "{err}");
+}
+
+#[test]
+fn a_version_4_document_is_refused_by_version() {
+    // v4 was sealed like v5; its machines carried a `warm` object and
+    // a `warm_counters` triple instead of `warm_key` and `cold_solves`.
+    let json = snapshot(Vec::new(), Vec::new()).to_json();
+    let v4 = reseal(&json.replacen("\"version\":5,", "\"version\":4,", 1));
+    assert_ne!(v4, json);
+    assert_eq!(
+        FleetSnapshot::from_json(&v4).unwrap_err(),
+        "unsupported snapshot version 4"
+    );
 }
 
 /// The escaping `jsonio::write` has always done, one character at a

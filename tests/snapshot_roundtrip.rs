@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use vda::core::problem::{QoS, SearchSpace};
 use vda::core::tenant::Tenant;
 use vda::core::VirtualizationDesignAdvisor;
-use vda::core::{ControlPlane, ControlPlaneOptions, FleetEvent, FleetSnapshot};
+use vda::core::{ControlPlane, ControlPlaneOptions, FleetEvent, FleetSnapshot, MachineSnapshot};
 use vda::simdb::engines::Engine;
 use vda::vmm::{Hypervisor, PhysicalMachine};
 use vda::workloads::tpch;
@@ -198,6 +198,11 @@ fn check_restart_at(drifts: &[(u32, usize, usize, f64)], restart: usize) {
         reference.objective().to_bits(),
         "restart at {restart}: objective bits diverge"
     );
+    assert_eq!(
+        resumed.stats().optimizer_calls,
+        reference.stats().optimizer_calls,
+        "restart at {restart}: optimizer-call bills diverge"
+    );
 }
 
 proptest! {
@@ -311,8 +316,8 @@ fn ring_buffer_snapshot_restores_at_a_wrapped_head_position() {
 }
 
 /// A restored plane rejects topologies that do not match the snapshot
-/// (wrong machine count, wrong hardware, wrong tenants) and warm
-/// exports that disagree with their own machine.
+/// (wrong machine count, wrong hardware, wrong tenants) and machine
+/// states a live plane never has.
 #[test]
 fn restore_validates_the_rebuilt_topology() {
     let (machines, spaces) = fleet();
@@ -335,23 +340,103 @@ fn restore_validates_the_rebuilt_topology() {
     let err = ControlPlane::restore(machines, spaces, options(), &snapshot).unwrap_err();
     assert!(err.contains("tenant"), "{err}");
 
-    // Each warm export must be its machine's last solve: the
-    // placement, centred on its allocations, for the machine's tenants.
-    for what in ["placement", "centers", "fingerprints"] {
+    // Machine 1 (two tenants) edited into a state no live plane has;
+    // `what` must appear in the refusal.
+    type Edit = fn(&mut MachineSnapshot);
+    let edits: [(&str, Edit); 5] = [
+        ("1 allocations", |ms| {
+            ms.placement.as_mut().unwrap().allocations.pop();
+        }),
+        ("3 costs", |ms| {
+            ms.placement.as_mut().unwrap().costs.push(1.0);
+        }),
+        ("1 limit verdicts", |ms| {
+            ms.placement.as_mut().unwrap().limits_met.pop();
+        }),
+        ("no placement", |ms| ms.placement = None),
+        ("calibrations", |ms| ms.calibrations.clear()),
+    ];
+    for (what, edit) in edits {
         let mut edited = snapshot.clone();
-        let warm = edited.machines[1]
-            .warm
-            .as_mut()
-            .expect("a solved machine is warm");
-        match what {
-            "placement" => warm.last.weighted_cost += 1.0,
-            "centers" => warm.centers.push(warm.centers[0]),
-            _ => warm.fingerprints[0] ^= 1,
-        }
+        edit(&mut edited.machines[1]);
         let (machines, spaces) = fleet();
         let err = ControlPlane::restore(machines, spaces, options(), &edited).unwrap_err();
-        assert!(err.contains("machine 1") && err.contains(what), "{err}");
+        assert!(
+            err.contains("machine 1") && err.contains(what),
+            "{what}: {err}"
+        );
     }
+    // An emptied machine 1 may hold neither a placement nor a memo key.
+    let emptied = |placement: bool, warm_key: bool| {
+        let mut edited = snapshot.clone();
+        let ms = &mut edited.machines[1];
+        ms.tenants.clear();
+        if !placement {
+            ms.placement = None;
+        }
+        if !warm_key {
+            ms.warm_key = None;
+        }
+        let (mut machines, spaces) = fleet();
+        while machines[1].tenant_count() > 0 {
+            machines[1].remove_tenant(0);
+        }
+        ControlPlane::restore(machines, spaces, options(), &edited)
+    };
+    let err = emptied(true, false).unwrap_err();
+    assert!(
+        err.contains("machine 1") && err.contains("empty machine"),
+        "{err}"
+    );
+    let err = emptied(false, true).unwrap_err();
+    assert!(
+        err.contains("machine 1") && err.contains("warm_key"),
+        "{err}"
+    );
+    assert!(emptied(false, false).is_ok());
+
     let (machines, spaces) = fleet();
     assert!(ControlPlane::restore(machines, spaces, options(), &snapshot).is_ok());
+}
+
+/// A restored machine's memo is the uninterrupted one's: its memo key
+/// with its placement as the memoized solve. A workload scaled by 1.0
+/// changes no fingerprint, so the re-solve it triggers is a memo hit on
+/// both planes — no cold solve — and costs both the same optimizer
+/// calls.
+#[test]
+fn a_restored_memo_answers_an_unchanged_machine_like_the_uninterrupted_one() {
+    let drifts = [(0u32, 0usize, 1usize, 1.6f64), (1, 1, 0, 2.0)];
+    let (machines, spaces) = fleet();
+    let mut reference = ControlPlane::new(machines, spaces, options());
+    drive(&mut reference, &drifts, 0, &mut Vec::new());
+    let snapshot = FleetSnapshot::from_json(&reference.snapshot().to_json()).expect("parses");
+    let (fresh, spaces) = rebuild(&reference);
+    let mut resumed =
+        ControlPlane::restore(fresh, spaces, options(), &snapshot).expect("snapshot restores");
+
+    let cold_solves = |plane: &ControlPlane| -> u64 {
+        (0..plane.machine_count())
+            .map(|m| plane.machine(m).warm_stats().0)
+            .sum()
+    };
+    let mut calls = Vec::new();
+    for plane in [&mut reference, &mut resumed] {
+        let (cold_before, calls_before) = (cold_solves(plane), plane.stats().optimizer_calls);
+        let outcome = plane.process_event(FleetEvent::WorkloadScaled {
+            machine: 1,
+            slot: 0,
+            factor: 1.0,
+        });
+        assert_eq!(outcome.resolved, vec![1], "the event re-solves machine 1");
+        assert_eq!(
+            cold_solves(plane),
+            cold_before,
+            "the re-solve is a memo hit"
+        );
+        calls.push(plane.stats().optimizer_calls - calls_before);
+    }
+    assert_eq!(calls[0], calls[1]);
+    assert_eq!(resumed.placements(), reference.placements());
+    assert_eq!(resumed.snapshot().to_json(), reference.snapshot().to_json());
 }

@@ -114,8 +114,8 @@ proptest! {
 
     /// CPU-only drift sequences: each period rescales one workload by
     /// a moderate factor; warm solves must track cold and full-grid
-    /// answers period over period (the first period is the cold prime,
-    /// later ones are hits or delta-solves).
+    /// answers period over period. A period whose fingerprints differ
+    /// from the previous one's cold-solves; a repeat is a memo hit.
     #[test]
     fn warm_tracks_random_drift_sequences(
         cs in coeffs(5),
@@ -129,20 +129,31 @@ proptest! {
         let opts = CoarseToFineOptions::auto(&space, n);
         let mut warm = WarmStart::new();
         let mut scales = vec![1.0f64; n];
+        let mut changed_periods = 0;
+        let mut previous: Option<Vec<u64>> = None;
         for (period, &(idx, factor)) in std::iter::once(&(0, 1.0)).chain(&drifts).enumerate() {
             scales[idx % n] *= factor;
             let models = models(cs, &scales);
             let fingerprints: Vec<u64> = scales.iter().map(|s| s.to_bits()).collect();
             check_period(&space, qos, &models, &opts, &fingerprints, &mut warm, period);
+            // The same period again must be a hit with the same answer.
+            check_period(&space, qos, &models, &opts, &fingerprints, &mut warm, period);
+            if previous.as_ref() != Some(&fingerprints) {
+                changed_periods += 1;
+            }
+            previous = Some(fingerprints);
         }
         prop_assert!(warm.is_warm());
-        prop_assert_eq!(warm.cold_solves(), 1, "only the first period cold-solves");
+        prop_assert_eq!(
+            warm.cold_solves(),
+            changed_periods,
+            "one cold solve per changed period, hits otherwise"
+        );
     }
 
     /// Violent drifts (×10–×100 up or down) throw the optimum across
-    /// coarse-cell boundaries; the delta-solve's re-seeding from the
-    /// fresh coarse optimum (plus window escalation) must still land
-    /// on the cold answer.
+    /// coarse-cell boundaries; the warm path must still land on the
+    /// cold answer, never on the previous period's memoized one.
     #[test]
     fn warm_survives_coarse_cell_boundary_crossings(
         cs in coeffs(4),
@@ -168,8 +179,7 @@ proptest! {
     }
 
     /// Joint CPU+memory grids: drift sequences over the 2-D lattice
-    /// (delta-solves rebuild 2-D option tables) agree with cold and
-    /// full-grid answers too.
+    /// agree with cold and full-grid answers too.
     #[test]
     fn warm_tracks_drift_on_joint_grids(
         cs in coeffs(3),
@@ -196,7 +206,8 @@ proptest! {
 /// the warm path must flag the infeasibility exactly like the cold and
 /// full-grid searches (best-effort allocation, `limits_met` flags
 /// false) and recover to the feasible optimum — not a stale cached
-/// answer — once the drift reverts.
+/// answer — once the drift reverts. A repeat of the last period is a
+/// memo hit.
 #[test]
 fn jointly_infeasible_periods_are_flagged_and_recovered_from() {
     let space = SearchSpace::cpu_only(0.5);
@@ -211,6 +222,7 @@ fn jointly_infeasible_periods_are_flagged_and_recovered_from() {
         [0.002, 0.002],
         [1.0, 0.002], // infeasible period
         [0.002, 0.002],
+        [0.002, 0.002], // repeat: a hit
     ]
     .iter()
     .enumerate()
@@ -242,6 +254,5 @@ fn jointly_infeasible_periods_are_flagged_and_recovered_from() {
             );
         }
     }
-    assert_eq!(warm.cold_solves(), 1);
-    assert_eq!(warm.delta_solves(), 2);
+    assert_eq!(warm.cold_solves(), 3);
 }
