@@ -1,7 +1,7 @@
 //! Shared experiment scaffolding: machines, advisors, workload units.
 
 use vda_core::advisor::VirtualizationDesignAdvisor;
-use vda_core::costmodel::{SharedEstimateCache, WhatIfEstimator};
+use vda_core::costmodel::WhatIfEstimator;
 use vda_core::problem::{Allocation, QoS};
 use vda_core::tenant::Tenant;
 use vda_simdb::catalog::Catalog;
@@ -188,17 +188,11 @@ pub fn tpcc_tpch_mix(choice: EngineChoice, seed: u64) -> Vec<Tenant> {
 /// cost ballpark as a random DSS tenant.
 pub const TPCC_TXNS_PER_CLIENT: f64 = 40.0;
 
-/// Fresh estimators over cold caches, one per tenant, so a timed
-/// measurement pays the full optimizer cost of its search instead of
-/// reusing the advisor's warm shared caches.
+/// Fresh estimators over cold private caches, one per tenant, so a
+/// timed measurement pays the full optimizer cost of its search
+/// instead of reusing the advisor's warm probe cache.
 pub fn cold_estimators(adv: &VirtualizationDesignAdvisor) -> Vec<WhatIfEstimator<'_>> {
     (0..adv.tenant_count())
-        .map(|i| {
-            WhatIfEstimator::with_shared_cache(
-                adv.tenant(i),
-                adv.model(i),
-                SharedEstimateCache::new(),
-            )
-        })
+        .map(|i| WhatIfEstimator::new(adv.tenant(i), adv.model(i)))
         .collect()
 }

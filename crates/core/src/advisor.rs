@@ -11,10 +11,15 @@
 //! [`CostModel`](crate::costmodel::CostModel) interface:
 //! [`VirtualizationDesignAdvisor::recommend`] /
 //! [`VirtualizationDesignAdvisor::recommend_exhaustive`] build one
-//! [`WhatIfEstimator`] per tenant (all sharing the advisor's
-//! per-tenant [`SharedEstimateCache`]s, so repeated searches reuse
-//! optimizer work), and [`VirtualizationDesignAdvisor::optimal_actual`]
-//! builds [`ActualCostModel`] executor oracles.
+//! [`WhatIfEstimator`] per tenant, all over the advisor's one
+//! [`ProbeCache`], so repeated searches reuse optimizer work, and
+//! [`VirtualizationDesignAdvisor::optimal_actual`] builds
+//! [`ActualCostModel`] executor oracles.
+//!
+//! The cache and the memo of the last solve are keyed, never reset:
+//! both hash the model and tenant fingerprints (the memo also the QoS
+//! and the search space), so a recalibration, drift or move changes a
+//! key, and a state that returns finds its old rows.
 //!
 //! Calibrated models are stored **per engine kind**, exactly like the
 //! paper's one-time per-DBMS-per-machine calibration. Tenant ↔ model
@@ -24,7 +29,7 @@
 
 use crate::costmodel::calibration::{CalibratedModel, CalibrationConfig, Calibrator};
 use crate::costmodel::model::ActualCostModel;
-use crate::costmodel::whatif::{ProbeCache, SharedEstimateCache, WhatIfEstimator};
+use crate::costmodel::whatif::{ProbeCache, WhatIfEstimator};
 use crate::enumerate::{
     coarse_to_fine_search_warm, greedy_search_with, try_exhaustive_search_with,
     CoarseToFineOptions, SearchOptions, SearchResult, WarmStart,
@@ -53,26 +58,24 @@ pub struct Recommendation {
     pub cache_hits: u64,
 }
 
-/// What happened to a tenant's calibrated model and estimate cache
-/// during [`VirtualizationDesignAdvisor::transfer_tenant`] — the
-/// fleet layer's calibration-management policy, made explicit so a
+/// What happened to a tenant's calibrated model during
+/// [`VirtualizationDesignAdvisor::transfer_tenant`] — the fleet
+/// layer's calibration-management policy, made explicit so a
 /// migration can never *silently* reuse a model fit on different
 /// hardware.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TransferCalibration {
     /// Machines physically identical and the destination lacked the
-    /// engine kind: the source's calibrated model was copied over and
-    /// the estimate cache traveled (calibration is per-DBMS
-    /// **per-machine**, §4.3 — identical hardware needs no refit).
+    /// engine kind: the source's calibrated model was copied over
+    /// (calibration is per-DBMS **per-machine**, §4.3 — identical
+    /// hardware needs no refit).
     Traveled,
     /// The destination already held the *identical* calibration:
-    /// nothing to copy, and the estimate cache stayed valid and
-    /// traveled.
+    /// nothing to copy.
     ReusedIdentical,
     /// The destination was already calibrated for the kind but
     /// *differently* (different hardware or calibration run): the
-    /// tenant adopts the destination's model and starts with a cold
-    /// estimate cache.
+    /// tenant adopts the destination's model.
     AdoptedDestination,
     /// The machines are not physically identical and the destination
     /// has no calibration for the kind: the calibrated model did NOT
@@ -80,10 +83,8 @@ pub enum TransferCalibration {
     /// destination must calibrate (see
     /// [`VirtualizationDesignAdvisor::ensure_calibrated`]) and the
     /// refined model is rebuilt lazily by the usual refinement rounds.
-    /// The estimate cache was dropped as stale.
     Demoted,
-    /// The source itself had no calibration for the kind; the (empty
-    /// or estimate-only) cache traveled untouched.
+    /// The source itself had no calibration for the kind.
     SourceUncalibrated,
 }
 
@@ -103,7 +104,7 @@ impl TransferCalibration {
 pub struct TenantTransfer {
     /// The tenant's index on the destination advisor.
     pub index: usize,
-    /// What happened to the calibrated model and estimate cache.
+    /// What happened to the calibrated model.
     pub calibration: TransferCalibration,
 }
 
@@ -116,15 +117,12 @@ pub struct VirtualizationDesignAdvisor {
     /// One calibrated model per engine kind present (computed once per
     /// kind per machine, shared by every tenant of that kind).
     models: Vec<(EngineKind, CalibratedModel)>,
-    /// One shared estimate cache per tenant slot; estimates persist
-    /// across searches and estimator instances.
-    caches: Vec<SharedEstimateCache>,
-    /// Optional fleet-wide probe cache. When attached, estimators key
-    /// their entries by `(calibrated-model fingerprint, tenant
-    /// fingerprint, allocation)` in this cache instead of the
-    /// per-tenant slot caches, so identical probes are shared across
-    /// machines and across periods.
-    probe: Option<ProbeCache>,
+    /// The estimate cache every estimator reads and fills, keyed by
+    /// `(calibrated-model fingerprint, tenant fingerprint,
+    /// allocation)`: the advisor's own, or the fleet's once
+    /// [`Self::attach_probe_cache`] swaps it in, so identical probes
+    /// are shared across searches, periods and machines.
+    probe: ProbeCache,
     /// Warm-start state for [`Self::recommend_c2f_warm`]; interior
     /// mutability keeps the recommend API `&self` like its siblings.
     warm: RefCell<WarmStart>,
@@ -140,8 +138,7 @@ impl VirtualizationDesignAdvisor {
             tenants: Vec::new(),
             qos: Vec::new(),
             models: Vec::new(),
-            caches: Vec::new(),
-            probe: None,
+            probe: ProbeCache::new(),
             warm: RefCell::new(WarmStart::new()),
             calibration_config: CalibrationConfig::default(),
             search_options: SearchOptions::default(),
@@ -149,17 +146,17 @@ impl VirtualizationDesignAdvisor {
     }
 
     /// Back every estimator with a fleet-wide [`ProbeCache`] instead of
-    /// the per-tenant slot caches. Entries are keyed by calibrated
-    /// model and tenant fingerprint, so a recalibration or workload
-    /// drift never reads stale estimates — and two machines pricing
-    /// the same tenant under the same calibration share probes.
+    /// the advisor's own. Entries are keyed by calibrated model and
+    /// tenant fingerprint, so a recalibration or workload drift never
+    /// reads stale estimates — and two machines pricing the same
+    /// tenant under the same calibration share probes.
     pub fn attach_probe_cache(&mut self, cache: ProbeCache) {
-        self.probe = Some(cache);
+        self.probe = cache;
     }
 
-    /// The attached fleet probe cache, if any.
-    pub fn probe_cache(&self) -> Option<&ProbeCache> {
-        self.probe.as_ref()
+    /// The probe cache this advisor's estimators use.
+    pub fn probe_cache(&self) -> &ProbeCache {
+        &self.probe
     }
 
     /// Override calibration settings (must be called before
@@ -178,7 +175,6 @@ impl VirtualizationDesignAdvisor {
     pub fn add_tenant(&mut self, tenant: Tenant, qos: QoS) -> usize {
         self.tenants.push(tenant);
         self.qos.push(qos);
-        self.caches.push(SharedEstimateCache::new());
         self.tenants.len() - 1
     }
 
@@ -220,21 +216,20 @@ impl VirtualizationDesignAdvisor {
     /// Allocations attach to VM slots, so after the swap each workload
     /// runs under the other's resources until the manager reacts.
     ///
-    /// Calibrated models are keyed by engine kind, not slot, so the
-    /// swap cannot desynchronize tenant ↔ model pairing even when the
-    /// swapped tenants run different engines. The slots' estimate
-    /// caches move with the tenants (entries are fingerprint-keyed, so
-    /// this only affects warmth, never correctness).
+    /// Calibrated models are keyed by engine kind and cached
+    /// estimates by fingerprint, not slot, so the swap cannot
+    /// desynchronize tenant ↔ model pairing even when the swapped
+    /// tenants run different engines, and each tenant keeps its warm
+    /// estimates.
     pub fn swap_tenants(&mut self, i: usize, j: usize) {
         self.tenants.swap(i, j);
         self.qos.swap(i, j);
-        self.caches.swap(i, j);
     }
 
-    /// Move tenant `i` — workload, QoS, and estimate cache — onto
-    /// another machine's advisor. The fleet layer's migration
-    /// primitive. Returns the tenant's destination index plus the
-    /// calibration-management verdict ([`TransferCalibration`]).
+    /// Move tenant `i` — workload and QoS — onto another machine's
+    /// advisor. The fleet layer's migration primitive. Returns the
+    /// tenant's destination index plus the calibration-management
+    /// verdict ([`TransferCalibration`]).
     ///
     /// Calibration management: a calibrated model travels with the
     /// tenant **only to a physically identical machine** (calibration
@@ -245,9 +240,9 @@ impl VirtualizationDesignAdvisor {
     /// for itself ([`Self::ensure_calibrated`], or the control plane
     /// installing a per-class model via [`Self::install_calibration`])
     /// and the refined model is rebuilt lazily by the usual refinement
-    /// rounds. Cached estimates move along only while they remain
-    /// valid — i.e. the destination prices them with the very same
-    /// calibration — and are dropped as stale otherwise.
+    /// rounds. Cached estimates need no handling: they are keyed by
+    /// model fingerprint, so a shared [`ProbeCache`] serves the source's
+    /// rows exactly when the destination prices with the same model.
     pub fn transfer_tenant(
         &mut self,
         i: usize,
@@ -255,41 +250,22 @@ impl VirtualizationDesignAdvisor {
     ) -> TenantTransfer {
         let tenant = self.tenants.remove(i);
         let qos = self.qos.remove(i);
-        let cache = self.caches.remove(i);
         let kind = tenant.engine.kind();
-        let source_model = self
-            .models
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, m)| m.clone());
-        let dest_model = dest.models.iter().find(|(k, _)| *k == kind);
-        let same_machine = self.hv.machine() == dest.hv.machine();
-        let (cache, calibration) = match (&source_model, dest_model) {
-            // Destination already calibrated: estimates stay valid only
-            // if they were produced by the very same calibration.
-            (Some(m), Some((_, dm))) if dm == m => (cache, TransferCalibration::ReusedIdentical),
-            (_, Some(_)) => (
-                SharedEstimateCache::new(),
-                TransferCalibration::AdoptedDestination,
-            ),
+        let calibration = match (self.calibration(kind), dest.calibration(kind)) {
+            (Some(m), Some(dm)) if dm == m => TransferCalibration::ReusedIdentical,
+            (_, Some(_)) => TransferCalibration::AdoptedDestination,
             // Model travels with the tenant across identical machines.
-            (Some(m), None) if same_machine => {
+            (Some(m), None) if self.hv.machine() == dest.hv.machine() => {
                 dest.models.push((kind, m.clone()));
-                (cache, TransferCalibration::Traveled)
+                TransferCalibration::Traveled
             }
             // Different physical machine: the model must NOT travel —
-            // the destination calibrates for itself, and cached
-            // estimates from the old machine would be wrong there.
-            (Some(_), None) => (SharedEstimateCache::new(), TransferCalibration::Demoted),
-            (None, None) => (cache, TransferCalibration::SourceUncalibrated),
+            // the destination calibrates for itself.
+            (Some(_), None) => TransferCalibration::Demoted,
+            (None, None) => TransferCalibration::SourceUncalibrated,
         };
         dest.tenants.push(tenant);
         dest.qos.push(qos);
-        dest.caches.push(cache);
-        // Both tenant sets changed; neither machine's previous-period
-        // solve describes its current workloads.
-        self.warm.get_mut().invalidate();
-        dest.warm.get_mut().invalidate();
         TenantTransfer {
             index: dest.tenants.len() - 1,
             calibration,
@@ -297,16 +273,10 @@ impl VirtualizationDesignAdvisor {
     }
 
     /// Deregister tenant `i` — the fleet layer's departure primitive.
-    /// Returns the tenant and its QoS settings. The slot's estimate
-    /// cache is dropped; calibrated models stay (they are per engine
-    /// kind per machine, not per tenant). The warm-start state is
-    /// invalidated: the machine's tenant set changed.
+    /// Returns the tenant and its QoS settings. Calibrated models stay
+    /// (they are per engine kind per machine, not per tenant).
     pub fn remove_tenant(&mut self, i: usize) -> (Tenant, QoS) {
-        let tenant = self.tenants.remove(i);
-        let qos = self.qos.remove(i);
-        self.caches.remove(i);
-        self.warm.get_mut().invalidate();
-        (tenant, qos)
+        (self.tenants.remove(i), self.qos.remove(i))
     }
 
     /// Per-tenant QoS settings.
@@ -321,75 +291,40 @@ impl VirtualizationDesignAdvisor {
 
     /// Run optimizer calibration (§4.3) — once per engine kind present,
     /// shared across tenants of that kind, exactly like the one-time
-    /// per-machine calibration of the paper. Resets the estimate
-    /// caches: cached estimates embed the previous calibration.
+    /// per-machine calibration of the paper. Every model is refit;
+    /// estimates cached under a model that comes out different are no
+    /// longer looked up, and those of an identical refit stay warm.
     pub fn calibrate(&mut self) {
-        let calibrator = Calibrator::with_config(&self.hv, self.calibration_config.clone());
         self.models.clear();
-        for t in &self.tenants {
-            let kind = t.engine.kind();
-            if !self.models.iter().any(|(k, _)| *k == kind) {
-                let model = calibrator.calibrate(&t.engine);
-                self.models.push((kind, model));
-            }
-        }
-        for cache in &mut self.caches {
-            *cache = SharedEstimateCache::new();
-        }
-        // New calibration ⇒ new model fingerprints; the memoized solve
-        // is stale.
-        self.warm.get_mut().invalidate();
+        self.ensure_calibrated();
     }
 
     /// Calibrate only the engine kinds that are still missing a model
     /// (e.g. after a cross-hardware [`Self::transfer_tenant`] demoted
-    /// a tenant's calibration). Existing calibrations — and the
-    /// estimate caches they back — are left untouched, unlike
-    /// [`Self::calibrate`], which refits everything and cold-starts
-    /// every cache.
+    /// a tenant's calibration). Existing calibrations are left
+    /// untouched, unlike [`Self::calibrate`], which refits everything.
     pub fn ensure_calibrated(&mut self) {
         let calibrator = Calibrator::with_config(&self.hv, self.calibration_config.clone());
-        let mut fresh: Vec<EngineKind> = Vec::new();
         for t in &self.tenants {
             let kind = t.engine.kind();
             if !self.models.iter().any(|(k, _)| *k == kind) {
                 let model = calibrator.calibrate(&t.engine);
                 self.models.push((kind, model));
-                fresh.push(kind);
-            }
-        }
-        // Tenants of a freshly calibrated kind must not serve
-        // estimates produced under no/other calibration.
-        for (t, cache) in self.tenants.iter().zip(&mut self.caches) {
-            if fresh.contains(&t.engine.kind()) {
-                *cache = SharedEstimateCache::new();
             }
         }
     }
 
-    /// Install a calibrated model for `kind` (replacing any existing
-    /// one) and cold-start the estimate caches of that kind's tenants.
-    /// The [`ControlPlane`](crate::controlplane::ControlPlane) uses
-    /// this to share one per-hardware-class calibration across machines
-    /// of identical hardware instead of refitting on every migration.
+    /// Install a calibrated model for `kind`, replacing any existing
+    /// one. The [`ControlPlane`](crate::controlplane::ControlPlane)
+    /// uses this to share one per-hardware-class calibration across
+    /// machines of identical hardware instead of refitting on every
+    /// migration. Estimates are keyed by model fingerprint, so a model
+    /// installed before finds its rows again.
     pub fn install_calibration(&mut self, kind: EngineKind, model: CalibratedModel) {
         match self.models.iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, m)) => {
-                if *m == model {
-                    return; // identical calibration: caches stay warm
-                }
-                *m = model;
-            }
+            Some((_, m)) => *m = model,
             None => self.models.push((kind, model)),
         }
-        for (t, cache) in self.tenants.iter().zip(&mut self.caches) {
-            if t.engine.kind() == kind {
-                *cache = SharedEstimateCache::new();
-            }
-        }
-        // A genuinely different calibration invalidates the previous
-        // period's solve.
-        self.warm.get_mut().invalidate();
     }
 
     /// The calibrated model for an engine kind, if any.
@@ -420,29 +355,15 @@ impl VirtualizationDesignAdvisor {
     /// The calibrated model for tenant `i` (looked up by the tenant's
     /// engine kind).
     pub fn model(&self, i: usize) -> &CalibratedModel {
-        let kind = self.tenants[i].engine.kind();
-        self.models
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, m)| m)
+        self.calibration(self.tenants[i].engine.kind())
             .expect("call calibrate() first")
     }
 
-    /// A what-if estimator for tenant `i`, backed by the fleet probe
-    /// cache when one is attached ([`Self::attach_probe_cache`]), by
-    /// the tenant slot's shared estimate cache otherwise.
+    /// A what-if estimator for tenant `i` over the advisor's
+    /// [`ProbeCache`]. Panics if the tenant's engine kind has no
+    /// calibrated model.
     pub fn estimator(&self, i: usize) -> WhatIfEstimator<'_> {
-        assert!(self.is_calibrated(), "call calibrate() first");
-        match &self.probe {
-            Some(cache) => {
-                WhatIfEstimator::with_probe_cache(&self.tenants[i], self.model(i), cache.clone())
-            }
-            None => WhatIfEstimator::with_shared_cache(
-                &self.tenants[i],
-                self.model(i),
-                self.caches[i].clone(),
-            ),
-        }
+        WhatIfEstimator::with_probe_cache(&self.tenants[i], self.model(i), self.probe.clone())
     }
 
     /// One estimator per tenant, for a full search.
@@ -493,16 +414,10 @@ impl VirtualizationDesignAdvisor {
     /// workload fingerprint, so a repeat of the last solve is answered
     /// at zero optimizer calls and anything else (a drifted tenant, a
     /// recalibration, a QoS or search-space change) cold re-solves
-    /// through this advisor's estimate caches.
+    /// through this advisor's probe cache.
     pub fn recommend_c2f_warm(&self, space: &SearchSpace) -> Recommendation {
         let estimators = self.estimators();
-        let c2f = CoarseToFineOptions::auto(space, estimators.len());
-        let mut salt_h = Fnv64::new();
-        for i in 0..self.tenants.len() {
-            salt_h.write_u64(self.model(i).fingerprint());
-        }
-        let salt = salt_h.finish();
-        let fingerprints: Vec<u64> = self.tenants.iter().map(Tenant::fingerprint).collect();
+        let (c2f, salt, fingerprints) = self.warm_inputs(space);
         let mut warm = self.warm.borrow_mut();
         let result = coarse_to_fine_search_warm(
             space,
@@ -521,6 +436,20 @@ impl VirtualizationDesignAdvisor {
             optimizer_calls: accounting.optimizer_calls,
             cache_hits: accounting.cache_hits,
         }
+    }
+
+    /// What [`Self::recommend_c2f_warm`] keys its memo with besides
+    /// `space` and the QoS vector: the coarse-to-fine ladder for
+    /// `space`, the calibration salt (a fold of every tenant's model
+    /// fingerprint) and the tenant fingerprints.
+    pub(crate) fn warm_inputs(&self, space: &SearchSpace) -> (CoarseToFineOptions, u64, Vec<u64>) {
+        let c2f = CoarseToFineOptions::auto(space, self.tenants.len());
+        let mut salt = Fnv64::new();
+        for i in 0..self.tenants.len() {
+            salt.write_u64(self.model(i).fingerprint());
+        }
+        let fingerprints = self.tenants.iter().map(Tenant::fingerprint).collect();
+        (c2f, salt.finish(), fingerprints)
     }
 
     /// Cumulative warm-start counters of [`Self::recommend_c2f_warm`]
@@ -783,7 +712,7 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         let first = adv.recommend(&space);
         assert!(first.optimizer_calls > 0);
-        // The same search again is answered from the shared caches.
+        // The same search again is answered from the probe cache.
         let second = adv.recommend(&space);
         assert_eq!(second.optimizer_calls, 0, "{second:?}");
         assert!(second.cache_hits > 0);
@@ -883,13 +812,21 @@ mod tests {
         assert!(adv.is_calibrated());
     }
 
+    /// Attach one probe cache to both advisors, as a fleet does.
+    fn share_one_cache(a: &mut VirtualizationDesignAdvisor, b: &mut VirtualizationDesignAdvisor) {
+        let cache = ProbeCache::new();
+        a.attach_probe_cache(cache.clone());
+        b.attach_probe_cache(cache);
+    }
+
     #[test]
     fn transfer_tenant_carries_model_and_cache_to_identical_machine() {
         let mut src = advisor_two_dss();
-        let a = Allocation::new(0.5, 0.5);
-        let warm = src.estimator(0).cost(a); // warms the shared cache
         let mut dst =
             VirtualizationDesignAdvisor::new(Hypervisor::new(PhysicalMachine::paper_testbed()));
+        share_one_cache(&mut src, &mut dst);
+        let a = Allocation::new(0.5, 0.5);
+        let warm = src.estimator(0).cost(a); // warms the shared cache
         let t = src.transfer_tenant(0, &mut dst);
         assert_eq!(src.tenant_count(), 1);
         assert_eq!(dst.tenant_count(), 1);
@@ -897,8 +834,8 @@ mod tests {
         assert_eq!(t.calibration, TransferCalibration::Traveled);
         assert!(t.calibration.destination_ready());
         assert!(dst.is_calibrated(), "model must travel with the tenant");
-        // Cached estimates traveled too: same answer, zero new
-        // optimizer calls.
+        // The destination finds the source's estimates under the
+        // traveled model: same answer, zero new optimizer calls.
         let est = dst.estimator(t.index);
         assert_eq!(est.cost(a), warm);
         assert_eq!(est.optimizer_calls(), 0);
@@ -929,22 +866,23 @@ mod tests {
     #[test]
     fn transfer_across_hardware_recalibrates_to_destination_oracle() {
         // The full calibration-management contract of a cross-hardware
-        // migration: the source model must NOT travel, the estimate
-        // cache must be dropped, and — after the destination
+        // migration: the source model must NOT travel, no estimate
+        // priced under it may be served, and — after the destination
         // calibrates — the usual refinement rounds must converge the
         // tenant's model to the *destination's* actual-cost oracle,
         // not the source's.
         let mut src = advisor_two_dss();
         let a = Allocation::new(0.5, 0.5);
         let src_model = src.model(0).clone();
-        let _ = src.estimator(0).cost(a); // warm the cache that must be dropped
+        let _ = src.estimator(0).cost(a); // warm rows that must not be served
         let mut spec = PhysicalMachine::paper_testbed();
         spec.core_ghz *= 2.0;
         spec.memory_mb *= 2.0;
         let mut dst = VirtualizationDesignAdvisor::new(Hypervisor::new(spec));
         let t = src.transfer_tenant(0, &mut dst);
         assert_eq!(t.calibration, TransferCalibration::Demoted);
-        // Cache dropped: nothing is served without optimizer work.
+        // The destination's own model: nothing is served without
+        // optimizer work.
         dst.ensure_calibrated();
         assert_ne!(
             dst.model(t.index),
@@ -974,12 +912,12 @@ mod tests {
     fn transfer_to_identically_calibrated_machine_reuses_calibration() {
         let mut src = advisor_two_dss();
         let mut dst = advisor_two_dss(); // same hardware, same calibration
+        share_one_cache(&mut src, &mut dst);
         let a = Allocation::new(0.5, 0.5);
         let warm = src.estimator(0).cost(a);
         let t = src.transfer_tenant(0, &mut dst);
         assert_eq!(t.calibration, TransferCalibration::ReusedIdentical);
-        // The warm cache traveled and stays valid under the identical
-        // calibration.
+        // The warm rows stay valid under the identical calibration.
         let est = dst.estimator(t.index);
         assert_eq!(est.cost(a), warm);
         assert_eq!(est.optimizer_calls(), 0);
@@ -1001,7 +939,8 @@ mod tests {
             0,
             "identical install must keep caches"
         );
-        // A genuinely different calibration cold-starts the caches.
+        // A genuinely different calibration prices from rows of its
+        // own, cold at first.
         let mut spec = PhysicalMachine::paper_testbed();
         spec.core_ghz *= 2.0;
         let other_hv = Hypervisor::new(spec);
@@ -1012,6 +951,73 @@ mod tests {
         let est = adv.estimator(0);
         let _ = est.cost(a);
         assert!(est.optimizer_calls() > 0, "stale cache must be dropped");
+    }
+
+    #[test]
+    fn a_reinstalled_calibration_finds_its_rows_and_its_memo() {
+        let mut adv = advisor_two_dss();
+        let space = SearchSpace::cpu_only(0.5);
+        let first = adv.recommend(&space);
+        let warm = adv.recommend_c2f_warm(&space);
+        let kind = adv.tenant(0).engine.kind();
+        let original = adv.model(0).clone();
+        let mut spec = PhysicalMachine::paper_testbed();
+        spec.core_ghz *= 2.0;
+        let other =
+            Calibrator::with_config(&Hypervisor::new(spec), adv.calibration_config().clone())
+                .calibrate(&adv.tenant(0).engine.clone());
+        adv.install_calibration(kind, other);
+        adv.install_calibration(kind, original);
+        // Both are keyed by the model fingerprint, which is back.
+        let again = adv.recommend(&space);
+        assert_eq!(again.optimizer_calls, 0, "{again:?}");
+        assert_eq!(again.result, first.result);
+        let memo = adv.recommend_c2f_warm(&space);
+        assert_eq!((memo.optimizer_calls, adv.warm_stats().0), (0, 1));
+        assert_eq!(memo.result, warm.result);
+    }
+
+    #[test]
+    fn a_reverted_workload_is_served_from_its_old_rows() {
+        let mut adv = advisor_two_dss();
+        let space = SearchSpace::cpu_only(0.5);
+        let original = adv.tenant(0).workload.clone();
+        let first = adv.recommend(&space);
+        adv.set_tenant_workload(0, tpch::query_workload(1, 2.0))
+            .unwrap();
+        let drifted = adv.recommend(&space);
+        assert!(drifted.optimizer_calls > 0, "{drifted:?}");
+        // A → B → A: the drift did not evict A's generation.
+        adv.set_tenant_workload(0, original).unwrap();
+        let reverted = adv.recommend(&space);
+        assert_eq!(reverted.optimizer_calls, 0, "{reverted:?}");
+        assert_eq!(reverted.result, first.result);
+    }
+
+    #[test]
+    fn identical_tenants_bill_the_serial_tally_in_parallel() {
+        // Two tenants with one workload share every probe row, so a
+        // parallel search has them look up the same keys at once.
+        let twins = |options: SearchOptions| {
+            let mut adv = advisor_two_dss();
+            adv.set_tenant_workload(0, adv.tenant(1).workload.clone())
+                .unwrap();
+            assert_eq!(adv.tenant(0).fingerprint(), adv.tenant(1).fingerprint());
+            adv.set_search_options(options);
+            adv
+        };
+        let tally = |rec: Recommendation| (rec.optimizer_calls, rec.cache_hits);
+        let space = SearchSpace::cpu_only(0.5);
+        let greedy = tally(twins(SearchOptions::serial()).recommend(&space));
+        let exhaustive = tally(twins(SearchOptions::serial()).recommend_exhaustive(&space));
+        for _ in 0..20 {
+            let parallel = SearchOptions::parallel();
+            assert_eq!(tally(twins(parallel).recommend(&space)), greedy);
+            assert_eq!(
+                tally(twins(parallel).recommend_exhaustive(&space)),
+                exhaustive
+            );
+        }
     }
 
     #[test]
@@ -1040,7 +1046,7 @@ mod tests {
         assert_eq!(second.optimizer_calls, 0, "{second:?}");
         assert_eq!(first.result, second.result);
         // One tenant drifts: a cold solve whose unchanged tenant is
-        // priced from its estimate cache, matching a cold solve on a
+        // priced from the probe cache, matching a cold solve on a
         // fresh identical advisor bit-for-bit.
         adv.scale_tenant_workload(0, 3.0);
         let drifted = adv.recommend_c2f_warm(&space);

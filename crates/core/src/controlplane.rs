@@ -72,7 +72,8 @@ use crate::costmodel::adaptive::{refit, Adaption, AdaptionOptions, RuntimeAdapti
 use crate::costmodel::calibration::{CalibratedModel, Calibrator};
 use crate::costmodel::whatif::{ProbeCache, WhatIfEstimator};
 use crate::enumerate::{
-    try_coarse_to_fine_search_with, CoarseToFineOptions, MachineClass, SearchOptions, SearchResult,
+    try_coarse_to_fine_search_with, warm_key, CoarseToFineOptions, MachineClass, SearchOptions,
+    SearchResult,
 };
 use crate::guardrail::{GuardrailOptions, GuardrailState, GuardrailTracker};
 use crate::metrics::{Clock, CostAccounting};
@@ -1198,7 +1199,9 @@ impl ControlPlane {
     /// occupied one, a placement whose allocations, costs or limit
     /// verdicts do not number the tenants, a `warm_key` with no
     /// placement, or calibrations that miss a hosted tenant's engine
-    /// kind.
+    /// kind. The snapshot carries no QoS or search spaces, so each
+    /// `warm_key` must equal the memo key recomputed from the rebuilt
+    /// fleet; a machine with no `warm_key` is not checked.
     pub fn restore(
         mut machines: Vec<VirtualizationDesignAdvisor>,
         spaces: Vec<SearchSpace>,
@@ -1276,6 +1279,15 @@ impl ControlPlane {
             }
             for (kind, model) in &ms.calibrations {
                 adv.install_calibration(*kind, model.clone());
+            }
+            // The memo key hashes the QoS and space the snapshot lacks.
+            if let Some(key) = ms.warm_key {
+                let (c2f, salt, fingerprints) = adv.warm_inputs(&spaces[m]);
+                if warm_key(&spaces[m], adv.qos(), &c2f, salt, &fingerprints) != key {
+                    return Err(format!(
+                        "machine {m}: warm_key does not match the rebuilt QoS and search space"
+                    ));
+                }
             }
             adv.attach_probe_cache(probe.clone());
             adv.restore_warm(memo, ms.cold_solves);
@@ -1423,7 +1435,10 @@ impl ControlPlane {
         }
         for &m in &dirty {
             if self.machines[m].tenant_count() == 0 {
+                // An empty machine has no placement, so no memo either:
+                // restore refuses a `warm_key` without a placement.
                 self.placements[m] = None;
+                self.machines[m].invalidate_warm();
             }
         }
     }

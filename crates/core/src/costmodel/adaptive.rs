@@ -30,8 +30,7 @@
 //! included) and [`AdaptiveCostModel::fingerprint`] fold the version
 //! in, so an adapted model can never alias its base — or a previous
 //! adaption of the same base — in the
-//! [`ProbeCache`](crate::costmodel::ProbeCache) /
-//! [`SharedEstimateCache`](crate::costmodel::SharedEstimateCache).
+//! [`ProbeCache`](crate::costmodel::ProbeCache).
 //!
 //! Everything here is deterministic: samples live in `BTreeMap`s keyed
 //! by `(tenant fingerprint, allocation key)`, eviction follows the

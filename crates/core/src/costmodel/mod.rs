@@ -40,4 +40,4 @@ pub use adaptive::{
 pub use calibration::{CalibratedModel, CalibrationConfig, CalibrationCost, Calibrator};
 pub use model::{ActualCostModel, CostModel, FnCostModel, RegimeFnCostModel};
 pub use renormalize::Renormalizer;
-pub use whatif::{Estimate, ProbeCache, SharedEstimateCache, WhatIfEstimator};
+pub use whatif::{Estimate, ProbeCache, WhatIfEstimator};

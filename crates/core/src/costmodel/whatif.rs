@@ -11,39 +11,33 @@
 //! (§5.1), and the paper harvests them "during configuration
 //! enumeration ... to minimize the number of optimizer calls".
 //!
-//! Estimates can be cached four ways:
+//! Estimates are cached in one place, a [`ProbeCache`] keyed by
+//! *(calibrated-model fingerprint, tenant fingerprint, allocation)*:
 //!
-//! * **local** ([`WhatIfEstimator::new`]) — a private per-instance
-//!   cache, the seed behaviour;
-//! * **shared** ([`WhatIfEstimator::with_shared_cache`]) — a
-//!   thread-safe [`SharedEstimateCache`] that outlives the estimator,
-//!   so the advisor's repeated searches (greedy, exhaustive,
-//!   refinement sampling, dynamic monitoring periods) pay for each
-//!   optimizer probe once. Entries are keyed by the tenant's
-//!   [`fingerprint`](crate::tenant::Tenant::fingerprint), which makes
-//!   stale entries unreachable when the workload changes;
-//! * **fleet-wide** ([`WhatIfEstimator::with_probe_cache`]) — a
-//!   [`ProbeCache`] keyed by *(calibrated-model fingerprint, tenant
-//!   fingerprint, allocation)*, shared by every estimator in a fleet.
-//!   Unlike a [`SharedEstimateCache`] it holds many generations at
-//!   once, so cross-period re-optimization and cross-machine candidate
-//!   pricing never re-probe a (tenant, model, allocation) point that
-//!   any machine probed before; entries priced under a replaced
-//!   calibration become unreachable because the model fingerprint
-//!   changes;
-//! * **disabled** ([`WhatIfEstimator::without_cache`]) — the §4.5
-//!   caching ablation.
+//! * [`WhatIfEstimator::with_probe_cache`] reads and fills a cache
+//!   that outlives the estimator: an advisor's own, or the fleet's,
+//!   shared by every machine. Repeated searches (greedy, exhaustive,
+//!   refinement sampling, dynamic monitoring periods) and
+//!   cross-machine candidate pricing pay for each optimizer probe
+//!   once. A changed workload or a replaced calibration changes a
+//!   fingerprint, so its old rows become unreachable; nothing resets
+//!   the cache by hand;
+//! * [`WhatIfEstimator::new`] is the same over a private cache;
+//! * [`WhatIfEstimator::without_cache`] recomputes every probe, the
+//!   §4.5 caching ablation.
+//!
+//! A missing key is *claimed* by its first lookup, so concurrent
+//! lookups wait instead of computing it again (see [`ProbeCache`]).
 
 use crate::costmodel::calibration::CalibratedModel;
 use crate::costmodel::model::CostModel;
 use crate::problem::{AllocKey, Allocation};
 use crate::tenant::Tenant;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use vda_simdb::hash::Fnv64;
 use vda_simdb::optimizer::Optimizer;
 
@@ -60,92 +54,18 @@ pub struct Estimate {
     pub avg_cost_per_statement: f64,
 }
 
-/// One generation of cached estimates: the fingerprint of the tenant
-/// state that produced them, plus the allocation-keyed estimates.
-#[derive(Debug, Default)]
-struct CacheGeneration {
-    fingerprint: u64,
-    // BTreeMap, not HashMap: `samples_for` feeds refinement's model
-    // fits, whose float sums are order-sensitive — the traversal
-    // order must not depend on a per-process RandomState.
-    map: BTreeMap<AllocKey, Estimate>,
-}
-
-/// A thread-safe estimate cache shared across estimator instances (and
-/// across searches). Cloning is cheap and shares the underlying map.
+/// The probe cache: what-if estimates keyed by *(calibrated-model
+/// fingerprint, tenant fingerprint)* generation, then by allocation.
+/// Cloning is cheap and shares the underlying map. Every advisor owns
+/// one; a fleet attaches one cache to all its machines.
 ///
-/// The cache serves one tenant slot, so exactly one workload
-/// fingerprint is live at a time: inserting under a new fingerprint
-/// evicts the previous generation, keeping long-running dynamic
-/// management (a workload change per monitoring period) from
-/// accumulating dead entries.
-#[derive(Debug, Clone, Default)]
-pub struct SharedEstimateCache {
-    inner: Arc<Mutex<CacheGeneration>>,
-}
-
-impl SharedEstimateCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cached estimate for a (fingerprint, allocation) pair.
-    pub fn get(&self, fingerprint: u64, key: AllocKey) -> Option<Estimate> {
-        let inner = self.inner.lock();
-        if inner.fingerprint != fingerprint {
-            return None;
-        }
-        inner.map.get(&key).copied()
-    }
-
-    /// Store an estimate, evicting any previous generation cached
-    /// under a different fingerprint.
-    pub fn insert(&self, fingerprint: u64, key: AllocKey, estimate: Estimate) {
-        let mut inner = self.inner.lock();
-        if inner.fingerprint != fingerprint {
-            inner.map.clear();
-            inner.fingerprint = fingerprint;
-        }
-        inner.map.insert(key, estimate);
-    }
-
-    /// Number of cached entries (current generation).
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().map.is_empty()
-    }
-
-    /// All cached (allocation, estimate) pairs for one fingerprint.
-    fn samples_for(&self, fingerprint: u64) -> Vec<(Allocation, Estimate)> {
-        let inner = self.inner.lock();
-        if inner.fingerprint != fingerprint {
-            return Vec::new();
-        }
-        inner
-            .map
-            .iter()
-            .map(|(&key, &est)| (Allocation::from_key(key), est))
-            .collect()
-    }
-}
-
-/// The fleet-wide probe cache: what-if estimates keyed by
-/// *(calibrated-model fingerprint, tenant fingerprint)* generation,
-/// then by allocation. Cloning is cheap and shares the underlying map.
-///
-/// This is the cross-period, cross-machine generalization of
-/// [`SharedEstimateCache`]: where the shared cache serves one tenant
-/// slot and keeps a single live generation, the probe cache holds many
-/// `(model, tenant)` generations simultaneously, so
+/// The cache holds many `(model, tenant)` generations at once, so
 ///
 /// * re-optimizing a fleet after one tenant's workload drifted pays
 ///   optimizer calls only for that tenant — every other tenant's
 ///   probes, at whatever allocation any search requests, are hits;
+/// * a workload that returns to an earlier state, or identical
+///   tenants on one machine, reuse the rows already probed;
 /// * candidate-migration pricing that evaluates the same tenant under
 ///   the same class calibration on several machines probes each
 ///   (allocation) point once fleet-wide;
@@ -157,6 +77,19 @@ impl SharedEstimateCache {
 /// Hit/miss counters live in the cache itself, so cross-period cache
 /// effectiveness is observable even though estimator instances (and
 /// their per-instance counters) are rebuilt every search.
+///
+/// # Claimed misses
+///
+/// Two threads of one parallel search can look up one key at once:
+/// identical tenants on one machine, or one tenant priced on two
+/// same-class machines in one wave. If both computed it, the
+/// optimizer-call bill would depend on thread timing. So the first
+/// lookup of a missing key claims it, and a concurrent lookup waits
+/// until the claim is filled and counts a hit (or, if the compute
+/// unwound, claims the key in turn). Each key is computed once, and the
+/// counts are the serial ones. A claim holder makes no other cache call
+/// before it fills, so the waits cannot deadlock, and no claim is open
+/// at the serial sync points where eviction, pruning and export run.
 ///
 /// # Bounded-memory mode and the eviction policy
 ///
@@ -213,7 +146,16 @@ impl SharedEstimateCache {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ProbeCache {
-    inner: Arc<Mutex<ProbeCacheInner>>,
+    inner: Arc<Shared>,
+}
+
+/// The cache state and the condition its claim waiters block on, in
+/// one allocation.
+#[derive(Debug, Default)]
+struct Shared {
+    state: Mutex<ProbeCacheInner>,
+    /// Signalled when a claimed key is filled or released.
+    settled: Condvar,
 }
 
 /// Deterministic size model for [`ProbeCache::approx_bytes`]: one
@@ -250,8 +192,9 @@ impl Generation {
 
 #[derive(Debug, Default)]
 struct ProbeCacheInner {
-    // Ordered for the same reason as `CacheGeneration::map`, and so
-    // `export` is deterministic by construction.
+    // BTreeMaps, not HashMaps: `samples_for` feeds refinement's model
+    // fits, whose float sums are order-sensitive, and `export` must be
+    // deterministic by construction.
     map: BTreeMap<(u64, u64), Generation>,
     // The victim index: one `(last_used, generation)` entry per
     // generation in `map`. Its first entry is the next victim, and
@@ -264,6 +207,10 @@ struct ProbeCacheInner {
     hits: u64,
     misses: u64,
     evictions: u64,
+    // Keys whose miss a thread is computing, at most one per thread.
+    claims: Vec<((u64, u64), AllocKey)>,
+    // Threads blocked in `get_or_claim` until a claim settles.
+    waiters: usize,
 }
 
 impl ProbeCacheInner {
@@ -348,37 +295,68 @@ impl ProbeCache {
         Self::default()
     }
 
-    /// Cached estimate for a (model, tenant, allocation) triple,
-    /// counting the lookup as a hit or a miss. A hit refreshes the
-    /// generation's recency stamp (see the eviction policy above).
-    fn get(&self, model: u64, tenant: u64, key: AllocKey) -> Option<Estimate> {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        let id = (model, tenant);
-        let hit = inner.map.get_mut(&id).and_then(|gen| {
-            let est = gen.rows.get(&key).copied()?;
-            gen.stamp(id, inner.epoch, &mut inner.recency);
-            Some(est)
-        });
-        match hit {
-            Some(_) => inner.hits += 1,
-            None => inner.misses += 1,
-        }
-        hit
+    /// The cache state. A poisoned lock is taken as is: no critical
+    /// section calls out of the cache, so none stops part-way, and
+    /// [`Claim`]'s drop must not panic.
+    fn lock(&self) -> MutexGuard<'_, ProbeCacheInner> {
+        self.inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Store an estimate under its (model, tenant) generation,
-    /// stamping the generation with the current epoch.
-    fn insert(&self, model: u64, tenant: u64, key: AllocKey, estimate: Estimate) {
-        self.inner.lock().put((model, tenant), [(key, estimate)]);
+    /// The cached estimate for `key` in generation `id` (`(model,
+    /// tenant)`), counted as a hit and refreshing the generation's
+    /// recency stamp, or else the claim to compute it, counted as a
+    /// miss. A key another thread has claimed is waited for.
+    fn get_or_claim(&self, id: (u64, u64), key: AllocKey) -> Result<Estimate, Claim<'_>> {
+        let mut guard = self.lock();
+        loop {
+            let inner = &mut *guard;
+            let hit = inner.map.get_mut(&id).and_then(|gen| {
+                let est = gen.rows.get(&key).copied()?;
+                gen.stamp(id, inner.epoch, &mut inner.recency);
+                Some(est)
+            });
+            if let Some(est) = hit {
+                inner.hits += 1;
+                return Ok(est);
+            }
+            if !inner.claims.contains(&(id, key)) {
+                inner.misses += 1;
+                inner.claims.push((id, key));
+                return Err(Claim {
+                    cache: self,
+                    id,
+                    key,
+                });
+            }
+            inner.waiters += 1;
+            guard = self
+                .inner
+                .settled
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+            guard.waiters -= 1;
+        }
+    }
+
+    /// Drop the claim on `key` in `id`, under the held lock `inner`,
+    /// and wake its waiters, if any (a single thread pays no wake-up).
+    /// A waiter finds the row a [`Claim::fill`] stored, or claims the
+    /// key in turn.
+    fn release(&self, mut inner: MutexGuard<'_, ProbeCacheInner>, id: (u64, u64), key: AllocKey) {
+        inner.claims.retain(|&claim| claim != (id, key));
+        if inner.waiters > 0 {
+            self.inner.settled.notify_all();
+        }
     }
 
     /// All cached (allocation, estimate) pairs of one generation.
-    fn samples_for(&self, model: u64, tenant: u64) -> Vec<(Allocation, Estimate)> {
-        self.inner
-            .lock()
+    fn samples_for(&self, id: (u64, u64)) -> Vec<(Allocation, Estimate)> {
+        self.lock()
             .map
-            .get(&(model, tenant))
+            .get(&id)
             .map(|g| {
                 g.rows
                     .iter()
@@ -397,9 +375,7 @@ impl ProbeCache {
     /// workload moves on.) The control plane drops the same rows
     /// without the sweep: it knows which fingerprints died.
     pub fn retain_tenants(&self, live: &HashSet<u64>) {
-        self.inner
-            .lock()
-            .retain(|(_, tenant)| live.contains(&tenant));
+        self.lock().retain(|(_, tenant)| live.contains(&tenant));
     }
 
     /// Drop every generation whose *model* fingerprint is not in
@@ -411,7 +387,7 @@ impl ProbeCache {
     /// somewhere in the fleet whenever machines are decommissioned
     /// (the control plane does the equivalent by lookup).
     pub fn retain_models(&self, live: &HashSet<u64>) {
-        self.inner.lock().retain(|(model, _)| live.contains(&model));
+        self.lock().retain(|(model, _)| live.contains(&model));
     }
 
     /// The control plane's prune: drop every generation of a model
@@ -423,7 +399,7 @@ impl ProbeCache {
     /// the distinct cached models and the generations dropped, not
     /// the cache size.
     pub(crate) fn drop_dead(&self, live_models: &HashSet<u64>, dead_tenants: &[u64]) {
-        self.inner.lock().drop_dead(live_models, dead_tenants);
+        self.lock().drop_dead(live_models, dead_tenants);
     }
 
     /// Every cached entry, flattened to `(model fingerprint, tenant
@@ -432,8 +408,7 @@ impl ProbeCache {
     /// snapshot export. Pair with [`Self::import`] to rebuild the
     /// cache in a restarted process.
     pub fn export(&self) -> Vec<(u64, u64, AllocKey, Estimate)> {
-        self.inner
-            .lock()
+        self.lock()
             .map
             .iter()
             .flat_map(|(&(model, tenant), g)| {
@@ -454,7 +429,7 @@ impl ProbeCache {
     /// with one `(model, tenant)` — a whole generation, in export
     /// order — is stored with one lookup.
     pub fn import(&self, rows: &[(u64, u64, AllocKey, Estimate)]) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         for run in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
             let (model, tenant, _, _) = run[0];
             inner.put(
@@ -469,12 +444,12 @@ impl ProbeCache {
     /// takes effect at the next [`Self::enforce_capacity`] call, so
     /// arming a cap mid-wave cannot race a parallel solve.
     pub fn set_capacity(&self, rows: usize) {
-        self.inner.lock().capacity = rows;
+        self.lock().capacity = rows;
     }
 
     /// The configured row capacity (`0` = unbounded).
     pub fn capacity(&self) -> usize {
-        self.inner.lock().capacity
+        self.lock().capacity
     }
 
     /// Install the logical epoch used to stamp generation recency.
@@ -482,7 +457,7 @@ impl ProbeCache {
     /// number before dispatching each event or batch; it is never
     /// derived from wall-clock time.
     pub fn set_epoch(&self, epoch: u64) {
-        self.inner.lock().epoch = epoch;
+        self.lock().epoch = epoch;
     }
 
     /// Evict least-recently-used generations until the total row count
@@ -494,7 +469,7 @@ impl ProbeCache {
     /// serial sync points (the control plane calls it after each event
     /// or batch, never from inside a solve wave).
     pub fn enforce_capacity(&self) -> u64 {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if inner.capacity == 0 {
             return 0;
         }
@@ -515,7 +490,7 @@ impl ProbeCache {
     /// Rows evicted by [`Self::enforce_capacity`] over the cache's
     /// lifetime.
     pub fn evictions(&self) -> u64 {
-        self.inner.lock().evictions
+        self.lock().evictions
     }
 
     /// Approximate resident size under a *fixed, deterministic* size
@@ -523,49 +498,57 @@ impl ProbeCache {
     /// figure that is bit-identical across platforms and thread
     /// counts, not a heap measurement.
     pub fn approx_bytes(&self) -> u64 {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         inner.rows as u64 * PROBE_ROW_BYTES + inner.map.len() as u64 * PROBE_GENERATION_BYTES
     }
 
     /// Cache hits recorded over the cache's lifetime.
     pub fn hits(&self) -> u64 {
-        self.inner.lock().hits
+        self.lock().hits
     }
 
     /// Cache misses recorded over the cache's lifetime.
     pub fn misses(&self) -> u64 {
-        self.inner.lock().misses
+        self.lock().misses
     }
 
     /// Total cached estimates across all generations.
     pub fn len(&self) -> usize {
-        self.inner.lock().rows
+        self.lock().rows
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().map.is_empty()
+        self.lock().map.is_empty()
     }
 }
 
-/// Where an estimator keeps (or doesn't keep) its estimates.
-#[derive(Debug)]
-enum CacheBackend {
-    /// Private per-instance cache (seed behaviour).
-    Local(Mutex<BTreeMap<AllocKey, Estimate>>),
-    /// Advisor-owned cache surviving across searches.
-    Shared {
-        cache: SharedEstimateCache,
-        fingerprint: u64,
-    },
-    /// Fleet-owned cache surviving across periods and machines.
-    Probe {
-        cache: ProbeCache,
-        model: u64,
-        tenant: u64,
-    },
-    /// §4.5 ablation: recompute every probe.
-    Disabled,
+/// A claimed miss (see [`ProbeCache`], "Claimed misses"): its holder
+/// computes the estimate and [`fill`](Self::fill)s it. Dropping an
+/// unfilled claim releases it, so a compute that unwinds never strands
+/// a waiter.
+#[must_use]
+struct Claim<'c> {
+    cache: &'c ProbeCache,
+    id: (u64, u64),
+    key: AllocKey,
+}
+
+impl Claim<'_> {
+    /// Store the claimed key's estimate, stamping its generation with
+    /// the current epoch, and release the claim in the same lock.
+    fn fill(self, estimate: Estimate) {
+        let mut inner = self.cache.lock();
+        inner.put(self.id, [(self.key, estimate)]);
+        self.cache.release(inner, self.id, self.key);
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.cache.release(self.cache.lock(), self.id, self.key);
+    }
 }
 
 /// The cached what-if estimator for one tenant.
@@ -573,7 +556,9 @@ enum CacheBackend {
 pub struct WhatIfEstimator<'a> {
     tenant: &'a Tenant,
     model: &'a CalibratedModel,
-    cache: CacheBackend,
+    /// The cache and the `(model, tenant)` generation this estimator
+    /// reads and fills; `None` is the §4.5 ablation.
+    cache: Option<(ProbeCache, (u64, u64))>,
     optimizer_calls: AtomicU64,
     cache_hits: AtomicU64,
 }
@@ -581,27 +566,10 @@ pub struct WhatIfEstimator<'a> {
 impl<'a> WhatIfEstimator<'a> {
     /// Create an estimator with a private cache.
     pub fn new(tenant: &'a Tenant, model: &'a CalibratedModel) -> Self {
-        Self::with_backend(
-            tenant,
-            model,
-            CacheBackend::Local(Mutex::new(BTreeMap::new())),
-        )
+        Self::with_probe_cache(tenant, model, ProbeCache::new())
     }
 
-    /// Create an estimator backed by a shared, thread-safe cache.
-    /// Entries are keyed by the tenant's current
-    /// [`fingerprint`](Tenant::fingerprint), so they survive estimator
-    /// churn but never serve a changed workload.
-    pub fn with_shared_cache(
-        tenant: &'a Tenant,
-        model: &'a CalibratedModel,
-        cache: SharedEstimateCache,
-    ) -> Self {
-        let fingerprint = tenant.fingerprint();
-        Self::with_backend(tenant, model, CacheBackend::Shared { cache, fingerprint })
-    }
-
-    /// Create an estimator backed by a fleet-wide [`ProbeCache`].
+    /// Create an estimator backed by a [`ProbeCache`] that outlives it.
     /// Entries are keyed by the calibrated model's
     /// [`fingerprint`](CalibratedModel::fingerprint) *and* the
     /// tenant's [`fingerprint`](Tenant::fingerprint), so they survive
@@ -612,25 +580,19 @@ impl<'a> WhatIfEstimator<'a> {
         model: &'a CalibratedModel,
         cache: ProbeCache,
     ) -> Self {
-        let backend = CacheBackend::Probe {
-            cache,
-            model: model.fingerprint(),
-            tenant: tenant.fingerprint(),
-        };
-        Self::with_backend(tenant, model, backend)
+        WhatIfEstimator {
+            cache: Some((cache, (model.fingerprint(), tenant.fingerprint()))),
+            ..Self::without_cache(tenant, model)
+        }
     }
 
     /// Create an estimator with the cache disabled (the §4.5 caching
     /// ablation).
     pub fn without_cache(tenant: &'a Tenant, model: &'a CalibratedModel) -> Self {
-        Self::with_backend(tenant, model, CacheBackend::Disabled)
-    }
-
-    fn with_backend(tenant: &'a Tenant, model: &'a CalibratedModel, cache: CacheBackend) -> Self {
         WhatIfEstimator {
             tenant,
             model,
-            cache,
+            cache: None,
             optimizer_calls: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
         }
@@ -643,35 +605,20 @@ impl<'a> WhatIfEstimator<'a> {
 
     /// Estimated cost (seconds) of the tenant's workload under `alloc`.
     pub fn estimate(&self, alloc: Allocation) -> Estimate {
-        let key = alloc.key();
-        let hit = match &self.cache {
-            CacheBackend::Local(map) => map.lock().get(&key).copied(),
-            CacheBackend::Shared { cache, fingerprint } => cache.get(*fingerprint, key),
-            CacheBackend::Probe {
-                cache,
-                model,
-                tenant,
-            } => cache.get(*model, *tenant, key),
-            CacheBackend::Disabled => None,
+        let Some((cache, id)) = &self.cache else {
+            return self.compute(alloc);
         };
-        if let Some(est) = hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return est;
-        }
-        let est = self.compute(alloc);
-        match &self.cache {
-            CacheBackend::Local(map) => {
-                map.lock().insert(key, est);
+        match cache.get_or_claim(*id, alloc.key()) {
+            Ok(est) => {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                est
             }
-            CacheBackend::Shared { cache, fingerprint } => cache.insert(*fingerprint, key, est),
-            CacheBackend::Probe {
-                cache,
-                model,
-                tenant,
-            } => cache.insert(*model, *tenant, key, est),
-            CacheBackend::Disabled => {}
+            Err(claim) => {
+                let est = self.compute(alloc);
+                claim.fill(est);
+                est
+            }
         }
-        est
     }
 
     /// Estimated cost in seconds (convenience).
@@ -716,23 +663,14 @@ impl<'a> WhatIfEstimator<'a> {
 
     /// Snapshot of every allocation estimated so far (refinement fits
     /// its initial models from these enumeration-time samples, §5.1).
-    /// With a shared cache this includes samples contributed by other
-    /// estimator instances for the same tenant fingerprint.
+    /// With a cache that outlives the estimator this includes samples
+    /// other estimators stored for the same model and tenant
+    /// fingerprints.
     pub fn samples(&self) -> Vec<(Allocation, Estimate)> {
-        match &self.cache {
-            CacheBackend::Local(map) => map
-                .lock()
-                .iter()
-                .map(|(&key, &est)| (Allocation::from_key(key), est))
-                .collect(),
-            CacheBackend::Shared { cache, fingerprint } => cache.samples_for(*fingerprint),
-            CacheBackend::Probe {
-                cache,
-                model,
-                tenant,
-            } => cache.samples_for(*model, *tenant),
-            CacheBackend::Disabled => Vec::new(),
-        }
+        self.cache
+            .as_ref()
+            .map(|(cache, id)| cache.samples_for(*id))
+            .unwrap_or_default()
     }
 }
 
@@ -810,48 +748,6 @@ mod tests {
         let calls = est.optimizer_calls();
         est.estimate(a);
         assert_eq!(est.optimizer_calls(), 2 * calls);
-    }
-
-    #[test]
-    fn shared_cache_survives_estimator_churn() {
-        let (hv, tenant) = setup();
-        let model = Calibrator::new(&hv).calibrate(&tenant.engine);
-        let cache = SharedEstimateCache::new();
-        let a = Allocation::new(0.5, 0.5);
-
-        let first = WhatIfEstimator::with_shared_cache(&tenant, &model, cache.clone());
-        let e1 = first.estimate(a);
-        assert!(first.optimizer_calls() > 0);
-
-        // A brand-new estimator instance reuses the cached estimate.
-        let second = WhatIfEstimator::with_shared_cache(&tenant, &model, cache.clone());
-        let e2 = second.estimate(a);
-        assert_eq!(e1, e2);
-        assert_eq!(second.optimizer_calls(), 0);
-        assert_eq!(second.cache_hits(), 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn shared_cache_keys_by_workload_fingerprint() {
-        let (hv, mut tenant) = setup();
-        let model = Calibrator::new(&hv).calibrate(&tenant.engine);
-        let cache = SharedEstimateCache::new();
-        let a = Allocation::new(0.5, 0.5);
-
-        let before = WhatIfEstimator::with_shared_cache(&tenant, &model, cache.clone());
-        let e_before = before.estimate(a);
-        drop(before);
-
-        // Change the workload: the old entry must not be served, and
-        // the new generation evicts the old one (no unbounded growth
-        // across monitoring periods).
-        tenant.set_workload(tpch::query_workload(18, 1.0)).unwrap();
-        let after = WhatIfEstimator::with_shared_cache(&tenant, &model, cache.clone());
-        let e_after = after.estimate(a);
-        assert!(after.optimizer_calls() > 0, "stale entry served");
-        assert_ne!(e_before.seconds, e_after.seconds);
-        assert_eq!(cache.len(), 1, "old generation must be evicted");
     }
 
     #[test]
@@ -938,10 +834,11 @@ mod tests {
 
     #[test]
     fn probe_cache_keeps_generations_side_by_side() {
-        // Unlike SharedEstimateCache, a workload change must NOT evict
-        // the previous generation: cross-period re-optimization wants
-        // the unchanged tenants' probes to stay warm while the drifted
-        // tenant re-probes under its new fingerprint.
+        // A workload change must NOT evict the previous generation:
+        // cross-period re-optimization wants the unchanged tenants'
+        // probes to stay warm while the drifted tenant re-probes under
+        // its new fingerprint, and a workload that reverts finds its
+        // old rows.
         let (hv, mut tenant) = setup();
         let model = Calibrator::new(&hv).calibrate(&tenant.engine);
         let cache = ProbeCache::new();
@@ -1060,6 +957,49 @@ mod tests {
         }
     }
 
+    /// Spin until `n` threads wait on a claim in `cache`.
+    fn await_waiters(cache: &ProbeCache, n: usize) {
+        while cache.lock().waiters < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_lookup_of_a_claimed_key_waits_for_the_fill_and_counts_a_hit() {
+        let cache = ProbeCache::new();
+        let claim = cache
+            .get_or_claim((42, 10), [0; 4])
+            .expect_err("an empty cache misses");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| cache.get_or_claim((42, 10), [0; 4]).ok());
+            await_waiters(&cache, 1);
+            claim.fill(row(7));
+            assert_eq!(waiter.join().unwrap(), Some(row(7)));
+        });
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_released_claim_passes_to_its_waiter() {
+        let cache = ProbeCache::new();
+        let claim = cache
+            .get_or_claim((42, 10), [0; 4])
+            .expect_err("an empty cache misses");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| match cache.get_or_claim((42, 10), [0; 4]) {
+                Ok(_) => panic!("a released key has no row to hit"),
+                Err(claim) => claim.fill(row(8)),
+            });
+            await_waiters(&cache, 1);
+            // Dropping the claim unfilled releases it.
+            drop(claim);
+            waiter.join().unwrap();
+        });
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!(cache.export(), [(42, 10, [0; 4], row(8))]);
+    }
+
     #[test]
     fn a_hit_moves_its_generation_to_the_back_of_the_victim_order() {
         let cache = ProbeCache::new();
@@ -1068,18 +1008,18 @@ mod tests {
             cache.import(&[(42, tenant, [0; 4], row(tenant))]);
         }
         let order = |cache: &ProbeCache| -> Vec<(u64, (u64, u64))> {
-            cache.inner.lock().recency.iter().copied().collect()
+            cache.lock().recency.iter().copied().collect()
         };
         assert_eq!(order(&cache), [(1, (42, 10)), (2, (42, 11)), (3, (42, 12))]);
 
         cache.set_epoch(4);
-        assert_eq!(cache.get(42, 10, [0; 4]), Some(row(10)));
+        assert_eq!(cache.get_or_claim((42, 10), [0; 4]).ok(), Some(row(10)));
         let after_first_hit = order(&cache);
         assert_eq!(
             after_first_hit,
             [(2, (42, 11)), (3, (42, 12)), (4, (42, 10))]
         );
-        assert_eq!(cache.get(42, 10, [0; 4]), Some(row(10)));
+        assert_eq!(cache.get_or_claim((42, 10), [0; 4]).ok(), Some(row(10)));
         assert_eq!(
             order(&cache),
             after_first_hit,
@@ -1232,11 +1172,15 @@ mod tests {
                             reference.epoch = epoch;
                         }
                         Op::Insert((m, t, k, v)) => {
-                            cache.insert(m, t, key(k), row(v));
+                            cache.import(&[(m, t, key(k), row(v))]);
                             reference.insert((m, t), key(k), row(v));
                         }
                         Op::Get((m, t, k, _)) => {
-                            prop_assert_eq!(cache.get(m, t, key(k)), reference.get((m, t), key(k)));
+                            // A miss drops its claim unfilled.
+                            prop_assert_eq!(
+                                cache.get_or_claim((m, t), key(k)).ok(),
+                                reference.get((m, t), key(k))
+                            );
                         }
                         Op::Import(draws) => {
                             let rows: Vec<_> =

@@ -1184,10 +1184,11 @@ fn limit_aware_refinement<M: CostModel>(
 /// Any change (a drifted workload, a different δ grid, a recalibrated
 /// model, a new degradation limit) misses the key and runs the one
 /// cold solve. Its probes of unchanged workloads at cells probed before
-/// are hits in a cache that outlives the search (the fleet
-/// [`ProbeCache`](crate::costmodel::ProbeCache), or an advisor's
-/// per-tenant estimate caches), so a miss pays optimizer calls mostly
-/// for what drifted. The memo never changes an answer:
+/// are hits in a cache that outlives the search (the advisor's
+/// [`ProbeCache`](crate::costmodel::ProbeCache), or the fleet's), so a
+/// miss pays optimizer calls mostly for what drifted. Because the key
+/// covers all of that, its owner never has to invalidate it when the
+/// machine changes. The memo never changes an answer:
 /// `tests/warm_start.rs` pins warm ≡ cold.
 #[derive(Debug, Default)]
 pub struct WarmStart {
@@ -1248,7 +1249,7 @@ impl WarmStart {
 /// The memo key: machine class (axis set, δs, fixed shares, min share)
 /// ⊕ caller salt (calibration identity) ⊕ the full QoS vector ⊕ the
 /// coarse-to-fine settings ⊕ the workload fingerprints.
-fn warm_key(
+pub(crate) fn warm_key(
     space: &SearchSpace,
     qos: &[QoS],
     c2f: &CoarseToFineOptions,

@@ -77,7 +77,7 @@ pub use controlplane::{
 pub use costmodel::{
     ActualCostModel, Adaption, AdaptionOptions, AdaptiveCostModel, AxisCorrection, CalibratedModel,
     Calibrator, CostModel, Estimate, FnCostModel, ProbeCache, RegimeFnCostModel, Renormalizer,
-    RuntimeAdaptionStorage, SharedEstimateCache, WhatIfEstimator,
+    RuntimeAdaptionStorage, WhatIfEstimator,
 };
 pub use dynamic::{DynamicConfigManager, DynamicOptions, ManagementMode, PeriodReport};
 pub use enumerate::{

@@ -102,9 +102,9 @@ impl Tenant {
     /// estimate for this tenant besides the calibrated model and the
     /// candidate allocation: engine (kind *and* tuning policy),
     /// catalog statistics, and the workload's statements with their
-    /// frequencies. Shared estimate caches key entries by it, so a
-    /// workload change makes old entries unreachable rather than
-    /// wrong.
+    /// frequencies. The [`ProbeCache`](crate::costmodel::ProbeCache)
+    /// keys entries by it (with the model fingerprint), so a workload
+    /// change makes old entries unreachable rather than wrong.
     ///
     /// Memoized in two parts, so a stored value is a read and a
     /// workload change re-hashes only the statements: the hash state

@@ -155,7 +155,8 @@ impl Catalog {
 
     /// Stable identity of the catalog's statistics. Two catalogs with
     /// the same signature produce the same optimizer estimates, so the
-    /// advisor's shared estimate caches key entries by it. Tables live
+    /// advisor's probe cache keys entries by it (through the tenant
+    /// fingerprint). Tables live
     /// in a `BTreeMap`, making the `Debug` rendering deterministic.
     pub fn signature(&self) -> u64 {
         crate::hash::fnv1a(&format!("{:?}", self))

@@ -2,7 +2,7 @@
 //! advisors, greedy-vs-exhaustive agreement, and the parallel/serial
 //! equivalence contract of the enumeration batch evaluator.
 
-use vda::core::costmodel::{CostModel, SharedEstimateCache, WhatIfEstimator};
+use vda::core::costmodel::{CostModel, WhatIfEstimator};
 use vda::core::enumerate::{greedy_search_with, try_exhaustive_search_with, SearchOptions};
 use vda::core::metrics::CostAccounting;
 use vda::core::problem::{Allocation, QoS, SearchSpace};
@@ -54,17 +54,11 @@ fn mixed_engines_greedy_agrees_with_exhaustive() {
     assert!(total <= 1.0 + 1e-9);
 }
 
-/// Fresh estimators over private shared caches, so optimizer-call
-/// counters start at zero for each enumeration run.
+/// Fresh estimators over private caches, so optimizer-call counters
+/// start at zero for each enumeration run.
 fn fresh_estimators(adv: &VirtualizationDesignAdvisor) -> Vec<WhatIfEstimator<'_>> {
     (0..adv.tenant_count())
-        .map(|i| {
-            WhatIfEstimator::with_shared_cache(
-                adv.tenant(i),
-                adv.model(i),
-                SharedEstimateCache::new(),
-            )
-        })
+        .map(|i| WhatIfEstimator::new(adv.tenant(i), adv.model(i)))
         .collect()
 }
 

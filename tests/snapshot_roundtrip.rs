@@ -316,8 +316,8 @@ fn ring_buffer_snapshot_restores_at_a_wrapped_head_position() {
 }
 
 /// A restored plane rejects topologies that do not match the snapshot
-/// (wrong machine count, wrong hardware, wrong tenants) and machine
-/// states a live plane never has.
+/// (wrong machine count, wrong hardware, wrong tenants, QoS or search
+/// space) and machine states a live plane never has.
 #[test]
 fn restore_validates_the_rebuilt_topology() {
     let (machines, spaces) = fleet();
@@ -339,6 +339,27 @@ fn restore_validates_the_rebuilt_topology() {
     machines[0].remove_tenant(1);
     let err = ControlPlane::restore(machines, spaces, options(), &snapshot).unwrap_err();
     assert!(err.contains("tenant"), "{err}");
+
+    // The snapshot carries neither QoS nor search spaces, but each
+    // machine's memo key hashes both: a fleet rebuilt with a changed
+    // degradation limit or grid is refused, not resumed on placements
+    // solved under the old ones.
+    let (mut machines, spaces) = fleet();
+    for adv in &mut machines {
+        adv.set_qos(0, QoS::with_limit(1.01));
+    }
+    let err = ControlPlane::restore(machines, spaces, options(), &snapshot).unwrap_err();
+    assert!(
+        err.contains("machine 0") && err.contains("warm_key"),
+        "{err}"
+    );
+    let (machines, mut spaces) = fleet();
+    spaces[1] = SearchSpace::cpu_only(1024.0 / 8192.0);
+    let err = ControlPlane::restore(machines, spaces, options(), &snapshot).unwrap_err();
+    assert!(
+        err.contains("machine 1") && err.contains("warm_key"),
+        "{err}"
+    );
 
     // Machine 1 (two tenants) edited into a state no live plane has;
     // `what` must appear in the refusal.
@@ -397,6 +418,23 @@ fn restore_validates_the_rebuilt_topology() {
 
     let (machines, spaces) = fleet();
     assert!(ControlPlane::restore(machines, spaces, options(), &snapshot).is_ok());
+}
+
+/// A machine emptied by departures holds neither a placement nor a
+/// memo key, so its snapshot passes restore's checks and round-trips.
+#[test]
+fn a_machine_emptied_by_departures_restores() {
+    let (machines, spaces) = fleet();
+    let mut plane = ControlPlane::new(machines, spaces, options());
+    for slot in [1, 0] {
+        plane.process_event(FleetEvent::TenantDeparted { machine: 1, slot });
+    }
+    let snapshot = plane.snapshot();
+    assert_eq!(snapshot.machines[1].warm_key, None);
+    let (machines, spaces) = rebuild(&plane);
+    let restored = ControlPlane::restore(machines, spaces, options(), &snapshot)
+        .expect("an emptied machine restores");
+    assert_eq!(restored.snapshot().to_json(), snapshot.to_json());
 }
 
 /// A restored machine's memo is the uninterrupted one's: its memo key
