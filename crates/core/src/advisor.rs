@@ -19,7 +19,8 @@
 //! The cache and the memo of the last solve are keyed, never reset:
 //! both hash the model and tenant fingerprints (the memo also the QoS
 //! and the search space), so a recalibration, drift or move changes a
-//! key, and a state that returns finds its old rows.
+//! key, and a state that returns finds its old rows until
+//! [`ProbeCache::prune`] drops the fingerprints the advisor let go of.
 //!
 //! Calibrated models are stored **per engine kind**, exactly like the
 //! paper's one-time per-DBMS-per-machine calibration. Tenant ↔ model
@@ -121,7 +122,8 @@ pub struct VirtualizationDesignAdvisor {
     /// `(calibrated-model fingerprint, tenant fingerprint,
     /// allocation)`: the advisor's own, or the fleet's once
     /// [`Self::attach_probe_cache`] swaps it in, so identical probes
-    /// are shared across searches, periods and machines.
+    /// are shared across searches, periods and machines. It holds
+    /// every hosted tenant's fingerprint.
     probe: ProbeCache,
     /// Warm-start state for [`Self::recommend_c2f_warm`]; interior
     /// mutability keeps the recommend API `&self` like its siblings.
@@ -149,8 +151,13 @@ impl VirtualizationDesignAdvisor {
     /// the advisor's own. Entries are keyed by calibrated model and
     /// tenant fingerprint, so a recalibration or workload drift never
     /// reads stale estimates — and two machines pricing the same
-    /// tenant under the same calibration share probes.
+    /// tenant under the same calibration share probes. The tenants'
+    /// holds move to `cache`.
     pub fn attach_probe_cache(&mut self, cache: ProbeCache) {
+        for t in &self.tenants {
+            cache.hold_tenant(t.fingerprint());
+            self.probe.release_tenant(t.fingerprint());
+        }
         self.probe = cache;
     }
 
@@ -173,6 +180,7 @@ impl VirtualizationDesignAdvisor {
 
     /// Register a tenant with its QoS settings; returns its index.
     pub fn add_tenant(&mut self, tenant: Tenant, qos: QoS) -> usize {
+        self.probe.hold_tenant(tenant.fingerprint());
         self.tenants.push(tenant);
         self.qos.push(qos);
         self.tenants.len() - 1
@@ -202,13 +210,26 @@ impl VirtualizationDesignAdvisor {
     /// When a statement of `workload` does not bind against the
     /// tenant's catalog; the tenant is left unchanged.
     pub fn set_tenant_workload(&mut self, i: usize, workload: Workload) -> DbResult<()> {
-        self.tenants[i].set_workload(workload)
+        self.change_tenant(i, |t| t.set_workload(workload))
     }
 
     /// Scale tenant `i`'s workload intensity by `factor` —
     /// [`Tenant::scale_workload`] on the hosted tenant.
     pub fn scale_tenant_workload(&mut self, i: usize, factor: f64) {
-        self.tenants[i].scale_workload(factor);
+        self.change_tenant(i, |t| t.scale_workload(factor));
+    }
+
+    /// Apply `change` to tenant `i`, moving its hold to the fingerprint
+    /// the change leaves it with.
+    fn change_tenant<T>(&mut self, i: usize, change: impl FnOnce(&mut Tenant) -> T) -> T {
+        let before = self.tenants[i].fingerprint();
+        let out = change(&mut self.tenants[i]);
+        let after = self.tenants[i].fingerprint();
+        if after != before {
+            self.probe.hold_tenant(after);
+            self.probe.release_tenant(before);
+        }
+        out
     }
 
     /// Swap two tenants between their VM slots (the §7.10 scenario:
@@ -264,6 +285,8 @@ impl VirtualizationDesignAdvisor {
             (Some(_), None) => TransferCalibration::Demoted,
             (None, None) => TransferCalibration::SourceUncalibrated,
         };
+        dest.probe.hold_tenant(tenant.fingerprint());
+        self.probe.release_tenant(tenant.fingerprint());
         dest.tenants.push(tenant);
         dest.qos.push(qos);
         TenantTransfer {
@@ -276,7 +299,9 @@ impl VirtualizationDesignAdvisor {
     /// Returns the tenant and its QoS settings. Calibrated models stay
     /// (they are per engine kind per machine, not per tenant).
     pub fn remove_tenant(&mut self, i: usize) -> (Tenant, QoS) {
-        (self.tenants.remove(i), self.qos.remove(i))
+        let tenant = self.tenants.remove(i);
+        self.probe.release_tenant(tenant.fingerprint());
+        (tenant, self.qos.remove(i))
     }
 
     /// Per-tenant QoS settings.
@@ -600,6 +625,15 @@ impl VirtualizationDesignAdvisor {
             opts,
         );
         (outcome, models)
+    }
+}
+
+impl Drop for VirtualizationDesignAdvisor {
+    /// Release every hosted tenant's hold.
+    fn drop(&mut self) {
+        for t in &self.tenants {
+            self.probe.release_tenant(t.fingerprint());
+        }
     }
 }
 
@@ -992,6 +1026,41 @@ mod tests {
         let reverted = adv.recommend(&space);
         assert_eq!(reverted.optimizer_calls, 0, "{reverted:?}");
         assert_eq!(reverted.result, first.result);
+    }
+
+    #[test]
+    fn holds_follow_tenants_through_transfers_attaches_and_drops() {
+        let shared = ProbeCache::new();
+        let mut src = advisor_two_dss();
+        let mut dst =
+            VirtualizationDesignAdvisor::new(Hypervisor::new(PhysicalMachine::paper_testbed()));
+        src.attach_probe_cache(shared.clone());
+        dst.attach_probe_cache(shared.clone());
+        let live: std::collections::HashSet<u64> = src
+            .calibrations()
+            .iter()
+            .map(|(_, m)| m.fingerprint())
+            .collect();
+        let tenants = |cache: &ProbeCache| -> Vec<u64> {
+            let mut fps: Vec<u64> = cache.export().iter().map(|r| r.1).collect();
+            fps.dedup();
+            fps
+        };
+        src.recommend(&SearchSpace::cpu_only(0.5));
+        let moved = src.tenant(0).fingerprint();
+        assert_eq!(tenants(&shared).len(), 2);
+        // A migration keeps the tenant held.
+        src.transfer_tenant(0, &mut dst);
+        shared.prune(&live);
+        assert_eq!(tenants(&shared).len(), 2);
+        // Attaching another cache releases the shared one's holds.
+        src.attach_probe_cache(ProbeCache::new());
+        shared.prune(&live);
+        assert_eq!(tenants(&shared), [moved]);
+        // So does dropping the advisor.
+        drop(dst);
+        shared.prune(&live);
+        assert!(shared.is_empty());
     }
 
     #[test]

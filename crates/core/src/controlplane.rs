@@ -25,11 +25,10 @@
 //!    the fleet [`ProbeCache`]. Everything stays bit-identical to a
 //!    cold re-solve of the whole fleet.
 //! 3. **Reconcile**: a *major* workload change (the §6.1 per-query
-//!    estimate metric against
-//!    [`ControlPlaneOptions::change_threshold`]) or a tenant arrival
-//!    makes that tenant a cross-shard migration candidate. Candidate
-//!    destinations (the least-loaded machines with capacity,
-//!    [`ControlPlaneOptions::reconcile_fanout`] of them) are priced
+//!    estimate metric against the paper's λ = 10 %, the threshold the
+//!    §6 manager defaults to) or a tenant arrival makes that tenant a
+//!    cross-shard migration candidate. Candidate destinations (the
+//!    four least-loaded machines with capacity) are priced
 //!    non-destructively with hypothetical estimator sets; the merge is
 //!    deterministic — candidates are visited in `(tenant count,
 //!    machine index)` order and a move is taken only if its
@@ -71,6 +70,7 @@ use crate::advisor::{Recommendation, VirtualizationDesignAdvisor};
 use crate::costmodel::adaptive::{refit, Adaption, AdaptionOptions, RuntimeAdaptionStorage};
 use crate::costmodel::calibration::{CalibratedModel, Calibrator};
 use crate::costmodel::whatif::{ProbeCache, WhatIfEstimator};
+use crate::dynamic::CHANGE_THRESHOLD;
 use crate::enumerate::{
     try_coarse_to_fine_search_with, warm_key, CoarseToFineOptions, MachineClass, SearchOptions,
     SearchResult,
@@ -84,7 +84,7 @@ use crate::tenant::Tenant;
 use parking_lot::Mutex;
 use rayon::prelude::ParallelMapSlice;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use vda_simdb::engines::EngineKind;
 use vda_workloads::Workload;
 
@@ -179,10 +179,6 @@ pub struct AdaptiveTuningOptions {
 /// Tuning knobs of the [`ControlPlane`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControlPlaneOptions {
-    /// λ of the §6.1 major/minor classifier on the per-query
-    /// cost-estimate change (the paper uses 10 %). Only major changes
-    /// become migration candidates.
-    pub change_threshold: f64,
     /// Minimum relative fleet-objective gain (net of any surcharge)
     /// before a reconcile migration is taken.
     pub migration_threshold: f64,
@@ -190,9 +186,6 @@ pub struct ControlPlaneOptions {
     /// destination must recalibrate the tenant's model, so the move
     /// has to promise strictly more than a same-class one.
     pub recalibration_surcharge: f64,
-    /// How many candidate destinations (least-loaded first) the
-    /// reconcile pass prices per migration candidate.
-    pub reconcile_fanout: usize,
     /// Prune the probe cache and class registry every this many events
     /// (`0` disables periodic pruning; decommissions always prune). A
     /// prune costs in proportion to the generations that died since
@@ -227,10 +220,8 @@ pub struct ControlPlaneOptions {
 impl Default for ControlPlaneOptions {
     fn default() -> Self {
         ControlPlaneOptions {
-            change_threshold: 0.10,
             migration_threshold: 0.05,
             recalibration_surcharge: 0.02,
-            reconcile_fanout: 4,
             prune_every: 64,
             incremental: true,
             probe_cache_capacity: 0,
@@ -531,13 +522,6 @@ pub struct ControlPlane {
     /// Current placement per machine (`None` while a machine is
     /// empty).
     placements: Vec<Option<SearchResult>>,
-    /// Hosted tenants per workload fingerprint. A fingerprint leaves
-    /// the map when its last tenant departs or changes workload, so a
-    /// fingerprint is live exactly while it is a key. Only looked up.
-    tenant_refs: HashMap<u64, usize>,
-    /// Fingerprints whose count reached zero since the last prune —
-    /// the only tenants whose probe generations a prune can find dead.
-    dead_tenants: BTreeSet<u64>,
     /// Per-(hardware class, engine kind) residual stores feeding the
     /// adaptive refits. Empty unless
     /// [`ControlPlaneOptions::adaptive`] is set.
@@ -588,8 +572,6 @@ impl ControlPlane {
             probe,
             class_models: BTreeMap::new(),
             placements,
-            tenant_refs: HashMap::new(),
-            dead_tenants: BTreeSet::new(),
             adaption: BTreeMap::new(),
             tuners: BTreeMap::new(),
             log,
@@ -612,7 +594,6 @@ impl ControlPlane {
                 plane.class_models.entry((hw, kind)).or_insert(model);
             }
         }
-        plane.count_hosted_tenants();
         for m in 0..k {
             plane.ensure_machine_calibrated(m);
         }
@@ -883,11 +864,9 @@ impl ControlPlane {
                     workload,
                 } => {
                     self.note_first_touch(&mut pending, &mut kinds, machine, slot);
-                    let before = self.machines[machine].tenant(slot).fingerprint();
                     self.machines[machine]
                         .set_tenant_workload(slot, workload)
                         .expect("new workload must bind against the tenant's catalog");
-                    self.retag_tenant(machine, slot, before);
                     dirty.push(machine);
                     kinds.changed += 1;
                     if n == 1 {
@@ -900,9 +879,7 @@ impl ControlPlane {
                     factor,
                 } => {
                     self.note_first_touch(&mut pending, &mut kinds, machine, slot);
-                    let before = self.machines[machine].tenant(slot).fingerprint();
                     self.machines[machine].scale_tenant_workload(slot, factor);
-                    self.retag_tenant(machine, slot, before);
                     dirty.push(machine);
                     kinds.scaled += 1;
                     if n == 1 {
@@ -920,7 +897,6 @@ impl ControlPlane {
                         "machine {machine} has no free capacity slot"
                     );
                     let slot = self.machines[machine].add_tenant(*tenant, qos);
-                    self.tenant_entered(self.machines[machine].tenant(slot).fingerprint());
                     self.ensure_machine_calibrated(machine);
                     arrivals.push((machine, slot));
                     dirty.push(machine);
@@ -931,7 +907,6 @@ impl ControlPlane {
                 }
                 FleetEvent::TenantDeparted { machine, slot } => {
                     let (tenant, _) = self.machines[machine].remove_tenant(slot);
-                    self.tenant_left(tenant.fingerprint());
                     // A canary must not outlive its evidence stream: if
                     // the departed tenant was in any live canary subset,
                     // that candidate rolls back deterministically.
@@ -1187,7 +1162,9 @@ impl ControlPlane {
     /// Subsequent events cost what they would have cost the process
     /// that never restarted, and their results are bit-identical to
     /// it. Probe rows beyond `options.probe_cache_capacity` are
-    /// evicted before this returns, in the cache's usual victim order.
+    /// evicted before this returns, in the cache's usual victim order,
+    /// and rows of tenants gone before the snapshot leave at the next
+    /// prune, as they would have without the restart.
     ///
     /// # Errors
     ///
@@ -1220,15 +1197,6 @@ impl ControlPlane {
         }
         let probe = ProbeCache::new();
         probe.set_capacity(options.probe_cache_capacity);
-        // Recency is runtime state: imported generations are stamped
-        // with the restore-time epoch (the snapshot's seq), so the
-        // restored cache treats everything as just-used.
-        probe.set_epoch(snapshot.seq);
-        probe.import(&snapshot.probes);
-        // The restoring process may run a tighter cap than the one
-        // that wrote the snapshot: bound the cache now, as `new` does,
-        // not at the first decision.
-        probe.enforce_capacity();
         for (m, (adv, ms)) in machines.iter_mut().zip(&snapshot.machines).enumerate() {
             let hw = adv.hypervisor().machine().fingerprint();
             if hw != ms.hardware {
@@ -1292,6 +1260,17 @@ impl ControlPlane {
             adv.attach_probe_cache(probe.clone());
             adv.restore_warm(memo, ms.cold_solves);
         }
+        // Recency is runtime state: imported generations are stamped
+        // with the restore-time epoch (the snapshot's seq). The rebuilt
+        // advisors hold their tenants by now, so the import queues the
+        // tenants that left since the last prune, as they are queued
+        // in the uninterrupted plane's cache.
+        probe.set_epoch(snapshot.seq);
+        probe.import(&snapshot.probes);
+        // The restoring process may run a tighter cap than the one
+        // that wrote the snapshot: bound the cache now, as `new` does,
+        // not at the first decision.
+        probe.enforce_capacity();
         let class_models = snapshot
             .registry
             .iter()
@@ -1329,15 +1308,13 @@ impl ControlPlane {
                 )
             })
             .collect();
-        let mut plane = ControlPlane {
+        Ok(ControlPlane {
             machines,
             spaces,
             options,
             probe,
             class_models,
             placements,
-            tenant_refs: HashMap::new(),
-            dead_tenants: BTreeSet::new(),
             adaption,
             tuners,
             log,
@@ -1347,23 +1324,7 @@ impl ControlPlane {
             resolves: snapshot.resolves,
             waves: snapshot.waves,
             migrations: snapshot.migrations,
-        };
-        plane.count_hosted_tenants();
-        // A snapshot taken between prunes holds generations of tenants
-        // that had already left: queue them, as the uninterrupted
-        // plane's queue holds them, so the next prune drops them too.
-        // Rows are generation-ordered, so each run of one tenant's
-        // rows is checked once.
-        let mut last = None;
-        for &(_, tenant, _, _) in &snapshot.probes {
-            if last != Some(tenant) {
-                last = Some(tenant);
-                if !plane.tenant_refs.contains_key(&tenant) {
-                    plane.dead_tenants.insert(tenant);
-                }
-            }
-        }
-        Ok(plane)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1372,8 +1333,8 @@ impl ControlPlane {
 
     /// §6.1 change metric at a fixed reference allocation, after the
     /// workload mutated: relative per-query estimate change vs
-    /// `before`, classified against
-    /// [`ControlPlaneOptions::change_threshold`].
+    /// `before`, classified against the paper's λ
+    /// ([`CHANGE_THRESHOLD`]).
     fn classify_major(&mut self, m: usize, slot: usize, before: f64) -> bool {
         let after = self.per_query_estimate(m, slot);
         let change = if before > 0.0 {
@@ -1381,7 +1342,7 @@ impl ControlPlane {
         } else {
             0.0
         };
-        change > self.options.change_threshold
+        change > CHANGE_THRESHOLD
     }
 
     /// Per-query cost estimate of tenant `slot` on machine `m` at the
@@ -1460,7 +1421,7 @@ impl ControlPlane {
             })
             .collect();
         dests.sort_by_key(|&d| (self.machines[d].tenant_count(), d));
-        dests.truncate(self.options.reconcile_fanout);
+        dests.truncate(RECONCILE_FANOUT);
         if dests.is_empty() {
             return None;
         }
@@ -1897,56 +1858,14 @@ impl ControlPlane {
     // Cache management
     // ------------------------------------------------------------------
 
-    /// Count every hosted tenant's fingerprint (construction and
-    /// restore; events keep the counts from then on).
-    fn count_hosted_tenants(&mut self) {
-        for m in 0..self.machines.len() {
-            for i in 0..self.machines[m].tenant_count() {
-                self.tenant_entered(self.machines[m].tenant(i).fingerprint());
-            }
-        }
-    }
-
-    /// Count one more hosted tenant with workload fingerprint `fp`.
-    fn tenant_entered(&mut self, fp: u64) {
-        *self.tenant_refs.entry(fp).or_insert(0) += 1;
-    }
-
-    /// Count one hosted tenant with workload fingerprint `fp` fewer.
-    /// The last one queues `fp` for the next prune.
-    fn tenant_left(&mut self, fp: u64) {
-        let refs = self
-            .tenant_refs
-            .get_mut(&fp)
-            .expect("a hosted tenant's fingerprint is counted");
-        *refs -= 1;
-        if *refs == 0 {
-            self.tenant_refs.remove(&fp);
-            self.dead_tenants.insert(fp);
-        }
-    }
-
-    /// Move the count of tenant `slot` on `machine` from its
-    /// fingerprint `before` a workload mutation to its current one.
-    fn retag_tenant(&mut self, machine: usize, slot: usize, before: u64) {
-        let after = self.machines[machine].tenant(slot).fingerprint();
-        if after != before {
-            self.tenant_entered(after);
-            self.tenant_left(before);
-        }
-    }
-
     /// Drop probe entries and registry models that nothing in the
     /// fleet can read anymore: registry entries of departed hardware
     /// classes, probe rows of models no machine or registry entry
     /// holds, and probe rows of tenant fingerprints no hosted tenant
-    /// carries. The same rows leave as under a full
-    /// [`ProbeCache::retain_models`] + [`ProbeCache::retain_tenants`]
-    /// sweep, but neither the fleet's tenants nor the cache is walked:
-    /// a generation can only have died with its model or its tenant
-    /// fingerprint, model liveness is recomputed from the few stored
-    /// calibration fingerprints, and a tenant fingerprint is dead
-    /// when it was queued at a zero count and has not come back.
+    /// carries — what a full [`ProbeCache::retain_models`] +
+    /// [`ProbeCache::retain_tenants`] sweep drops, found by
+    /// [`ProbeCache::prune`] from the stored model fingerprints and
+    /// the tenants the advisors let go of, without a walk.
     fn prune_caches(&mut self) {
         let hw_live: HashSet<u64> = (0..self.machines.len())
             .map(|m| self.hardware_class(m))
@@ -1963,11 +1882,7 @@ impl ControlPlane {
             .flat_map(|a| a.calibrations().iter().map(|(_, m)| m.fingerprint()))
             .chain(self.class_models.values().map(|m| m.fingerprint()))
             .collect();
-        let dead_tenants: Vec<u64> = std::mem::take(&mut self.dead_tenants)
-            .into_iter()
-            .filter(|fp| !self.tenant_refs.contains_key(fp))
-            .collect();
-        self.probe.drop_dead(&live_models, &dead_tenants);
+        self.probe.prune(&live_models);
     }
 
     /// Cold-baseline mode: drop every persistent cache so the next
@@ -1976,15 +1891,16 @@ impl ControlPlane {
     fn cold_start(&mut self) {
         self.probe = ProbeCache::new();
         self.probe.set_capacity(self.options.probe_cache_capacity);
-        // The fresh cache holds no generation a queued fingerprint
-        // could own.
-        self.dead_tenants.clear();
         for adv in &mut self.machines {
             adv.attach_probe_cache(self.probe.clone());
             adv.invalidate_warm();
         }
     }
 }
+
+/// How many candidate destinations (least-loaded first) the reconcile
+/// pass prices per migration candidate.
+const RECONCILE_FANOUT: usize = 4;
 
 /// Smallest fleet objective the relative migration gain may be
 /// divided by. A fleet objective near zero (all tenants idle) would

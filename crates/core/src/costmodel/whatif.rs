@@ -35,7 +35,7 @@ use crate::problem::{AllocKey, Allocation};
 use crate::tenant::Tenant;
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use vda_simdb::hash::Fnv64;
@@ -71,8 +71,12 @@ pub struct Estimate {
 ///   (allocation) point once fleet-wide;
 /// * a recalibration never serves stale estimates: the model
 ///   fingerprint ([`CalibratedModel::fingerprint`]) changes, so old
-///   entries become unreachable (and reclaimable via
-///   [`Self::retain_models`] / [`Self::retain_tenants`]).
+///   entries become unreachable (and reclaimable by [`Self::prune`]).
+///
+/// Every advisor that prices with the cache holds in it the
+/// fingerprint of each tenant it hosts, and moves the hold when a
+/// workload changes or a tenant leaves. So the cache knows which tenant
+/// generations died, and [`Self::prune`] drops them by lookup.
 ///
 /// Hit/miss counters live in the cache itself, so cross-period cache
 /// effectiveness is observable even though estimator instances (and
@@ -211,6 +215,12 @@ struct ProbeCacheInner {
     claims: Vec<((u64, u64), AllocKey)>,
     // Threads blocked in `get_or_claim` until a claim settles.
     waiters: usize,
+    // Holders per hosted tenant fingerprint; none reads 0. Only looked
+    // up.
+    holders: HashMap<u64, usize>,
+    // Tenants released to no holder, or imported unheld, since the
+    // last prune: the only ones whose generations a prune can drop.
+    released: BTreeSet<u64>,
 }
 
 impl ProbeCacheInner {
@@ -255,36 +265,6 @@ impl ProbeCacheInner {
         let dropped: Vec<(u64, u64)> = self.map.keys().copied().filter(|&id| !keep(id)).collect();
         for id in dropped {
             self.remove(id);
-        }
-    }
-
-    /// Remove every generation of a model not in `live_models` and
-    /// every generation of a tenant in `dead_tenants`, by lookups in
-    /// the `(model, tenant)`-ordered map: one range probe steps to
-    /// each next cached model, a dead model's generations are one
-    /// contiguous range, and a dead tenant's generation under a live
-    /// model is one point lookup.
-    fn drop_dead(&mut self, live_models: &HashSet<u64>, dead_tenants: &[u64]) {
-        let mut next = Some(0);
-        while let Some(from) = next {
-            let Some(&(model, _)) = self.map.range((from, 0)..).next().map(|(id, _)| id) else {
-                break;
-            };
-            next = model.checked_add(1);
-            if live_models.contains(&model) {
-                for &tenant in dead_tenants {
-                    self.remove((model, tenant));
-                }
-            } else {
-                let dead: Vec<(u64, u64)> = self
-                    .map
-                    .range((model, 0)..=(model, u64::MAX))
-                    .map(|(&id, _)| id)
-                    .collect();
-                for id in dead {
-                    self.remove(id);
-                }
-            }
         }
     }
 }
@@ -367,39 +347,76 @@ impl ProbeCache {
     }
 
     /// Drop every generation whose *tenant* fingerprint is not in
-    /// `live` — a full sweep over the cache: workload drift mints new
-    /// tenant fingerprints each period, and without pruning the dead
-    /// generations would accumulate forever. (Stale *model*
-    /// generations of a live tenant are bounded by the number of
-    /// recalibrations and are dropped here too once the tenant's
-    /// workload moves on.) The control plane drops the same rows
-    /// without the sweep: it knows which fingerprints died.
+    /// `live`, in a full sweep over the cache. [`Self::prune`] drops
+    /// the same rows by lookup, from the holds its advisors keep.
     pub fn retain_tenants(&self, live: &HashSet<u64>) {
         self.lock().retain(|(_, tenant)| live.contains(&tenant));
     }
 
     /// Drop every generation whose *model* fingerprint is not in
-    /// `live`. [`Self::retain_tenants`] reclaims drifted-workload
-    /// generations, but a machine *removed from the fleet* leaves its
-    /// calibration's generations behind with perfectly live tenant
-    /// fingerprints — nothing ever made them unreachable. Call this
-    /// with the fingerprints of the calibrations still installed
-    /// somewhere in the fleet whenever machines are decommissioned
-    /// (the control plane does the equivalent by lookup).
+    /// `live`, in a full sweep: a decommissioned machine's calibration
+    /// leaves generations with live tenant fingerprints behind.
+    /// [`Self::prune`] drops the same rows by lookup.
     pub fn retain_models(&self, live: &HashSet<u64>) {
         self.lock().retain(|(model, _)| live.contains(&model));
     }
 
-    /// The control plane's prune: drop every generation of a model
-    /// not in `live_models` and every generation of a tenant
-    /// fingerprint in `dead_tenants` — the same rows
-    /// [`Self::retain_models`] and [`Self::retain_tenants`] would drop
-    /// when every tenant fingerprint with generations but no live
-    /// tenant is listed, without walking the cache. The cost follows
-    /// the distinct cached models and the generations dropped, not
-    /// the cache size.
-    pub(crate) fn drop_dead(&self, live_models: &HashSet<u64>, dead_tenants: &[u64]) {
-        self.lock().drop_dead(live_models, dead_tenants);
+    /// Count one more hosted tenant with fingerprint `fp`.
+    pub(crate) fn hold_tenant(&self, fp: u64) {
+        *self.lock().holders.entry(fp).or_insert(0) += 1;
+    }
+
+    /// Count one hosted tenant with fingerprint `fp` fewer; the last
+    /// one queues `fp` for the next [`Self::prune`]. An unheld `fp` is
+    /// left alone.
+    pub(crate) fn release_tenant(&self, fp: u64) {
+        let mut inner = self.lock();
+        let Some(holders) = inner.holders.get_mut(&fp) else {
+            return;
+        };
+        *holders -= 1;
+        if *holders == 0 {
+            inner.holders.remove(&fp);
+            inner.released.insert(fp);
+        }
+    }
+
+    /// Drop every generation of a model not in `live_models`, and of a
+    /// tenant that lost its last holder (or was imported unheld) since
+    /// the last prune and is not held again. Workload drift mints a
+    /// tenant fingerprint per change, so without this the dead
+    /// generations would accumulate forever. The rows are those
+    /// [`Self::retain_models`] and [`Self::retain_tenants`] would drop,
+    /// found by lookups in the `(model, tenant)`-ordered map. The
+    /// caller must pass every model any holder of the cache prices
+    /// with, and call it between solves.
+    pub fn prune(&self, live_models: &HashSet<u64>) {
+        let mut inner = self.lock();
+        let dead_tenants: Vec<u64> = std::mem::take(&mut inner.released)
+            .into_iter()
+            .filter(|fp| !inner.holders.contains_key(fp))
+            .collect();
+        let mut next = Some(0);
+        while let Some(from) = next {
+            let Some(&(model, _)) = inner.map.range((from, 0)..).next().map(|(id, _)| id) else {
+                break;
+            };
+            next = model.checked_add(1);
+            if live_models.contains(&model) {
+                for &tenant in &dead_tenants {
+                    inner.remove((model, tenant));
+                }
+            } else {
+                let dead: Vec<(u64, u64)> = inner
+                    .map
+                    .range((model, 0)..=(model, u64::MAX))
+                    .map(|(&id, _)| id)
+                    .collect();
+                for id in dead {
+                    inner.remove(id);
+                }
+            }
+        }
     }
 
     /// Every cached entry, flattened to `(model fingerprint, tenant
@@ -427,7 +444,9 @@ impl ProbeCache {
     /// so a restored cache treats everything it was handed as
     /// just-used (see `docs/FORMATS.md`). Each run of adjacent rows
     /// with one `(model, tenant)` — a whole generation, in export
-    /// order — is stored with one lookup.
+    /// order — is stored with one lookup. Holds are not durable: an
+    /// imported generation's tenant that nobody holds is queued for
+    /// the next [`Self::prune`].
     pub fn import(&self, rows: &[(u64, u64, AllocKey, Estimate)]) {
         let mut inner = self.lock();
         for run in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
@@ -436,6 +455,9 @@ impl ProbeCache {
                 (model, tenant),
                 run.iter().map(|&(_, _, key, est)| (key, est)),
             );
+            if !inner.holders.contains_key(&tenant) {
+                inner.released.insert(tenant);
+            }
         }
     }
 
@@ -1037,7 +1059,8 @@ mod tests {
     /// Equivalence of the indexed cache with a reference that is the
     /// full-scan algorithm written out: a `last_used` map beside the
     /// rows, a row recount and a `min` scan over every generation for
-    /// each victim, and a sorted export.
+    /// each victim, a sorted export, and a prune that scans every
+    /// generation against a plain multiset of holders.
     mod indexed_eviction {
         use super::*;
         use proptest::prelude::*;
@@ -1052,6 +1075,11 @@ mod tests {
             hits: u64,
             misses: u64,
             evictions: u64,
+            // Holders per tenant fingerprint; a count never reads 0.
+            holders: BTreeMap<u64, usize>,
+            // Tenants released by a holder or imported since the last
+            // prune.
+            touched: BTreeSet<u64>,
         }
 
         impl FullScan {
@@ -1071,9 +1099,47 @@ mod tests {
                 hit
             }
 
-            fn insert(&mut self, id: (u64, u64), key: AllocKey, estimate: Estimate) {
+            /// Store one row, as a filled claim does.
+            fn fill(&mut self, id: (u64, u64), key: AllocKey, estimate: Estimate) {
                 self.map.entry(id).or_default().insert(key, estimate);
                 self.last_used.insert(id, self.epoch);
+            }
+
+            /// Store one imported row.
+            fn insert(&mut self, id: (u64, u64), key: AllocKey, estimate: Estimate) {
+                self.fill(id, key, estimate);
+                self.touched.insert(id.1);
+            }
+
+            fn hold(&mut self, tenant: u64) {
+                *self.holders.entry(tenant).or_default() += 1;
+            }
+
+            fn release(&mut self, tenant: u64) {
+                if let Some(count) = self.holders.get_mut(&tenant) {
+                    *count -= 1;
+                    if *count == 0 {
+                        self.holders.remove(&tenant);
+                    }
+                    self.touched.insert(tenant);
+                }
+            }
+
+            /// Drop each generation whose model is not live, or whose
+            /// tenant nobody holds and was released or imported since
+            /// the last prune.
+            fn prune(&mut self, live_models: &HashSet<u64>) {
+                let touched = std::mem::take(&mut self.touched);
+                let dead: Vec<(u64, u64)> = self
+                    .map
+                    .keys()
+                    .copied()
+                    .filter(|&(m, t)| {
+                        !live_models.contains(&m)
+                            || (!self.holders.contains_key(&t) && touched.contains(&t))
+                    })
+                    .collect();
+                self.retain(|id| !dead.contains(&id));
             }
 
             fn retain(&mut self, keep: impl Fn((u64, u64)) -> bool) {
@@ -1125,11 +1191,15 @@ mod tests {
             SetEpoch(u64),
             Insert(Draw),
             Get(Draw),
+            Fill(Draw),
             Import(Vec<Draw>),
             RetainTenants(Vec<u64>),
             RetainModels(Vec<u64>),
             SetCapacity(usize),
             Enforce,
+            Hold(u64),
+            Release(u64),
+            Prune(Vec<u64>),
         }
 
         fn draw() -> impl Strategy<Value = Draw> {
@@ -1144,12 +1214,18 @@ mod tests {
                 draw().prop_map(Op::Get),
                 draw().prop_map(Op::Get),
                 draw().prop_map(Op::Get),
+                draw().prop_map(Op::Fill),
                 proptest::collection::vec(draw(), 0..8).prop_map(Op::Import),
                 proptest::collection::vec(0u64..6, 0..6).prop_map(Op::RetainTenants),
                 proptest::collection::vec(0u64..3, 0..3).prop_map(Op::RetainModels),
                 (0usize..14).prop_map(Op::SetCapacity),
                 Just(Op::Enforce),
                 Just(Op::Enforce),
+                (0u64..6).prop_map(Op::Hold),
+                (0u64..6).prop_map(Op::Hold),
+                (0u64..6).prop_map(Op::Release),
+                (0u64..6).prop_map(Op::Release),
+                proptest::collection::vec(0u64..3, 0..4).prop_map(Op::Prune),
             ]
         }
 
@@ -1182,6 +1258,22 @@ mod tests {
                                 reference.get((m, t), key(k))
                             );
                         }
+                        Op::Fill((m, t, k, v)) => {
+                            // A miss fills its claim, as an estimator
+                            // does; no holder is involved.
+                            let hit = match cache.get_or_claim((m, t), key(k)) {
+                                Ok(est) => Some(est),
+                                Err(claim) => {
+                                    claim.fill(row(v));
+                                    None
+                                }
+                            };
+                            let expected = reference.get((m, t), key(k));
+                            if expected.is_none() {
+                                reference.fill((m, t), key(k), row(v));
+                            }
+                            prop_assert_eq!(hit, expected);
+                        }
                         Op::Import(draws) => {
                             let rows: Vec<_> =
                                 draws.iter().map(|&(m, t, k, v)| (m, t, key(k), row(v))).collect();
@@ -1206,6 +1298,19 @@ mod tests {
                         }
                         Op::Enforce => {
                             prop_assert_eq!(cache.enforce_capacity(), reference.enforce_capacity());
+                        }
+                        Op::Hold(t) => {
+                            cache.hold_tenant(t);
+                            reference.hold(t);
+                        }
+                        Op::Release(t) => {
+                            cache.release_tenant(t);
+                            reference.release(t);
+                        }
+                        Op::Prune(live) => {
+                            let live: HashSet<u64> = live.into_iter().collect();
+                            cache.prune(&live);
+                            reference.prune(&live);
                         }
                     }
                     prop_assert_eq!(cache.export(), reference.export());

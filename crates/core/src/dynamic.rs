@@ -26,6 +26,11 @@ use crate::advisor::VirtualizationDesignAdvisor;
 use crate::problem::{Allocation, SearchSpace};
 use crate::refine::{refine, RefineOptions, RefinedModel};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
+
+/// The paper's λ = 10 %: a larger per-query cost-estimate change is
+/// major (§6.1). The control plane classifies its events with it too.
+pub(crate) const CHANGE_THRESHOLD: f64 = 0.10;
 
 /// How the manager reacts to each period.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,7 +72,7 @@ pub struct DynamicOptions {
 impl Default for DynamicOptions {
     fn default() -> Self {
         DynamicOptions {
-            change_threshold: 0.10,
+            change_threshold: CHANGE_THRESHOLD,
             error_threshold: 0.05,
             mode: ManagementMode::Dynamic,
             refine: RefineOptions {
@@ -190,7 +195,19 @@ impl DynamicConfigManager {
     /// update or rebuild models, re-run the search, and adopt the new
     /// allocations. Call after applying any workload changes to the
     /// advisor's tenants.
+    ///
+    /// The period first prunes the advisor's probe cache
+    /// ([`ProbeCache::prune`](crate::costmodel::ProbeCache::prune))
+    /// with the advisor's models, so the rows of past workloads leave
+    /// and a long run stays bounded. The manager assumes it owns that
+    /// cache: other machines pricing with it would lose their rows.
     pub fn process_period(&mut self, advisor: &VirtualizationDesignAdvisor) -> PeriodReport {
+        let live_models: HashSet<u64> = advisor
+            .calibrations()
+            .iter()
+            .map(|(_, model)| model.fingerprint())
+            .collect();
+        advisor.probe_cache().prune(&live_models);
         self.period += 1;
         let n = self.states.len();
         assert_eq!(n, advisor.tenant_count(), "tenant set must be stable");

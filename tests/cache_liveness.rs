@@ -1,10 +1,11 @@
 //! Property tests for the control plane's probe-cache pruning. The
-//! plane keeps a count per tenant fingerprint and queues the ones that
-//! reach zero, so a prune drops dead generations without walking the
-//! fleet or the cache. That is only an optimization if it drops exactly
-//! what the full sweep would — every generation whose model no machine
-//! or registry entry holds, and every generation whose tenant
-//! fingerprint no hosted tenant carries — at the same prune points:
+//! fleet cache counts the tenants its advisors hold per fingerprint and
+//! queues the ones that lose their last holder, so a prune drops dead
+//! generations without walking the fleet or the cache. That is only an
+//! optimization if it drops exactly what the full sweep would — every
+//! generation whose model no machine or registry entry holds, and every
+//! generation whose tenant fingerprint no hosted tenant carries — at
+//! the same prune points:
 //!
 //! * (a) after every prune point, a test-side full sweep
 //!   ([`ProbeCache::retain_models`] + [`ProbeCache::retain_tenants`]
