@@ -164,7 +164,7 @@ pub struct C2fMeasurement {
     pub workloads: usize,
     /// Fine grid step.
     pub delta: f64,
-    /// Coarse ladder the search used.
+    /// Coarse δ the search used; empty when it ran the full grid.
     pub coarse_deltas: Vec<f64>,
     /// Full-grid DP wall time in milliseconds.
     pub full_ms: f64,
@@ -323,7 +323,7 @@ fn measure_c2f_pair(
     let m = C2fMeasurement {
         workloads: n,
         delta: space.delta_for(Resource::Cpu),
-        coarse_deltas: c2f_opts.coarse_deltas,
+        coarse_deltas: c2f_opts.coarse.into_iter().collect(),
         full_ms,
         c2f_ms,
         full_optimizer_calls: full_acct.optimizer_calls,

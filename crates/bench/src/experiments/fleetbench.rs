@@ -112,7 +112,7 @@ pub struct FleetScale {
 
 /// The committed-baseline scale: 202 machines (200 populated + 2
 /// spares), 1000 tenants, 150 events, snapshot mid-stream. Five
-/// tenants per machine keeps the automatic coarse ladder
+/// tenants per machine keeps the automatic coarse δ
 /// ([`vda_core::CoarseToFineOptions::auto`]) non-degenerate on the
 /// 20-share CPU grid, so drift re-solves run the full coarse-to-fine
 /// path over the probe cache.

@@ -464,9 +464,10 @@ impl VirtualizationDesignAdvisor {
     }
 
     /// What [`Self::recommend_c2f_warm`] keys its memo with besides
-    /// `space` and the QoS vector: the coarse-to-fine ladder for
-    /// `space`, the calibration salt (a fold of every tenant's model
-    /// fingerprint) and the tenant fingerprints.
+    /// `space` and the QoS vector: the coarse δ
+    /// ([`CoarseToFineOptions::auto`]) for `space`, the calibration
+    /// salt (a fold of every tenant's model fingerprint) and the tenant
+    /// fingerprints.
     pub(crate) fn warm_inputs(&self, space: &SearchSpace) -> (CoarseToFineOptions, u64, Vec<u64>) {
         let c2f = CoarseToFineOptions::auto(space, self.tenants.len());
         let mut salt = Fnv64::new();
@@ -515,34 +516,6 @@ impl VirtualizationDesignAdvisor {
     /// simulation's ground truth.
     pub fn actual_cost(&self, i: usize, alloc: Allocation) -> f64 {
         self.tenants[i].actual_cost(&self.hv, alloc)
-    }
-
-    /// Price tenant `i` at `alloc`, observe the executor's actual, and
-    /// record the residual into `storage`. The prediction is reduced to
-    /// the **base** (un-adapted) model — any
-    /// [`Adaption`](crate::costmodel::Adaption) overlay on the
-    /// installed calibration is divided back out — so refits over the
-    /// store always correct the analytic fit, never a correction of a
-    /// correction (the same rule the control plane's
-    /// `ActualsReported` path follows). Returns `(base predicted,
-    /// actual)` seconds.
-    pub fn record_actual(
-        &self,
-        i: usize,
-        alloc: Allocation,
-        storage: &mut crate::costmodel::RuntimeAdaptionStorage,
-    ) -> (f64, f64) {
-        let est = self.estimator(i);
-        let installed = est.estimate(alloc).seconds;
-        let kind = self.tenants[i].engine.kind();
-        let factor = self
-            .calibration(kind)
-            .and_then(|model| model.adaption())
-            .map_or(1.0, |a| a.factor(alloc));
-        let predicted = installed / factor;
-        let actual = self.actual_cost(i, alloc);
-        storage.record(self.tenants[i].fingerprint(), alloc, predicted, actual);
-        (predicted, actual)
     }
 
     /// Total actual cost over all tenants for a full allocation vector.

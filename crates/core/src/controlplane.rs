@@ -70,7 +70,7 @@ use crate::advisor::{Recommendation, VirtualizationDesignAdvisor};
 use crate::costmodel::adaptive::{refit, Adaption, AdaptionOptions, RuntimeAdaptionStorage};
 use crate::costmodel::calibration::{CalibratedModel, Calibrator};
 use crate::costmodel::whatif::{ProbeCache, WhatIfEstimator};
-use crate::dynamic::CHANGE_THRESHOLD;
+use crate::dynamic::{change_metric, per_query_estimate, CHANGE_THRESHOLD};
 use crate::enumerate::{
     try_coarse_to_fine_search_with, warm_key, CoarseToFineOptions, MachineClass, SearchOptions,
     SearchResult,
@@ -1336,22 +1336,14 @@ impl ControlPlane {
     /// `before`, classified against the paper's λ
     /// ([`CHANGE_THRESHOLD`]).
     fn classify_major(&mut self, m: usize, slot: usize, before: f64) -> bool {
-        let after = self.per_query_estimate(m, slot);
-        let change = if before > 0.0 {
-            (after - before).abs() / before
-        } else {
-            0.0
-        };
-        change > CHANGE_THRESHOLD
+        change_metric(before, self.per_query_estimate(m, slot)) > CHANGE_THRESHOLD
     }
 
     /// Per-query cost estimate of tenant `slot` on machine `m` at the
-    /// machine's reference (1/N) allocation.
+    /// machine's reference (1/N) allocation, billing the optimizer
+    /// calls it paid.
     fn per_query_estimate(&mut self, m: usize, slot: usize) -> f64 {
-        let reference = self.spaces[m].default_allocation(self.machines[m].tenant_count());
-        let est = self.machines[m].estimator(slot);
-        let per_query = est.estimate(reference).avg_cost_per_statement;
-        let calls = est.optimizer_calls();
+        let (per_query, calls) = per_query_estimate(&self.machines[m], &self.spaces[m], slot);
         self.optimizer_calls += calls;
         per_query
     }
@@ -1737,32 +1729,18 @@ impl ControlPlane {
         let Some(tracker) = self.tuners.get(&key) else {
             return Vec::new();
         };
-        let candidate_model = incumbent
-            .clone()
-            .without_adaption()
-            .with_adaption(tracker.candidate());
-        let candidate_fp = candidate_model.fingerprint();
+        let candidate = candidate_model(incumbent, tracker);
+        let candidate_fp = candidate.fingerprint();
         let fps: Vec<u64> = tracker.canary_tenants().to_vec();
-        let (hw, kind) = key;
-        let mut dirty = Vec::new();
-        for m in 0..self.machines.len() {
-            if self.hardware_class(m) != hw {
-                continue;
-            }
-            let hosts_canary = (0..self.machines[m].tenant_count()).any(|i| {
-                self.machines[m].tenant(i).engine.kind() == kind
-                    && fps.contains(&self.machines[m].tenant(i).fingerprint())
+        let kind = key.1;
+        self.install_on_class(key, &candidate, |machine| {
+            let hosts_canary = (0..machine.tenant_count()).any(|i| {
+                machine.tenant(i).engine.kind() == kind
+                    && fps.contains(&machine.tenant(i).fingerprint())
             });
-            if !hosts_canary {
-                continue;
-            }
-            if self.machines[m].calibration(kind).map(|c| c.fingerprint()) == Some(candidate_fp) {
-                continue;
-            }
-            self.machines[m].install_calibration(kind, candidate_model.clone());
-            dirty.push(m);
-        }
-        dirty
+            hosts_canary
+                && machine.calibration(kind).map(CalibratedModel::fingerprint) != Some(candidate_fp)
+        })
     }
 
     /// The candidate survived both gates: it becomes the class
@@ -1776,26 +1754,14 @@ impl ControlPlane {
         let Some(tracker) = self.tuners.remove(&key) else {
             return Vec::new();
         };
-        let promoted = incumbent
-            .clone()
-            .without_adaption()
-            .with_adaption(tracker.candidate());
+        let promoted = candidate_model(incumbent, &tracker);
         let promoted_fp = promoted.fingerprint();
         self.class_models.insert(key, promoted.clone());
-        let (hw, kind) = key;
-        let mut dirty = Vec::new();
-        for m in 0..self.machines.len() {
-            if self.hardware_class(m) != hw {
-                continue;
-            }
-            match self.machines[m].calibration(kind) {
-                Some(c) if c.fingerprint() != promoted_fp => {}
-                _ => continue,
-            }
-            self.machines[m].install_calibration(kind, promoted.clone());
-            dirty.push(m);
-        }
-        dirty
+        self.install_on_class(key, &promoted, |machine| {
+            machine
+                .calibration(key.1)
+                .is_some_and(|c| c.fingerprint() != promoted_fp)
+        })
     }
 
     /// The candidate was rejected (shadow gate, canary gate, or a
@@ -1813,22 +1779,27 @@ impl ControlPlane {
         let Some(incumbent) = self.class_models.get(&key).cloned() else {
             return Vec::new();
         };
-        let candidate_fp = incumbent
-            .clone()
-            .without_adaption()
-            .with_adaption(tracker.candidate())
-            .fingerprint();
-        let (hw, kind) = key;
+        let candidate_fp = candidate_model(&incumbent, &tracker).fingerprint();
+        self.install_on_class(key, &incumbent, |machine| {
+            machine.calibration(key.1).map(CalibratedModel::fingerprint) == Some(candidate_fp)
+        })
+    }
+
+    /// Install `model` for `key`'s engine kind on every machine of
+    /// `key`'s hardware class that `installs` accepts. Returns the
+    /// machines whose calibration changed.
+    fn install_on_class(
+        &mut self,
+        (hw, kind): (u64, EngineKind),
+        model: &CalibratedModel,
+        installs: impl Fn(&VirtualizationDesignAdvisor) -> bool,
+    ) -> Vec<usize> {
         let mut dirty = Vec::new();
         for m in 0..self.machines.len() {
-            if self.hardware_class(m) != hw {
-                continue;
+            if self.hardware_class(m) == hw && installs(&self.machines[m]) {
+                self.machines[m].install_calibration(kind, model.clone());
+                dirty.push(m);
             }
-            if self.machines[m].calibration(kind).map(|c| c.fingerprint()) != Some(candidate_fp) {
-                continue;
-            }
-            self.machines[m].install_calibration(kind, incumbent.clone());
-            dirty.push(m);
         }
         dirty
     }
@@ -1923,6 +1894,15 @@ fn migration_gain(base: f64, obj: f64) -> Option<f64> {
         return None;
     }
     Some(improvement / base.abs().max(MIGRATION_BASE_FLOOR))
+}
+
+/// `incumbent`'s analytic fit under `tracker`'s candidate correction:
+/// the model a canary or a promotion installs.
+fn candidate_model(incumbent: &CalibratedModel, tracker: &GuardrailTracker) -> CalibratedModel {
+    incumbent
+        .clone()
+        .without_adaption()
+        .with_adaption(tracker.candidate())
 }
 
 /// Distinct mutable borrows of two vector slots.

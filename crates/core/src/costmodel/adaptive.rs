@@ -14,22 +14,19 @@
 //! optimizer — so an adapted model disagrees with its base about
 //! magnitudes, never about plans.
 //!
-//! Two application paths exist:
-//!
-//! * [`CalibratedModel::adaption`](crate::costmodel::CalibratedModel)
-//!   carries an optional [`Adaption`] overlay applied inside
-//!   `to_seconds_at`, so every existing estimator, probe cache, and
-//!   snapshot path prices adapted models with zero API changes; and
-//! * [`AdaptiveCostModel`] wraps *any* [`CostModel`] with a correction
-//!   for shadow pricing — the guardrail prices a candidate without
-//!   installing it anywhere.
+//! One application path exists:
+//! [`CalibratedModel::with_adaption`](crate::costmodel::CalibratedModel::with_adaption)
+//! installs an [`Adaption`] overlay that `to_seconds_at` applies, so
+//! every existing estimator, probe cache, and snapshot path prices
+//! adapted models with zero API changes. The guardrail shadow-prices a
+//! candidate without installing it by multiplying the base prediction
+//! by the candidate's [`Adaption::factor`].
 //!
 //! **Fingerprint salting.** An [`Adaption`] carries a `version`
-//! counter bumped on every refit; both the `CalibratedModel`
-//! fingerprint (which hashes the full `Debug` rendering, overlay
-//! included) and [`AdaptiveCostModel::fingerprint`] fold the version
-//! in, so an adapted model can never alias its base — or a previous
-//! adaption of the same base — in the
+//! counter bumped on every refit; the `CalibratedModel` fingerprint
+//! (which hashes the full `Debug` rendering, overlay included) folds
+//! the version in, so an adapted model can never alias its base — or a
+//! previous adaption of the same base — in the
 //! [`ProbeCache`](crate::costmodel::ProbeCache).
 //!
 //! Everything here is deterministic: samples live in `BTreeMap`s keyed
@@ -37,8 +34,6 @@
 //! smallest `(epoch, tenant, key)` triple, and the refit solves one
 //! fixed 3×3 normal-equation system.
 
-use crate::costmodel::model::CostModel;
-use crate::costmodel::whatif::Estimate;
 use crate::problem::{AllocKey, Allocation, Resource};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -358,89 +353,9 @@ pub fn refit(
     })
 }
 
-/// A cost model wrapped with a correction overlay — the generic form
-/// of adaptation, used by the guardrail to *shadow-price* a candidate
-/// against any incumbent [`CostModel`] without installing anything.
-///
-/// Seconds and per-statement averages scale by the correction factor
-/// at the probed allocation; the plan-regime signature and the
-/// optimizer-call/cache-hit counters pass through untouched (the
-/// wrapper never re-plans).
-#[derive(Debug, Clone)]
-pub struct AdaptiveCostModel<M> {
-    base: M,
-    base_fingerprint: u64,
-    adaption: Adaption,
-}
-
-impl<M: CostModel> AdaptiveCostModel<M> {
-    /// Wrap `base` (whose own cache identity is `base_fingerprint`)
-    /// with the identity overlay.
-    pub fn new(base: M, base_fingerprint: u64) -> Self {
-        AdaptiveCostModel {
-            base,
-            base_fingerprint,
-            adaption: Adaption::identity(),
-        }
-    }
-
-    /// Replace the overlay.
-    #[must_use]
-    pub fn with_adaption(mut self, adaption: Adaption) -> Self {
-        self.adaption = adaption;
-        self
-    }
-
-    /// The overlay currently applied.
-    pub fn adaption(&self) -> Adaption {
-        self.adaption
-    }
-
-    /// The wrapped model.
-    pub fn base(&self) -> &M {
-        &self.base
-    }
-
-    /// Version-salted cache identity: folds the base fingerprint, the
-    /// overlay version, and the exact correction coefficients, so an
-    /// adapted model never aliases its base (or any other version of
-    /// itself) in a fingerprint-keyed cache.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = vda_simdb::hash::Fnv64::new();
-        h.write_str("adaptive");
-        h.write_u64(self.base_fingerprint);
-        h.write_u64(self.adaption.version);
-        // Debug renders every f64 at round-trip precision, exactly
-        // like `CalibratedModel::fingerprint`.
-        h.write_str(&format!("{:?}", self.adaption.correction));
-        h.finish()
-    }
-}
-
-impl<M: CostModel> CostModel for AdaptiveCostModel<M> {
-    fn estimate(&self, alloc: Allocation) -> Estimate {
-        let e = self.base.estimate(alloc);
-        let f = self.adaption.factor(alloc);
-        Estimate {
-            seconds: e.seconds * f,
-            plan_regime: e.plan_regime,
-            avg_cost_per_statement: e.avg_cost_per_statement * f,
-        }
-    }
-
-    fn optimizer_calls(&self) -> u64 {
-        self.base.optimizer_calls()
-    }
-
-    fn cache_hits(&self) -> u64 {
-        self.base.cache_hits()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costmodel::model::FnCostModel;
 
     fn alloc(cpu: f64, mem: f64) -> Allocation {
         Allocation::new(cpu, mem)
@@ -573,37 +488,5 @@ mod tests {
         assert_eq!(c.cpu, 0.0);
         assert_eq!(c.mem, 0.0);
         assert!((c.scale - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn adaptive_model_scales_estimates_only() {
-        let base = FnCostModel::new(|a: Allocation| 2.0 / a.cpu());
-        let m = AdaptiveCostModel::new(base, 0xBEEF).with_adaption(Adaption {
-            correction: AxisCorrection::scale_only(1.5),
-            version: 3,
-        });
-        let a = alloc(0.5, 0.5);
-        assert_eq!(m.cost(a), 6.0);
-        assert_eq!(m.estimate(a).plan_regime, 0);
-        assert_eq!(m.optimizer_calls(), 0);
-    }
-
-    #[test]
-    fn fingerprint_salts_on_version_and_coefficients() {
-        let base = FnCostModel::new(|a: Allocation| 2.0 / a.cpu());
-        let plain = AdaptiveCostModel::new(&base, 0xBEEF);
-        let v1 = plain.clone().with_adaption(Adaption {
-            correction: AxisCorrection::scale_only(1.5),
-            version: 1,
-        });
-        let v2 = plain.clone().with_adaption(Adaption {
-            correction: AxisCorrection::scale_only(1.5),
-            version: 2,
-        });
-        assert_ne!(plain.fingerprint(), v1.fingerprint());
-        assert_ne!(v1.fingerprint(), v2.fingerprint());
-        // Different base, same overlay: still distinct.
-        let other = AdaptiveCostModel::new(&base, 0xCAFE);
-        assert_ne!(plain.fingerprint(), other.fingerprint());
     }
 }

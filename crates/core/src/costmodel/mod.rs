@@ -34,8 +34,7 @@ pub mod renormalize;
 pub mod whatif;
 
 pub use adaptive::{
-    refit, Adaption, AdaptionOptions, AdaptiveCostModel, AxisCorrection, ResidualSample,
-    RuntimeAdaptionStorage,
+    refit, Adaption, AdaptionOptions, AxisCorrection, ResidualSample, RuntimeAdaptionStorage,
 };
 pub use calibration::{CalibratedModel, CalibrationConfig, CalibrationCost, Calibrator};
 pub use model::{ActualCostModel, CostModel, FnCostModel, RegimeFnCostModel};

@@ -32,6 +32,34 @@ use std::collections::HashSet;
 /// major (§6.1). The control plane classifies its events with it too.
 pub(crate) const CHANGE_THRESHOLD: f64 = 0.10;
 
+/// Tenant `i`'s §6.1 per-query cost estimate: the optimizer's average
+/// cost per statement at `space`'s reference (1/N) allocation. A fixed
+/// reference keeps the metric "sensitive to changes in the nature of
+/// the workload queries and not to variability in the run-time
+/// environment" (§6.1), including the advisor's own reallocation.
+/// Returns the estimate and the optimizer calls it paid.
+pub(crate) fn per_query_estimate(
+    advisor: &VirtualizationDesignAdvisor,
+    space: &SearchSpace,
+    i: usize,
+) -> (f64, u64) {
+    let reference = space.default_allocation(advisor.tenant_count());
+    let est = advisor.estimator(i);
+    let per_query = est.estimate(reference).avg_cost_per_statement;
+    (per_query, est.optimizer_calls())
+}
+
+/// The §6.1 workload-change metric: the relative change of the
+/// per-query estimate, `|after − before| / before` (0 when
+/// `before ≤ 0`). Above [`CHANGE_THRESHOLD`] the change is major.
+pub(crate) fn change_metric(before: f64, after: f64) -> f64 {
+    if before > 0.0 {
+        (after - before).abs() / before
+    } else {
+        0.0
+    }
+}
+
 /// How the manager reacts to each period.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PeriodDecision {
@@ -116,13 +144,6 @@ pub struct DynamicConfigManager {
     current: Vec<Allocation>,
     converged: bool,
     period: usize,
-    /// Optional adaptive residual sink: when attached
-    /// ([`Self::attach_adaption_storage`]), every monitoring period
-    /// records each tenant's (base predicted, actual) pair at the
-    /// period's allocation, stamped with the period as the logical
-    /// epoch. Detached (the default), periods run bit-identically to a
-    /// build without the adaptive subsystem.
-    adaption: Option<crate::costmodel::RuntimeAdaptionStorage>,
 }
 
 impl DynamicConfigManager {
@@ -134,22 +155,11 @@ impl DynamicConfigManager {
         options: DynamicOptions,
     ) -> Self {
         let rec = advisor.recommend(&space);
-        // The change metric compares per-query estimates across
-        // periods; evaluating at a fixed reference allocation keeps it
-        // "sensitive to changes in the nature of the workload queries
-        // and not to variability in the run-time environment" (§6.1) —
-        // including the advisor's own reallocation between periods.
-        let reference = space.default_allocation(advisor.tenant_count());
         let states = (0..advisor.tenant_count())
-            .map(|i| {
-                let model = advisor.fit_refinement_model(i, &space, options.refine.sample_grid);
-                let est = advisor.estimator(i);
-                let per_query = est.estimate(reference).avg_cost_per_statement;
-                WorkloadState {
-                    model,
-                    prev_per_query_estimate: per_query,
-                    prev_error: None,
-                }
+            .map(|i| WorkloadState {
+                model: advisor.fit_refinement_model(i, &space, options.refine.sample_grid),
+                prev_per_query_estimate: per_query_estimate(advisor, &space, i).0,
+                prev_error: None,
             })
             .collect();
         DynamicConfigManager {
@@ -159,26 +169,7 @@ impl DynamicConfigManager {
             current: rec.result.allocations,
             converged: false,
             period: 0,
-            adaption: None,
         }
-    }
-
-    /// Attach a residual store: from the next period on, every
-    /// tenant's (base predicted, actual) observation feeds it — the
-    /// evidence an adaptive refit ([`crate::costmodel::refit`])
-    /// consumes. Replaces any previously attached store.
-    pub fn attach_adaption_storage(&mut self, storage: crate::costmodel::RuntimeAdaptionStorage) {
-        self.adaption = Some(storage);
-    }
-
-    /// The attached residual store, if any.
-    pub fn adaption_storage(&self) -> Option<&crate::costmodel::RuntimeAdaptionStorage> {
-        self.adaption.as_ref()
-    }
-
-    /// Detach and return the residual store.
-    pub fn take_adaption_storage(&mut self) -> Option<crate::costmodel::RuntimeAdaptionStorage> {
-        self.adaption.take()
     }
 
     /// Allocations currently in force.
@@ -217,29 +208,18 @@ impl DynamicConfigManager {
         let mut errors = Vec::with_capacity(n);
         let mut actual_costs = Vec::with_capacity(n);
 
-        let reference = self.space.default_allocation(n);
         for i in 0..n {
             let alloc = self.current[i];
             // §6.1 change metric: per-query optimizer estimates for the
             // *current* (possibly changed) workload vs the previous
-            // period, at a fixed reference allocation.
-            let est = advisor.estimator(i);
-            let per_query = est.estimate(reference).avg_cost_per_statement;
-            let prev = self.states[i].prev_per_query_estimate;
-            let change = if prev > 0.0 {
-                (per_query - prev).abs() / prev
-            } else {
-                0.0
-            };
+            // period.
+            let (per_query, _) = per_query_estimate(advisor, &self.space, i);
+            let change = change_metric(self.states[i].prev_per_query_estimate, per_query);
             change_metrics.push(change);
 
             // Monitoring observation.
             let actual = advisor.actual_cost(i, alloc);
             actual_costs.push(actual);
-            if let Some(storage) = &mut self.adaption {
-                storage.set_epoch(self.period as u64);
-                advisor.record_actual(i, alloc, storage);
-            }
             let model_est = self.states[i].model.predict(alloc);
             let error = (model_est - actual).abs() / actual.max(1e-12);
             errors.push(error);

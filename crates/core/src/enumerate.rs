@@ -18,12 +18,13 @@
 //!   is "very often optimal and always within 5 % of the optimal"
 //!   (§4.5, §7.6–7.7).
 //! * [`try_coarse_to_fine_search_with`] reaches the same grid optimum
-//!   through a coarse-δ solve plus windowed fine refinement, at a
-//!   fraction of the optimizer calls — including under finite
-//!   degradation limits, where the refinement windows track the limit
-//!   boundary (see the function docs). [`coarse_to_fine_search_warm`]
-//!   is its memoized form, which answers a repeat of the last solve
-//!   without solving, and [`coarse_to_fine_search_with`] its panicking
+//!   through one coarse-δ solve plus one windowed fine refinement
+//!   loop, at a fraction of the optimizer calls. The loop serves
+//!   unconstrained and limited problems alike; under finite
+//!   degradation limits its windows also track the limit boundary
+//!   (see the function docs). [`coarse_to_fine_search_warm`] is its
+//!   memoized form, which answers a repeat of the last solve without
+//!   solving, and [`coarse_to_fine_search_with`] its panicking
 //!   shorthand.
 //!
 //! All searches report jointly infeasible limits the same way: a
@@ -46,14 +47,14 @@
 //! Every search consumes one [`CostModel`] per workload — what-if
 //! estimators, refined models, the executor oracle, or synthetic
 //! models — and evaluate each iteration's candidate set as a batch.
-//! With [`SearchOptions::parallel`] the batch fans out across threads;
-//! candidates are deduplicated per (workload, allocation) before
-//! evaluation, so the parallel and serial paths issue *identical*
-//! optimizer-call sequences and return bit-identical results (the
-//! selection logic, and therefore tie-breaking, is always serial).
+//! With [`SearchOptions::parallel`] the batch fans out across threads.
+//! No batch repeats a (workload, allocation) probe, so the parallel
+//! and serial paths evaluate the same probes and return bit-identical
+//! results (the selection logic, and therefore tie-breaking, is always
+//! serial).
 
 use crate::costmodel::model::CostModel;
-use crate::problem::{AllocKey, Allocation, QoS, Resource, SearchSpace, KEY_STEPS};
+use crate::problem::{Allocation, QoS, Resource, SearchSpace, KEY_STEPS};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
@@ -197,47 +198,30 @@ fn within_limit(cost: f64, limit: f64, full: f64) -> bool {
     cost <= limit * full + LIMIT_EPS
 }
 
-/// Batch evaluator over the per-workload cost models.
+/// Costs for a batch of (workload, allocation) jobs, in job order,
+/// fanned out across threads when `options.parallel` is set.
 ///
-/// Jobs are deduplicated by (workload, quantized allocation) before
-/// evaluation so each unique probe is computed exactly once per batch
-/// regardless of threading — keeping optimizer-call counts identical
-/// between the serial and parallel paths even for uncached models.
-struct Evaluator<'m, M> {
-    models: &'m [M],
-    parallel: bool,
-}
-
-impl<'m, M: CostModel> Evaluator<'m, M> {
-    fn new(models: &'m [M], options: &SearchOptions) -> Self {
-        Evaluator {
-            models,
-            parallel: options.parallel,
-        }
-    }
-
-    /// Costs for a batch of (workload, allocation) jobs, in job order.
-    fn costs(&self, jobs: &[(usize, Allocation)]) -> Vec<f64> {
-        let mut unique: Vec<(usize, Allocation)> = Vec::with_capacity(jobs.len());
-        let mut slot: HashMap<(usize, AllocKey), usize> = HashMap::with_capacity(jobs.len());
-        let mut job_slots: Vec<usize> = Vec::with_capacity(jobs.len());
-        for &(i, a) in jobs {
-            let key = (i, a.key());
-            let idx = *slot.entry(key).or_insert_with(|| {
-                unique.push((i, a));
-                unique.len() - 1
-            });
-            job_slots.push(idx);
-        }
-        let values: Vec<f64> = if self.parallel && unique.len() > 1 {
-            unique.par_map(|&(i, a)| self.models[i].cost(a))
-        } else {
-            unique
-                .iter()
-                .map(|&(i, a)| self.models[i].cost(a))
-                .collect()
-        };
-        job_slots.into_iter().map(|s| values[s]).collect()
+/// Every batch is distinct by construction: greedy's ±δ probes differ
+/// per (workload, resource, sign), and a grid table's cells per
+/// workload. So the serial and parallel paths evaluate the same
+/// probes, and a shared [`ProbeCache`](crate::costmodel::ProbeCache)
+/// claims each miss once, keeping their optimizer-call counts equal.
+fn batch_costs<M: CostModel>(
+    models: &[M],
+    options: &SearchOptions,
+    jobs: &[(usize, Allocation)],
+) -> Vec<f64> {
+    debug_assert!(
+        {
+            let mut seen = BTreeSet::new();
+            jobs.iter().all(|&(i, a)| seen.insert((i, a.key())))
+        },
+        "a batch repeats a (workload, allocation) probe"
+    );
+    if options.parallel && jobs.len() > 1 {
+        jobs.par_map(|&(i, a)| models[i].cost(a))
+    } else {
+        jobs.iter().map(|&(i, a)| models[i].cost(a)).collect()
     }
 }
 
@@ -258,12 +242,12 @@ pub fn greedy_search_with<M: CostModel>(
     assert_eq!(qos.len(), n, "one QoS entry per workload");
     let varied = space.varied();
     assert!(!varied.is_empty(), "at least one resource must be varied");
-    let eval = Evaluator::new(models, options);
+    let eval = |jobs: &[(usize, Allocation)]| batch_costs(models, options, jobs);
 
     // Degradation baselines: Cost(W_i, [1,…,1]) over the varied
     // resources.
     let solo = space.solo_allocation();
-    let full_cost = eval.costs(&(0..n).map(|i| (i, solo)).collect::<Vec<_>>());
+    let full_cost = eval(&(0..n).map(|i| (i, solo)).collect::<Vec<_>>());
 
     // Start with equal shares of every varied resource.
     let mut alloc: Vec<Allocation> = vec![space.default_allocation(n); n];
@@ -280,7 +264,7 @@ pub fn greedy_search_with<M: CostModel>(
         if guard > 10_000 {
             break;
         }
-        let current = eval.costs(&(0..n).map(|i| (i, alloc[i])).collect::<Vec<_>>());
+        let current = eval(&(0..n).map(|i| (i, alloc[i])).collect::<Vec<_>>());
         let violator = (0..n)
             .filter(|&i| qos[i].degradation_limit.is_finite())
             .filter(|&i| !within_limit(current[i], qos[i].degradation_limit, full_cost[i]))
@@ -306,7 +290,7 @@ pub fn greedy_search_with<M: CostModel>(
                 jobs.push((k, a.shifted(res, -delta)));
             }
         }
-        let costs = eval.costs(&jobs);
+        let costs = eval(&jobs);
         let mut cursor = 0;
         let mut best: Option<(Resource, usize, f64)> = None;
         for &res in &varied {
@@ -343,7 +327,7 @@ pub fn greedy_search_with<M: CostModel>(
         alloc[donor] = alloc[donor].shifted(res, -delta);
     }
 
-    let start_costs = eval.costs(&(0..n).map(|i| (i, alloc[i])).collect::<Vec<_>>());
+    let start_costs = eval(&(0..n).map(|i| (i, alloc[i])).collect::<Vec<_>>());
     let mut weighted: Vec<f64> = (0..n).map(|i| qos[i].gain * start_costs[i]).collect();
 
     let mut trace = Vec::new();
@@ -368,7 +352,7 @@ pub fn greedy_search_with<M: CostModel>(
                 }
             }
         }
-        let costs = eval.costs(&jobs);
+        let costs = eval(&jobs);
 
         let mut cursor = 0;
         let mut best: Option<TraceStep> = None;
@@ -443,7 +427,7 @@ pub fn greedy_search_with<M: CostModel>(
         iterations += 1;
     }
 
-    let costs = eval.costs(&(0..n).map(|i| (i, alloc[i])).collect::<Vec<_>>());
+    let costs = eval(&(0..n).map(|i| (i, alloc[i])).collect::<Vec<_>>());
     let limits_met = costs
         .iter()
         .zip(qos)
@@ -675,10 +659,10 @@ fn grid_search<M: CostModel>(
     assert_eq!(qos.len(), n);
     assert!(!space.varied.is_empty());
     let ranges = axis_ranges(space, n)?;
-    let eval = Evaluator::new(models, options);
+    let eval = |jobs: &[(usize, Allocation)]| batch_costs(models, options, jobs);
 
     let solo = space.solo_allocation();
-    let full_cost = eval.costs(&(0..n).map(|i| (i, solo)).collect::<Vec<_>>());
+    let full_cost = eval(&(0..n).map(|i| (i, solo)).collect::<Vec<_>>());
 
     let lattice = BudgetLattice::new(space);
 
@@ -704,7 +688,7 @@ fn grid_search<M: CostModel>(
             coords.push((i, units));
         }
     }
-    let grid_costs = eval.costs(&jobs);
+    let grid_costs = eval(&jobs);
     let mut tables: Vec<Vec<GridCell>> = vec![Vec::new(); n];
     for ((i, units), c) in coords.into_iter().zip(grid_costs) {
         tables[i].push(GridCell {
@@ -861,72 +845,49 @@ fn dp_layers(lattice: &BudgetLattice, tables: &[Vec<GridCell>], layers: &mut Vec
     }
 }
 
-/// Settings for [`try_coarse_to_fine_search_with`].
+/// Settings for [`try_coarse_to_fine_search_with`]: the coarse δ.
 ///
-/// The search solves the full DP on each coarse δ of the ladder in
-/// turn, then restricts the next (finer) level to a window of
-/// `window_steps` previous-level steps around each workload's share at
-/// the previous optimum. The final level is always the search space's
-/// own (per-axis) δ. Degenerate coarse levels (a grid too coarse to
-/// host all workloads) and levels made infeasible by the degradation
-/// limits are skipped — the following level then runs unwindowed, so
-/// the result is always feasible whenever the full-grid DP is.
+/// The search solves the full DP at the coarse δ, then refines on the
+/// search space's own (per-axis) δ inside a window of two coarse steps
+/// around each workload's coarse share. No coarse δ, one not strictly
+/// coarser than every varied axis's fine δ, or a coarse grid that
+/// cannot host all workloads means the plain full-grid DP, so the
+/// result is always feasible whenever the full-grid DP is.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoarseToFineOptions {
-    /// Refinement ladder of coarse δ values, coarsest first. Each
-    /// coarse level applies its δ uniformly to every varied axis;
-    /// values not strictly coarser than every varied axis's fine δ are
-    /// ignored.
-    pub coarse_deltas: Vec<f64>,
-    /// Refinement-window half-width around the previous level's
-    /// optimum, in multiples of the previous level's δ. For separable
-    /// convex costs any value ≥ 1 is exact (re-centering follows unit
-    /// exchanges); the default of 2 also clears the ~2-coarse-step
-    /// plan-regime basins real what-if estimators exhibit along the
-    /// memory axis (see `BENCH_enumeration.json`).
-    pub window_steps: f64,
+    /// The coarse δ, applied uniformly to every varied axis; `None`
+    /// runs the full-grid DP.
+    pub coarse: Option<f64>,
 }
 
 impl Default for CoarseToFineOptions {
     fn default() -> Self {
-        CoarseToFineOptions {
-            coarse_deltas: vec![0.1],
-            window_steps: 2.0,
-        }
+        CoarseToFineOptions { coarse: Some(0.1) }
     }
 }
 
 impl CoarseToFineOptions {
-    /// A single coarse level of the given δ.
-    pub fn with_coarse(delta: f64) -> Self {
-        assert!(delta > 0.0 && delta < 1.0, "coarse delta must be in (0,1)");
-        CoarseToFineOptions {
-            coarse_deltas: vec![delta],
-            ..CoarseToFineOptions::default()
-        }
-    }
-
     /// Pick a coarse δ automatically for `n` workloads: the coarsest
     /// standard step that still gives every workload a few options at
-    /// the coarse level. Returns an empty ladder (plain full-grid
-    /// search) when no candidate is useful.
+    /// the coarse level. `None` (plain full-grid search) when no
+    /// candidate is useful.
     pub fn auto(space: &SearchSpace, n: usize) -> Self {
         const CANDIDATES: [f64; 5] = [0.2, 0.1, 0.05, 0.04, 0.025];
-        for &c in &CANDIDATES {
-            if c <= space.max_varied_delta() * 1.5 {
-                continue;
-            }
-            // A level that cannot host n workloads gives no options.
-            if unit_range_axis(c, space.min_share, n).is_some_and(|(lo, hi)| hi - lo + 1 >= 4) {
-                return CoarseToFineOptions::with_coarse(c);
-            }
-        }
-        CoarseToFineOptions {
-            coarse_deltas: Vec::new(),
-            ..CoarseToFineOptions::default()
-        }
+        // A level that cannot host n workloads gives no options.
+        let coarse = CANDIDATES.into_iter().find(|&c| {
+            c > space.max_varied_delta() * 1.5
+                && unit_range_axis(c, space.min_share, n).is_some_and(|(lo, hi)| hi - lo + 1 >= 4)
+        });
+        CoarseToFineOptions { coarse }
     }
 }
+
+/// Refinement-window half-width around the coarse optimum, in coarse
+/// steps. For separable convex costs any value ≥ 1 is exact
+/// (re-centering follows unit exchanges); 2 also clears the
+/// ~2-coarse-step plan-regime basins real what-if estimators exhibit
+/// along the memory axis (see `BENCH_enumeration.json`).
+const WINDOW_STEPS: f64 = 2.0;
 
 /// [`try_coarse_to_fine_search_with`] for a grid known to be
 /// solvable: panics where it would return `None`.
@@ -941,28 +902,40 @@ pub fn coarse_to_fine_search_with<M: CostModel>(
         .expect("no grid can host the workloads (min_share too large)")
 }
 
-/// Coarse-to-fine enumeration: solve the DP on a coarse δ first, then
-/// refine only inside a window around the coarse optimum down to the
-/// search space's fine δ, re-centering the window whenever refinement
-/// keeps improving. On separable workload costs this finds the
-/// full-grid optimum while probing far fewer allocations (the
-/// optimizer-call counts of the cost models record exactly how many);
-/// `tests/coarse_to_fine.rs` property-checks the equivalence against
+/// Coarse-to-fine enumeration: solve the DP on the coarse δ first,
+/// then refine only inside per-workload windows around the coarse
+/// optimum on the search space's fine δ, re-centering the windows on
+/// each improved solution until a round no longer improves. On
+/// separable convex workload costs this finds the full-grid optimum
+/// while probing far fewer allocations (the optimizer-call counts of
+/// the cost models record exactly how many); `tests/coarse_to_fine.rs`
+/// property-checks the equivalence against
 /// [`try_exhaustive_search_with`].
 ///
-/// Finite degradation limits make the grid problem non-convex (the
-/// fine-grid optimum can hide against the limit boundary, behind
-/// coarse samples that are limit-infeasible), so the refinement
-/// becomes *feasibility-aware* instead of falling back to the full
-/// grid: the coarse solve classifies every coarse cell against the
-/// limits, the fine window is expanded with a **boundary band** — the
-/// fine cells within one coarse step of the limit boundary — and a
-/// workload whose refined optimum lands on the *edge* of its own
-/// window gets that window widened (doubling, then full range)
-/// per-window rather than escalating the whole search. Like greedy
-/// and exhaustive search, jointly infeasible limits yield a
-/// best-effort result flagged via [`SearchResult::limits_met`]; that
-/// verdict is always taken from the full grid, never from a window.
+/// One loop serves every problem. Finite degradation limits make the
+/// grid problem non-convex (the fine-grid optimum can hide against the
+/// limit boundary, behind coarse samples that are limit-infeasible),
+/// so when some `L_i` is finite the refinement becomes
+/// *feasibility-aware* instead of falling back to the full grid:
+///
+/// 1. The unwindowed coarse solve classifies every coarse cell against
+///    the limits. A limited workload's fine window is expanded with a
+///    **boundary band**: the fine cells within one coarse step of its
+///    limit boundary.
+/// 2. A workload whose refined optimum lands on the *edge* of its own
+///    window gets that window widened (doubling, then full range)
+///    per-window rather than escalating the whole search.
+/// 3. If the best refined result still violates a limit, the full grid
+///    runs: only it can certify joint infeasibility. Like greedy and
+///    exhaustive search, jointly infeasible limits yield a best-effort
+///    result flagged via [`SearchResult::limits_met`].
+///
+/// Unconstrained problems skip steps 2 and 3. Re-centering alone is
+/// exact on separable convex costs, and widening would only buy
+/// probes: real what-if costs have plan-regime steps along memory that
+/// leave optima on window edges (`BENCH_enumeration.json`'s
+/// unconstrained section would pay 4518 optimizer calls instead of
+/// 4040 for the same objective).
 ///
 /// `None` exactly when [`try_exhaustive_search_with`] would return
 /// `None` too: the fine grid cannot host every workload, or its δ is
@@ -976,135 +949,20 @@ pub fn try_coarse_to_fine_search_with<M: CostModel>(
 ) -> Option<SearchResult> {
     let n = models.len();
     assert!(n >= 1);
-    assert!(c2f.window_steps > 0.0, "window must be positive");
-    let mut ladder: Vec<f64> = c2f
-        .coarse_deltas
-        .iter()
-        .copied()
+    let full_grid = || try_exhaustive_search_with(space, qos, models, options);
+    let coarse = c2f
+        .coarse
         .filter(|&d| d > space.max_varied_delta() + 1e-12)
-        .collect();
-    ladder.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-
-    if qos.iter().any(|q| q.degradation_limit.is_finite()) {
-        return limit_aware_refinement(space, qos, models, c2f, options, &ladder);
-    }
-
-    // Unconstrained path: each level's optimum becomes the next
-    // level's window center.
-    let mut seed: Option<(Vec<Allocation>, f64)> = None;
-    for delta in ladder {
-        let coarse_space = space.with_delta(delta);
-        let allowed = seed.as_ref().and_then(|(centers, prev_delta)| {
-            let ranges = axis_ranges(&coarse_space, n)?;
-            Some(
-                (0..n)
-                    .map(|i| {
-                        window_cells(
-                            &coarse_space,
-                            centers[i],
-                            c2f.window_steps * prev_delta,
-                            &ranges,
-                        )
-                    })
-                    .collect::<Vec<_>>(),
-            )
+        .and_then(|d| {
+            grid_search(&space.with_delta(d), qos, models, options, None).map(|s| (s, d))
         });
-        seed = grid_search(&coarse_space, qos, models, options, allowed.as_deref())
-            .map(|s| (s.result.allocations, delta));
-        // On an infeasible/degenerate level the next one runs unwindowed.
-    }
-
-    // Final level: the fine grid, windowed around the coarse seed and
-    // iteratively *re-centered* on each improved solution. A solution
-    // on the window boundary means the window clipped the descent
-    // direction; re-centering keeps following it. The loop stops at a
-    // window-stable point — one no δ-sized exchange between workloads
-    // improves (every single-unit exchange lies inside the window),
-    // which for separable convex costs is exactly the grid optimum.
-    if let Some((centers, prev_delta)) = seed {
-        if let Some(ranges) = axis_ranges(space, n) {
-            let half_width = c2f.window_steps * prev_delta;
-            let mut centers = centers;
-            let mut best: Option<SearchResult> = None;
-            for _ in 0..RECENTER_CAP {
-                let allowed: Vec<Vec<Units>> = (0..n)
-                    .map(|i| window_cells(space, centers[i], half_width, &ranges))
-                    .collect();
-                let Some(s) = grid_search(space, qos, models, options, Some(&allowed)) else {
-                    break;
-                };
-                let r = s.result;
-                let improved = best
-                    .as_ref()
-                    .is_none_or(|b| r.weighted_cost < b.weighted_cost - 1e-12);
-                centers.clone_from(&r.allocations);
-                if improved {
-                    best = Some(r);
-                } else {
-                    break;
-                }
-            }
-            if best.is_some() {
-                return best;
-            }
-        }
-    }
-    // No usable coarse seed, or the window excluded every feasible
-    // fine-grid point: fall back to the full fine grid.
-    try_exhaustive_search_with(space, qos, models, options)
-}
-
-/// Re-centering round cap for the fine level of coarse-to-fine search;
-/// each round strictly improves the objective (or strictly widens some
-/// window) on a finite grid, so this is a safety net, not a tuning
-/// knob.
-const RECENTER_CAP: usize = 100;
-
-/// The limit-aware coarse-to-fine path (some `L_i` is finite).
-///
-/// 1. Solve one ladder level **unwindowed** — the finest level that
-///    solves (finest-first; coarser levels add nothing once a finer
-///    one succeeds). Coarse grids are cheap relative to the fine grid,
-///    and an unwindowed level classifies *every* coarse cell against
-///    the limits, which is exactly the feasibility map the boundary
-///    band needs.
-/// 2. Refine on the fine grid inside per-workload windows around the
-///    coarse optimum, expanded with the boundary band (fine cells
-///    within one coarse step of the limit boundary, where the optimum
-///    can hide behind limit-infeasible coarse samples).
-/// 3. Re-center on each solution; when a workload's chosen cell sits
-///    on the *edge* of its own window, widen that window (doubling,
-///    then full range) — per-window escalation instead of the old
-///    global full-grid fallback.
-/// 4. If the best refined result still violates a limit, run the full
-///    grid: only it can certify joint infeasibility.
-fn limit_aware_refinement<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    c2f: &CoarseToFineOptions,
-    options: &SearchOptions,
-    ladder: &[f64],
-) -> Option<SearchResult> {
-    let n = models.len();
-    let full_grid = || grid_search(space, qos, models, options, None).map(|s| s.result);
-
-    // Coarse phase: every level is solved unwindowed, so coarser
-    // levels add nothing once a finer one solves — try the finest
-    // first (the ladder is sorted coarsest-first) and keep the first
-    // success.
-    let mut seed: Option<(GridSolve, f64)> = None;
-    for &delta in ladder.iter().rev() {
-        let coarse_space = space.with_delta(delta);
-        if let Some(s) = grid_search(&coarse_space, qos, models, options, None) {
-            seed = Some((s, delta));
-            break;
-        }
-    }
-    let Some((coarse, coarse_delta)) = seed else {
+    let Some((coarse, coarse_delta)) = coarse else {
         return full_grid();
     };
     let ranges = axis_ranges(space, n)?;
+    // Finite limits make the grid problem non-convex: only then do
+    // windows widen at their edges and the full grid re-certify.
+    let limited = qos.iter().any(|q| q.degradation_limit.is_finite());
     let band: Vec<Vec<Units>> = (0..n)
         .map(|i| {
             if qos[i].degradation_limit.is_finite() {
@@ -1115,11 +973,8 @@ fn limit_aware_refinement<M: CostModel>(
         })
         .collect();
 
-    // Fine phase: a chosen cell on its window's edge means the window
-    // clipped the descent direction there, so that workload's window
-    // is widened rather than escalating the whole search.
     let mut centers = coarse.result.allocations;
-    let mut half = vec![c2f.window_steps * coarse_delta; n];
+    let mut half = vec![WINDOW_STEPS * coarse_delta; n];
     let mut full_range = vec![false; n];
     let mut best: Option<SearchResult> = None;
     for _ in 0..RECENTER_CAP {
@@ -1141,13 +996,15 @@ fn limit_aware_refinement<M: CostModel>(
         };
         let r = s.result;
         let improved = best.as_ref().is_none_or(|b| lex_better(&r, b));
-        // Per-window escalation.
+        // A chosen cell on its window's edge means the window clipped
+        // the descent direction there, so that workload's window is
+        // widened rather than escalating the whole search.
         let mut grew = false;
         for i in 0..n {
-            if full_range[i] {
-                continue;
-            }
-            if on_window_edge(&r.allocations[i], &allowed[i], space, &ranges) {
+            if limited
+                && !full_range[i]
+                && on_window_edge(&r.allocations[i], &allowed[i], space, &ranges)
+            {
                 half[i] *= 2.0;
                 grew = true;
                 if half[i] >= 1.0 {
@@ -1165,13 +1022,19 @@ fn limit_aware_refinement<M: CostModel>(
         }
     }
     match best {
-        Some(r) if r.limits_met.iter().all(|&m| m) => Some(r),
-        // The windowed search found no limit-satisfying configuration;
-        // only the full grid can certify joint infeasibility (and its
-        // best-effort optimum is the reference answer).
+        Some(r) if !limited || r.limits_met.iter().all(|&m| m) => Some(r),
+        // No round solved, or no limit-satisfying configuration was
+        // found; only the full grid can certify joint infeasibility
+        // (and its best-effort optimum is the reference answer).
         _ => full_grid(),
     }
 }
+
+/// Re-centering round cap for the fine level of coarse-to-fine search;
+/// each round strictly improves the objective (or strictly widens some
+/// window) on a finite grid, so this is a safety net, not a tuning
+/// knob.
+const RECENTER_CAP: usize = 100;
 
 /// Persistent warm-start state for one machine's period-over-period
 /// coarse-to-fine solves ([`coarse_to_fine_search_warm`]): a memo of
@@ -1219,7 +1082,7 @@ impl WarmStart {
     /// Drop the memo (the counter survives). The next call cold
     /// re-solves unconditionally. Callers must invalidate whenever
     /// state *outside* the key changes; the key already covers the
-    /// search space, QoS, ladder, calibration salt and fingerprints.
+    /// search space, QoS, coarse δ, calibration salt and fingerprints.
     pub fn invalidate(&mut self) {
         self.key = None;
         self.last = None;
@@ -1262,11 +1125,14 @@ pub(crate) fn warm_key(
     for q in qos {
         h.write_u64(q.fingerprint());
     }
-    h.write_u64(c2f.coarse_deltas.len() as u64);
-    for &d in &c2f.coarse_deltas {
+    // The bytes the options wrote as a coarse ladder of zero or one δ
+    // plus a window width: memo keys, the keys snapshots store and
+    // restore re-checks, stay what they were.
+    h.write_u64(u64::from(c2f.coarse.is_some()));
+    if let Some(d) = c2f.coarse {
         h.write_u64(d.to_bits());
     }
-    h.write_u64(c2f.window_steps.to_bits());
+    h.write_u64(WINDOW_STEPS.to_bits());
     h.write_u64(fingerprints.len() as u64);
     for &f in fingerprints {
         h.write_u64(f);
@@ -1489,6 +1355,7 @@ mod tests {
     use super::*;
     use crate::costmodel::model::FnCostModel;
     use crate::placement::machine_capacity;
+    use crate::problem::AllocKey;
 
     /// Synthetic reciprocal cost models: cost_i = α_i/cpu + 1.
     fn synth(alphas: Vec<f64>) -> Vec<impl CostModel> {
@@ -1510,7 +1377,7 @@ mod tests {
         try_exhaustive_search_with(space, qos, models, &SearchOptions::default()).unwrap()
     }
 
-    /// Coarse-to-fine with the automatic ladder.
+    /// Coarse-to-fine with the automatic coarse δ.
     fn c2f_auto<M: CostModel>(space: &SearchSpace, qos: &[QoS], models: &[M]) -> SearchResult {
         let c2f = CoarseToFineOptions::auto(space, models.len());
         coarse_to_fine_search_with(space, qos, models, &c2f, &SearchOptions::default())
@@ -2012,14 +1879,11 @@ mod tests {
     }
 
     #[test]
-    fn coarse_to_fine_falls_back_when_ladder_is_empty() {
+    fn coarse_to_fine_falls_back_without_a_coarse_delta() {
         let space = SearchSpace::cpu_only(0.5); // δ = 0.05
         let models = synth(vec![9.0, 4.0]);
         let qos = qos_n(2);
-        let opts = CoarseToFineOptions {
-            coarse_deltas: Vec::new(),
-            window_steps: 1.0,
-        };
+        let opts = CoarseToFineOptions { coarse: None };
         let c2f =
             coarse_to_fine_search_with(&space, &qos, &models, &opts, &SearchOptions::serial());
         let full = exhaustive(&space, &qos, &models);
@@ -2101,35 +1965,17 @@ mod tests {
     }
 
     #[test]
-    fn auto_options_degenerate_ladder_for_coarse_space() {
+    fn auto_options_find_no_coarse_delta_for_a_coarse_space() {
         // δ = 0.2 leaves no useful coarser level.
         let mut space = SearchSpace::cpu_only(0.5);
         space.set_delta(0.2);
         let opts = CoarseToFineOptions::auto(&space, 2);
-        assert!(opts.coarse_deltas.is_empty());
+        assert_eq!(opts.coarse, None);
         // δ = 0.01 with 10 workloads: 0.1 is degenerate (one option
         // per workload), so auto must pick 0.05.
         space.set_delta(0.01);
         let opts = CoarseToFineOptions::auto(&space, 10);
-        assert_eq!(opts.coarse_deltas, vec![0.05]);
-    }
-
-    #[test]
-    fn batch_evaluator_dedups_repeated_probes() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let calls = AtomicU64::new(0);
-        let model = FnCostModel::new(|a: Allocation| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            1.0 / a.cpu()
-        });
-        let models = [&model, &model];
-        let eval = Evaluator::new(&models, &SearchOptions::serial());
-        let a = Allocation::new(0.5, 0.5);
-        let out = eval.costs(&[(0, a), (1, a), (0, a), (0, Allocation::new(0.25, 0.5))]);
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[0], out[2]);
-        // (0,a) twice dedups; (1,a) is a distinct workload slot.
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        assert_eq!(opts.coarse, Some(0.05));
     }
 
     #[test]
@@ -2250,5 +2096,192 @@ mod tests {
         let _ =
             coarse_to_fine_search_warm(&space, &strict, &models, &c2f, &opts, 2, &fps, &mut warm);
         assert_eq!(warm.cold_solves(), 4);
+    }
+
+    /// The merged refinement loop against the unconstrained loop it
+    /// replaced.
+    mod merged_loop {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// The unconstrained coarse-to-fine loop as it stood before it was
+        /// folded into the limit-aware one, frozen here verbatim with its
+        /// coarse-δ ladder and window width as parameters: each ladder
+        /// level's optimum centers the next level's window, and the fine
+        /// level re-centers while the weighted cost strictly improves.
+        fn frozen_unconstrained_c2f<M: CostModel>(
+            space: &SearchSpace,
+            qos: &[QoS],
+            models: &[M],
+            ladder: &[f64],
+            window_steps: f64,
+            options: &SearchOptions,
+        ) -> Option<SearchResult> {
+            let n = models.len();
+            let mut ladder: Vec<f64> = ladder
+                .iter()
+                .copied()
+                .filter(|&d| d > space.max_varied_delta() + 1e-12)
+                .collect();
+            ladder.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+            let mut seed: Option<(Vec<Allocation>, f64)> = None;
+            for delta in ladder {
+                let coarse_space = space.with_delta(delta);
+                let allowed = seed.as_ref().and_then(|(centers, prev_delta)| {
+                    let ranges = axis_ranges(&coarse_space, n)?;
+                    Some(
+                        (0..n)
+                            .map(|i| {
+                                window_cells(
+                                    &coarse_space,
+                                    centers[i],
+                                    window_steps * prev_delta,
+                                    &ranges,
+                                )
+                            })
+                            .collect::<Vec<_>>(),
+                    )
+                });
+                seed = grid_search(&coarse_space, qos, models, options, allowed.as_deref())
+                    .map(|s| (s.result.allocations, delta));
+            }
+            if let Some((centers, prev_delta)) = seed {
+                if let Some(ranges) = axis_ranges(space, n) {
+                    let half_width = window_steps * prev_delta;
+                    let mut centers = centers;
+                    let mut best: Option<SearchResult> = None;
+                    for _ in 0..RECENTER_CAP {
+                        let allowed: Vec<Vec<Units>> = (0..n)
+                            .map(|i| window_cells(space, centers[i], half_width, &ranges))
+                            .collect();
+                        let Some(s) = grid_search(space, qos, models, options, Some(&allowed))
+                        else {
+                            break;
+                        };
+                        let r = s.result;
+                        let improved = best
+                            .as_ref()
+                            .is_none_or(|b| r.weighted_cost < b.weighted_cost - 1e-12);
+                        centers.clone_from(&r.allocations);
+                        if improved {
+                            best = Some(r);
+                        } else {
+                            break;
+                        }
+                    }
+                    if best.is_some() {
+                        return best;
+                    }
+                }
+            }
+            try_exhaustive_search_with(space, qos, models, options)
+        }
+
+        /// `α/cpu + β/mem + γ + h·(⌊k·mem⌋ mod 2)`: separable convex costs
+        /// plus a step along memory, the shape of a plan-regime switch,
+        /// counting every evaluation as an optimizer call.
+        struct SteppedModel {
+            coeffs: (f64, f64, f64, f64, f64),
+            calls: AtomicU64,
+        }
+
+        impl CostModel for SteppedModel {
+            fn estimate(&self, a: Allocation) -> crate::costmodel::Estimate {
+                self.calls.fetch_add(1, Ordering::Relaxed);
+                let (alpha, beta, gamma, h, k) = self.coeffs;
+                crate::costmodel::Estimate {
+                    seconds: alpha / a.cpu()
+                        + beta / a.memory()
+                        + gamma
+                        + h * ((k * a.memory()).floor() % 2.0),
+                    plan_regime: 0,
+                    avg_cost_per_statement: 0.0,
+                }
+            }
+
+            fn optimizer_calls(&self) -> u64 {
+                self.calls.load(Ordering::Relaxed)
+            }
+        }
+
+        fn stepped(coeffs: &[(f64, f64, f64, f64, f64)]) -> Vec<SteppedModel> {
+            coeffs
+                .iter()
+                .map(|&coeffs| SteppedModel {
+                    coeffs,
+                    calls: Default::default(),
+                })
+                .collect()
+        }
+
+        fn calls(models: &[SteppedModel]) -> u64 {
+            models.iter().map(CostModel::optimizer_calls).sum()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Unconstrained problems through the merged loop return
+            /// exactly what the frozen unconstrained loop returned, at
+            /// exactly its optimizer calls. The memory step puts optima
+            /// on window edges, so widening windows there would show:
+            /// with widening ungated, a joint δ = 0.05 case bills 802
+            /// calls against the frozen loop's 627. Joint grids stop at
+            /// δ = 0.02, where a debug-build case still takes under a
+            /// second; `BENCH_enumeration.json` gates the joint δ = 0.01
+            /// unconstrained calls at N = 10.
+            #[test]
+            fn unconstrained_c2f_matches_the_frozen_loop(
+                coeffs in proptest::collection::vec(
+                    (0.1f64..30.0, 0.1f64..30.0, 0.1f64..5.0, 0.0f64..50.0, 1.0f64..30.0),
+                    8,
+                ),
+                gains in proptest::collection::vec(1.0f64..5.0, 8),
+                (joint, delta) in prop_oneof![
+                    Just((false, 0.05)),
+                    Just((false, 0.02)),
+                    Just((false, 0.01)),
+                    Just((true, 0.05)),
+                    Just((true, 0.02)),
+                ],
+                coarse in prop_oneof![Just(None), Just(Some(0.2)), Just(Some(0.1)), Just(Some(0.05))],
+                n in 2usize..=8,
+            ) {
+                let mut space = if joint {
+                    SearchSpace::cpu_and_memory()
+                } else {
+                    SearchSpace::cpu_only(0.5)
+                };
+                space.set_delta(delta);
+                let qos: Vec<QoS> = gains[..n].iter().map(|&g| QoS::with_gain(g)).collect();
+                let serial = SearchOptions::serial();
+                let frozen_models = stepped(&coeffs[..n]);
+                let frozen = frozen_unconstrained_c2f(
+                    &space,
+                    &qos,
+                    &frozen_models,
+                    coarse.as_slice(),
+                    2.0,
+                    &serial,
+                );
+                let merged_models = stepped(&coeffs[..n]);
+                let merged = try_coarse_to_fine_search_with(
+                    &space,
+                    &qos,
+                    &merged_models,
+                    &CoarseToFineOptions { coarse },
+                    &serial,
+                );
+                let case = format!("n={n}, joint={joint}, delta={delta}, coarse={coarse:?}");
+                prop_assert_eq!(&merged, &frozen, "{}", case);
+                prop_assert_eq!(
+                    calls(&merged_models),
+                    calls(&frozen_models),
+                    "optimizer calls differ: {}",
+                    case
+                );
+            }
+        }
     }
 }

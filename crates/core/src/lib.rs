@@ -75,8 +75,8 @@ pub use controlplane::{
     Decision, DecisionLog, EventOutcome, FleetEvent, Migration,
 };
 pub use costmodel::{
-    ActualCostModel, Adaption, AdaptionOptions, AdaptiveCostModel, AxisCorrection, CalibratedModel,
-    Calibrator, CostModel, Estimate, FnCostModel, ProbeCache, RegimeFnCostModel, Renormalizer,
+    ActualCostModel, Adaption, AdaptionOptions, AxisCorrection, CalibratedModel, Calibrator,
+    CostModel, Estimate, FnCostModel, ProbeCache, RegimeFnCostModel, Renormalizer,
     RuntimeAdaptionStorage, WhatIfEstimator,
 };
 pub use dynamic::{DynamicConfigManager, DynamicOptions, ManagementMode, PeriodReport};

@@ -437,7 +437,7 @@ impl SearchSpace {
     }
 
     /// The coarsest step among the varied axes — what a coarse-to-fine
-    /// ladder value must beat to be useful anywhere.
+    /// coarse δ must beat to be useful anywhere.
     pub fn max_varied_delta(&self) -> f64 {
         self.varied
             .iter()

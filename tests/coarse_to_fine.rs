@@ -86,7 +86,7 @@ proptest! {
         let qos = &qos[..n];
         let models = models(cs);
         let opts = CoarseToFineOptions::auto(&space, n);
-        prop_assert!(!opts.coarse_deltas.is_empty(), "auto must find a coarse level");
+        prop_assert!(opts.coarse.is_some(), "auto must find a coarse level");
         let serial = SearchOptions::serial();
         let full = try_exhaustive_search_with(&space, qos, &models, &serial)
             .expect("δ = 0.05 hosts six workloads");
@@ -157,11 +157,12 @@ proptest! {
         prop_assert_eq!(&full.limits_met, &c2f.limits_met, "limit verdicts differ");
     }
 
-    /// A finer fine grid (δ = 0.01) through a two-level ladder still
-    /// matches the full-grid DP on unconstrained regimes.
+    /// A finer fine grid (δ = 0.01) under one coarse δ of 5 or 10 fine
+    /// steps still matches the full-grid DP on unconstrained regimes.
     #[test]
     fn fine_delta_ladder_matches_full_grid(
         cs in coeffs(4),
+        coarse in prop_oneof![Just(0.1), Just(0.05)],
         n in 2usize..=4,
     ) {
         let mut space = SearchSpace::cpu_only(0.5);
@@ -169,10 +170,7 @@ proptest! {
         let cs = &cs[..n];
         let qos = vec![QoS::default(); n];
         let models = models(cs);
-        let opts = CoarseToFineOptions {
-            coarse_deltas: vec![0.1, 0.05],
-            window_steps: 1.0,
-        };
+        let opts = CoarseToFineOptions { coarse: Some(coarse) };
         let full = try_exhaustive_search_with(&space, &qos, &models, &SearchOptions::serial()).unwrap();
         let c2f = coarse_to_fine_search_with(
             &space,
@@ -189,14 +187,15 @@ proptest! {
         );
     }
 
-    /// The two-level ladder down to δ = 0.01 also survives finite
-    /// degradation limits: the limit-aware windows must track the
-    /// boundary across *two* refinement hops and still land on the
-    /// full-grid optimum with identical limit verdicts.
+    /// The same one-coarse-δ refinement down to δ = 0.01 also survives
+    /// finite degradation limits: the limit-aware windows must track
+    /// the boundary across a 5- or 10-step refinement hop and still
+    /// land on the full-grid optimum with identical limit verdicts.
     #[test]
     fn fine_delta_ladder_matches_full_grid_under_limits(
         cs in coeffs(4),
         qos in finite_qos_regimes(4),
+        coarse in prop_oneof![Just(0.1), Just(0.05)],
         n in 2usize..=4,
     ) {
         let mut space = SearchSpace::cpu_only(0.5);
@@ -204,10 +203,7 @@ proptest! {
         let cs = &cs[..n];
         let qos = &qos[..n];
         let models = models(cs);
-        let opts = CoarseToFineOptions {
-            coarse_deltas: vec![0.1, 0.05],
-            window_steps: 1.0,
-        };
+        let opts = CoarseToFineOptions { coarse: Some(coarse) };
         let serial = SearchOptions::serial();
         let full = try_exhaustive_search_with(&space, qos, &models, &serial)
             .expect("δ = 0.01 hosts four workloads");

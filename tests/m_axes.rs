@@ -43,8 +43,8 @@ struct LegacyOutcome {
     allocations: Vec<(f64, f64)>,
     costs: Vec<f64>,
     limits_met: Vec<bool>,
-    /// Cost-function invocations, replicating the batch evaluator's
-    /// per-batch (workload, allocation) dedup.
+    /// Cost-function invocations, one per probe, as the batch
+    /// evaluator issues them.
     calls: u64,
 }
 
@@ -404,29 +404,29 @@ proptest! {
     }
 }
 
-/// The 3-axis coarse ladder is non-trivial in the proptest regime at
-/// n = 2 (at n = 3 the auto heuristic correctly finds no coarse grid
-/// with enough options and falls back to the full grid — also a valid
-/// equivalence case, just not a windowed one).
+/// The 3-axis proptest regime has a coarse δ at n = 2 (at n = 3 the
+/// auto heuristic correctly finds no coarse grid with enough options
+/// and falls back to the full grid — also a valid equivalence case,
+/// just not a windowed one).
 #[test]
 fn three_axis_proptest_regime_has_a_real_coarse_ladder() {
     let mut space = SearchSpace::cpu_memory_disk();
     space.set_delta(0.05);
     space.min_share = 0.25;
     let opts = CoarseToFineOptions::auto(&space, 2);
-    assert!(!opts.coarse_deltas.is_empty(), "auto ladder empty at n=2");
+    assert!(opts.coarse.is_some(), "auto finds no coarse δ at n=2");
 }
 
-/// A deterministic three-tenant 3-axis case in a regime where the
-/// coarse ladder is real ([0.1]), so windowed 3-D refinement itself —
-/// not the full-grid fallback — is exercised against the full grid.
+/// A deterministic three-tenant 3-axis case in a regime with a coarse
+/// δ (0.1), so windowed 3-D refinement itself — not the full-grid
+/// fallback — is exercised against the full grid.
 #[test]
 fn three_axis_windowed_refinement_matches_full_grid_at_n3() {
     let mut space = SearchSpace::cpu_memory_disk();
     space.set_delta(0.05);
     space.min_share = 0.2;
     let opts = CoarseToFineOptions::auto(&space, 3);
-    assert_eq!(opts.coarse_deltas, vec![0.1], "regime must have a ladder");
+    assert_eq!(opts.coarse, Some(0.1), "regime must have a coarse δ");
     let coeffs = [(12.0, 2.0, 5.0), (2.0, 9.0, 1.0), (4.0, 4.0, 15.0)];
     let models: Vec<_> = coeffs
         .iter()
