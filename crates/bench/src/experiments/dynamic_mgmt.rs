@@ -58,11 +58,7 @@ fn advisor() -> VirtualizationDesignAdvisor {
 /// default allocation, decisions).
 fn simulate(mode: ManagementMode) -> Vec<(f64, f64, f64, String)> {
     let mut adv = advisor();
-    let opts = DynamicOptions {
-        mode,
-        ..DynamicOptions::default()
-    };
-    let mut mgr = DynamicConfigManager::new(&adv, space(), opts);
+    let mut mgr = DynamicConfigManager::new(&adv, space(), DynamicOptions { mode });
     let mut out = Vec::with_capacity(PERIODS);
     for p in 1..=PERIODS {
         // Minor change each period: the TPC-H workload grows by one

@@ -4,21 +4,21 @@
 //! fleet scale the dominant cost is re-running the coarse-to-fine
 //! search on machines where little or nothing changed. This scenario
 //! runs a 3-machine / 10-tenant fleet for 20 periods with exactly one
-//! tenant drifting per period and re-optimizes every machine every
-//! period twice over:
+//! tenant drifting per period and re-optimizes the fleet every period
+//! twice over:
 //!
 //! * **cold** — the baseline: fresh estimators, full coarse-to-fine
 //!   search on every machine every period;
-//! * **incremental** — [`VirtualizationDesignAdvisor::recommend_c2f_warm`]
-//!   with a fleet-wide [`ProbeCache`]: unchanged machines return their
-//!   memoized solve at zero optimizer calls, and the drifted machine
-//!   cold-solves with its unchanged tenants' probes served by the
-//!   cache.
+//! * **incremental** — as the control plane does, only the drifted
+//!   machine re-solves, through
+//!   [`VirtualizationDesignAdvisor::recommend_c2f`] with a fleet-wide
+//!   [`ProbeCache`] that serves its unchanged tenants' probes; the
+//!   other machines keep their last result.
 //!
 //! Both legs must agree bit-for-bit on every period's objective,
-//! allocations, and limit verdicts (`results_match`), and the
-//! incremental leg must save at least 10× the steady-state optimizer
-//! calls (`meets_10x`). [`write_json`] emits the deterministic numbers
+//! allocations, and limit verdicts on every machine (`results_match`),
+//! and the incremental leg must save at least 10× the steady-state
+//! optimizer calls (`meets_10x`). [`write_json`] emits the deterministic numbers
 //! as `BENCH_dynamic.json`; CI diffs them against the committed
 //! baseline and fails on regression.
 
@@ -137,8 +137,8 @@ pub struct DynamicBench {
     pub cold_calls_per_period: Vec<u64>,
     /// Per-period optimizer calls, incremental leg.
     pub warm_calls_per_period: Vec<u64>,
-    /// Cold solves summed over the incremental leg's machines; every
-    /// other incremental solve is a memo hit.
+    /// Solves summed over the incremental leg's machines: one per
+    /// machine to start, then the drifted machine each period.
     pub cold_solves: u64,
     /// Incremental-leg accounting: steady-state optimizer calls plus
     /// the fleet probe cache's cross-period hit/miss counters.
@@ -209,8 +209,8 @@ pub fn measure() -> DynamicBench {
     }
     let cold_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Incremental leg: warm-started advisor solves over a fleet-wide
-    // probe cache.
+    // Incremental leg: advisor solves over a fleet-wide probe cache,
+    // of the drifted machine only.
     let probe = ProbeCache::new();
     let mut warm_fleet = fleet();
     for adv in &mut warm_fleet {
@@ -220,7 +220,7 @@ pub fn measure() -> DynamicBench {
     let mut init_warm_calls = 0;
     let mut warm_results: Vec<SearchResult> = Vec::with_capacity(MACHINES);
     for adv in &warm_fleet {
-        let rec = adv.recommend_c2f_warm(&space);
+        let rec = adv.recommend_c2f(&space);
         init_warm_calls += rec.optimizer_calls;
         warm_results.push(rec.result);
     }
@@ -233,13 +233,13 @@ pub fn measure() -> DynamicBench {
         let (g, factor) = drift_for(p);
         let (m, slot) = host_of(g);
         warm_fleet[m].scale_tenant_workload(slot, factor);
-        let mut calls = 0;
-        for (adv, cold) in warm_fleet.iter().zip(&cold_history[p - 1]) {
-            let rec = adv.recommend_c2f_warm(&space);
-            calls += rec.optimizer_calls;
-            results_match &= identical(&rec.result, cold);
-        }
-        warm_calls_per_period.push(calls);
+        let rec = warm_fleet[m].recommend_c2f(&space);
+        warm_calls_per_period.push(rec.optimizer_calls);
+        warm_results[m] = rec.result;
+        results_match &= warm_results
+            .iter()
+            .zip(&cold_history[p - 1])
+            .all(|(w, c)| identical(w, c));
     }
     let warm_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
@@ -308,7 +308,7 @@ pub fn run_from(m: DynamicBench) -> Report {
     report.section("cold vs incremental optimizer calls", table);
 
     let mut counters = Table::new(vec!["counter", "value"]);
-    counters.row(vec!["cold solves".to_string(), m.cold_solves.to_string()]);
+    counters.row(vec!["solves".to_string(), m.cold_solves.to_string()]);
     counters.row(vec![
         "probe hits".to_string(),
         m.accounting.probe_hits.to_string(),
@@ -410,8 +410,8 @@ mod tests {
             m.steady_cold_calls(),
             m.steady_warm_calls()
         );
-        // One cold solve per machine to start, then exactly the
-        // drifted machine each period; every other solve is a hit.
+        // One solve per machine to start, then exactly the drifted
+        // machine each period.
         assert_eq!(m.cold_solves, (MACHINES + PERIODS) as u64);
     }
 

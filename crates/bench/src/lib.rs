@@ -3,8 +3,8 @@
 //! # vda-bench
 //!
 //! The experiment harness regenerating every figure and table of the
-//! paper's evaluation (§7), plus criterion micro-benchmarks of the
-//! advisor and substrate.
+//! paper's evaluation (§7), and the beyond-the-paper benches whose
+//! deterministic numbers CI gates (`BENCH_*.json`).
 //!
 //! Run `cargo run -p vda-bench --release --bin experiments -- all` to
 //! regenerate everything; individual ids (`fig2`, `fig12`, …, `sec72`)

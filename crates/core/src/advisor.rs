@@ -16,11 +16,12 @@
 //! [`VirtualizationDesignAdvisor::optimal_actual`] builds
 //! [`ActualCostModel`] executor oracles.
 //!
-//! The cache and the memo of the last solve are keyed, never reset:
-//! both hash the model and tenant fingerprints (the memo also the QoS
-//! and the search space), so a recalibration, drift or move changes a
-//! key, and a state that returns finds its old rows until
-//! [`ProbeCache::prune`] drops the fingerprints the advisor let go of.
+//! The probe cache is the advisor's only warm state, and it is keyed,
+//! never reset: rows hash the model and tenant fingerprints, so a
+//! recalibration, drift or move changes a key, and a state that
+//! returns finds its old rows until [`ProbeCache::prune`] drops the
+//! fingerprints the advisor let go of. A repeat of an unchanged
+//! solve re-walks cached rows and pays no optimizer call.
 //!
 //! Calibrated models are stored **per engine kind**, exactly like the
 //! paper's one-time per-DBMS-per-machine calibration. Tenant ↔ model
@@ -32,15 +33,15 @@ use crate::costmodel::calibration::{CalibratedModel, CalibrationConfig, Calibrat
 use crate::costmodel::model::ActualCostModel;
 use crate::costmodel::whatif::{ProbeCache, WhatIfEstimator};
 use crate::enumerate::{
-    coarse_to_fine_search_warm, greedy_search_with, try_exhaustive_search_with,
-    CoarseToFineOptions, SearchOptions, SearchResult, WarmStart,
+    greedy_search_with, try_coarse_to_fine_search_with, try_exhaustive_search_with,
+    CoarseToFineOptions, SearchOptions, SearchResult,
 };
 use crate::metrics::CostAccounting;
 use crate::problem::{Allocation, QoS, SearchSpace};
 use crate::refine::{refine, RefineOptions, RefinedModel, RefinementOutcome};
 use crate::tenant::Tenant;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use vda_simdb::engines::EngineKind;
 use vda_simdb::hash::Fnv64;
 use vda_simdb::Result as DbResult;
@@ -125,12 +126,19 @@ pub struct VirtualizationDesignAdvisor {
     /// are shared across searches, periods and machines. It holds
     /// every hosted tenant's fingerprint.
     probe: ProbeCache,
-    /// Warm-start state for [`Self::recommend_c2f_warm`]; interior
-    /// mutability keeps the recommend API `&self` like its siblings.
-    warm: RefCell<WarmStart>,
+    /// Cumulative [`Self::recommend_c2f`] solves. Atomic so the
+    /// recommend API stays `&self` and the advisor stays `Sync`.
+    solves: AtomicU64,
     calibration_config: CalibrationConfig,
     search_options: SearchOptions,
 }
+
+// The control plane's re-solve wave solves advisors through shared
+// borrows on several threads.
+const _: () = {
+    const fn assert_sync<T: Sync>() {}
+    assert_sync::<VirtualizationDesignAdvisor>();
+};
 
 impl VirtualizationDesignAdvisor {
     /// Create an advisor for a physical machine.
@@ -141,7 +149,7 @@ impl VirtualizationDesignAdvisor {
             qos: Vec::new(),
             models: Vec::new(),
             probe: ProbeCache::new(),
-            warm: RefCell::new(WarmStart::new()),
+            solves: AtomicU64::new(0),
             calibration_config: CalibrationConfig::default(),
             search_options: SearchOptions::default(),
         }
@@ -432,39 +440,26 @@ impl VirtualizationDesignAdvisor {
         }
     }
 
-    /// Memoized coarse-to-fine recommendation: bit-identical to a
-    /// cold [`try_coarse_to_fine_search_with`](crate::enumerate::try_coarse_to_fine_search_with)
-    /// over the same estimators. The [`WarmStart`] memo key folds in
-    /// every calibrated model's fingerprint and every tenant's
-    /// workload fingerprint, so a repeat of the last solve is answered
-    /// at zero optimizer calls and anything else (a drifted tenant, a
-    /// recalibration, a QoS or search-space change) cold re-solves
-    /// through this advisor's probe cache.
-    pub fn recommend_c2f_warm(&self, space: &SearchSpace) -> Recommendation {
+    /// Coarse-to-fine recommendation over the advisor's probe cache:
+    /// the grid optimum of [`try_coarse_to_fine_search_with`] at the
+    /// coarse δ [`CoarseToFineOptions::auto`] picks. Rows are keyed by
+    /// model and tenant fingerprint, so a repeat on an unchanged
+    /// advisor pays no optimizer call, and a drift or recalibration
+    /// pays only for the rows it changed.
+    pub fn recommend_c2f(&self, space: &SearchSpace) -> Recommendation {
+        self.solves.fetch_add(1, Ordering::Relaxed);
         let estimators = self.estimators();
-        let (c2f, salt, fingerprints) = self.warm_inputs(space);
-        let mut warm = self.warm.borrow_mut();
-        let result = coarse_to_fine_search_warm(
-            space,
-            &self.qos,
-            &estimators,
-            &c2f,
-            &self.search_options,
-            salt,
-            &fingerprints,
-            &mut warm,
-        )
-        .expect("no grid can host the workloads (min_share too large)");
-        let accounting = CostAccounting::tally(&estimators);
+        let (result, accounting) = solve_c2f(space, &self.qos, &estimators, &self.search_options);
         Recommendation {
-            result,
+            result: result.expect("no grid can host the workloads (min_share too large)"),
             optimizer_calls: accounting.optimizer_calls,
             cache_hits: accounting.cache_hits,
         }
     }
 
-    /// What [`Self::recommend_c2f_warm`] keys its memo with besides
-    /// `space` and the QoS vector: the coarse δ
+    /// What a snapshot keys each machine's placement with besides
+    /// `space` and the QoS vector (see
+    /// [`warm_key`](crate::enumerate::warm_key)): the coarse δ
     /// ([`CoarseToFineOptions::auto`]) for `space`, the calibration
     /// salt (a fold of every tenant's model fingerprint) and the tenant
     /// fingerprints.
@@ -478,38 +473,17 @@ impl VirtualizationDesignAdvisor {
         (c2f, salt.finish(), fingerprints)
     }
 
-    /// Cumulative warm-start counters of [`Self::recommend_c2f_warm`]
-    /// as `(cold_solves, 0, 0)`. A transition form: the two zeros
-    /// stand where delta solves and lattice reuses were counted, so
-    /// callers that destructure the triple keep building.
+    /// Cumulative [`Self::recommend_c2f`] solves as `(solves, 0, 0)`.
+    /// A transition form: the two zeros stand where delta solves and
+    /// lattice reuses were counted, so callers that destructure the
+    /// triple keep building.
     pub fn warm_stats(&self) -> (u64, u64, u64) {
-        (self.warm.borrow().cold_solves(), 0, 0)
+        (self.solves.load(Ordering::Relaxed), 0, 0)
     }
 
-    /// The durable part of this machine's warm-start memo: its key, or
-    /// `None` when cold (see [`WarmStart::export`]). The memoized
-    /// result is the machine's placement, which a
-    /// [`crate::snapshot::FleetSnapshot`] already persists.
-    pub fn export_warm(&self) -> Option<u64> {
-        self.warm.borrow().export()
-    }
-
-    /// Reinstall an [`export_warm`](Self::export_warm)ed key with the
-    /// result it memoized (`None` for a cold memo) and the cold-solve
-    /// counter. The key is re-checked on the next
-    /// [`Self::recommend_c2f_warm`], so restoring a snapshot taken
-    /// under different calibrations, QoS or workloads simply cold
-    /// re-solves.
-    pub fn restore_warm(&mut self, memo: Option<(u64, SearchResult)>, cold_solves: u64) {
-        *self.warm.get_mut() = WarmStart::restore(memo, cold_solves);
-    }
-
-    /// Drop the warm-start state so the next
-    /// [`Self::recommend_c2f_warm`] is a full cold solve. The control
-    /// plane's cold-baseline mode uses this to measure what the
-    /// incremental path saves.
-    pub fn invalidate_warm(&mut self) {
-        self.warm.get_mut().invalidate();
+    /// Reinstall a snapshot's solve counter.
+    pub(crate) fn restore_solves(&mut self, solves: u64) {
+        *self.solves.get_mut() = solves;
     }
 
     /// Actual cost (seconds) of tenant `i` under `alloc` — the
@@ -599,6 +573,22 @@ impl VirtualizationDesignAdvisor {
         );
         (outcome, models)
     }
+}
+
+/// One coarse-to-fine solve over `estimators` at the coarse δ
+/// [`CoarseToFineOptions::auto`] picks for `space`, with the
+/// optimizer calls and cache hits the estimators paid. `None` when no
+/// grid can host the set. The advisor's recommendations and the
+/// control plane's hypothetical pricing both solve through it.
+pub(crate) fn solve_c2f(
+    space: &SearchSpace,
+    qos: &[QoS],
+    estimators: &[WhatIfEstimator<'_>],
+    options: &SearchOptions,
+) -> (Option<SearchResult>, CostAccounting) {
+    let c2f = CoarseToFineOptions::auto(space, estimators.len());
+    let result = try_coarse_to_fine_search_with(space, qos, estimators, &c2f, options);
+    (result, CostAccounting::tally(estimators))
 }
 
 impl Drop for VirtualizationDesignAdvisor {
@@ -961,11 +951,10 @@ mod tests {
     }
 
     #[test]
-    fn a_reinstalled_calibration_finds_its_rows_and_its_memo() {
+    fn a_reinstalled_calibration_finds_its_rows() {
         let mut adv = advisor_two_dss();
         let space = SearchSpace::cpu_only(0.5);
         let first = adv.recommend(&space);
-        let warm = adv.recommend_c2f_warm(&space);
         let kind = adv.tenant(0).engine.kind();
         let original = adv.model(0).clone();
         let mut spec = PhysicalMachine::paper_testbed();
@@ -975,13 +964,10 @@ mod tests {
                 .calibrate(&adv.tenant(0).engine.clone());
         adv.install_calibration(kind, other);
         adv.install_calibration(kind, original);
-        // Both are keyed by the model fingerprint, which is back.
+        // Rows are keyed by the model fingerprint, which is back.
         let again = adv.recommend(&space);
         assert_eq!(again.optimizer_calls, 0, "{again:?}");
         assert_eq!(again.result, first.result);
-        let memo = adv.recommend_c2f_warm(&space);
-        assert_eq!((memo.optimizer_calls, adv.warm_stats().0), (0, 1));
-        assert_eq!(memo.result, warm.result);
     }
 
     #[test]
@@ -1076,51 +1062,35 @@ mod tests {
     }
 
     #[test]
-    fn warm_recommend_caches_and_cold_solves_on_drift() {
+    fn a_repeat_c2f_solve_pays_only_for_changed_rows() {
         let mut adv = advisor_two_dss();
         let space = SearchSpace::cpu_only(0.5);
-        let first = adv.recommend_c2f_warm(&space);
-        assert_eq!(adv.warm_stats(), (1, 0, 0), "first call is cold");
+        let first = adv.recommend_c2f(&space);
         assert!(first.optimizer_calls > 0);
-        // Unchanged period: memo hit, zero optimizer calls.
-        let second = adv.recommend_c2f_warm(&space);
-        assert_eq!(adv.warm_stats(), (1, 0, 0));
-        assert_eq!(second.optimizer_calls, 0, "{second:?}");
-        assert_eq!(first.result, second.result);
-        // One tenant drifts: a cold solve whose unchanged tenant is
-        // priced from the probe cache, matching a cold solve on a
-        // fresh identical advisor bit-for-bit.
+        // Unchanged advisor: every probe is a cached row.
+        let repeat = adv.recommend_c2f(&space);
+        assert_eq!(repeat.optimizer_calls, 0, "{repeat:?}");
+        assert_eq!(repeat.result, first.result);
+        assert_eq!(adv.warm_stats(), (2, 0, 0), "every call is a solve");
+        // One tenant drifts: its rows are new, the other tenant's are
+        // cached, and the answer is a fresh advisor's bit for bit.
         adv.scale_tenant_workload(0, 3.0);
-        let drifted = adv.recommend_c2f_warm(&space);
-        assert_eq!(adv.warm_stats().0, 2, "drift must cold-solve");
+        let drifted = adv.recommend_c2f(&space);
         assert!(
-            drifted.optimizer_calls < first.optimizer_calls,
+            0 < drifted.optimizer_calls && drifted.optimizer_calls < first.optimizer_calls,
             "{drifted:?}"
         );
-        let mut cold = advisor_two_dss();
-        cold.scale_tenant_workload(0, 3.0);
-        let reference = cold.recommend_c2f_warm(&space);
-        assert_eq!(drifted.result, reference.result);
-        // The drifted state again: a hit.
-        let repeat = adv.recommend_c2f_warm(&space);
-        assert_eq!((adv.warm_stats().0, repeat.optimizer_calls), (2, 0));
-    }
-
-    #[test]
-    fn warm_recommend_cold_resolves_after_calibration_flip() {
-        let mut adv = advisor_two_dss();
-        let space = SearchSpace::cpu_only(0.5);
-        let before = adv.recommend_c2f_warm(&space);
-        let _ = adv.recommend_c2f_warm(&space);
-        assert_eq!(adv.warm_stats().0, 1, "second call must stay cached");
-        // Flip the calibration (a genuinely different model): the memo
-        // must miss — the next recommend is a full cold re-solve, not a
-        // cache hit.
+        let mut fresh = advisor_two_dss();
+        fresh.scale_tenant_workload(0, 3.0);
+        assert_eq!(drifted.result, fresh.recommend_c2f(&space).result);
+        assert_eq!(adv.recommend_c2f(&space).optimizer_calls, 0);
+        // A recalibration changes both tenants' rows (one engine kind):
+        // the solve pays what a fresh advisor under that model pays.
         let kind = adv.tenant(0).engine.kind();
-        let old = adv.calibration(kind).unwrap();
+        let old = adv.calibration(kind).unwrap().clone();
         // The same fits on a machine with twice the memory, rebuilt
         // through the constructor (model fields are read-only).
-        let model = CalibratedModel::new(
+        let flipped = CalibratedModel::new(
             old.kind(),
             old.machine_mem_mb() * 2.0,
             old.cpu_fits().clone(),
@@ -1129,17 +1099,18 @@ mod tests {
             old.renorm(),
             old.cost(),
         );
-        assert_ne!(model.fingerprint(), old.fingerprint());
-        adv.install_calibration(kind, model);
-        let after = adv.recommend_c2f_warm(&space);
-        assert_eq!(adv.warm_stats().0, 2, "calibration flip must cold re-solve");
+        assert_ne!(flipped.fingerprint(), old.fingerprint());
+        adv.install_calibration(kind, flipped.clone());
+        let after = adv.recommend_c2f(&space);
+        fresh.install_calibration(kind, flipped);
+        let reference = fresh.recommend_c2f(&space);
         assert!(after.optimizer_calls > 0);
-        // The re-solve runs against the flipped model; for this
-        // CPU-only space its answer must still be self-consistent.
-        assert_eq!(
-            after.result.allocations.len(),
-            before.result.allocations.len()
-        );
+        assert_eq!(after, reference);
+        // Flipping back changes no row: the old model's rows answer.
+        adv.install_calibration(kind, old);
+        let back = adv.recommend_c2f(&space);
+        assert_eq!(back.optimizer_calls, 0, "{back:?}");
+        assert_eq!(back.result, drifted.result);
     }
 
     #[test]

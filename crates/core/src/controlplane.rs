@@ -17,13 +17,13 @@
 //!    fleet-wide [`ProbeCache`]), and therefore most of each other's
 //!    optimizer work.
 //! 2. **Re-solve only the dirty machines** of an event, in parallel,
-//!    each through its advisor's memoized coarse-to-fine search
-//!    ([`VirtualizationDesignAdvisor::recommend_c2f_warm`]): unchanged
-//!    machines keep their placements, a dirty machine whose tenants
-//!    did not change returns its memoized solve, and a drifted machine
-//!    cold-solves with the probes of its unchanged tenants served by
-//!    the fleet [`ProbeCache`]. Everything stays bit-identical to a
-//!    cold re-solve of the whole fleet.
+//!    each through its advisor's coarse-to-fine search
+//!    ([`VirtualizationDesignAdvisor::recommend_c2f`]): unchanged
+//!    machines keep their placements, and a dirty machine solves with
+//!    the probes of its unchanged tenants served by the fleet
+//!    [`ProbeCache`], so it pays optimizer calls only for what
+//!    changed. Everything stays bit-identical to a cold re-solve of
+//!    the whole fleet.
 //! 3. **Reconcile**: a *major* workload change (the §6.1 per-query
 //!    estimate metric against the paper's λ = 10 %, the threshold the
 //!    §6 manager defaults to) or a tenant arrival makes that tenant a
@@ -33,7 +33,9 @@
 //!    deterministic — candidates are visited in `(tenant count,
 //!    machine index)` order and a move is taken only if its
 //!    surcharge-netted gain strictly beats the best so far and clears
-//!    [`ControlPlaneOptions::migration_threshold`]. Calibration
+//!    [`ControlPlaneOptions::migration_threshold`]. A move is never
+//!    taken when it would raise either machine's count of unmet
+//!    degradation limits. Calibration
 //!    management follows
 //!    [`VirtualizationDesignAdvisor::transfer_tenant`]: cross-class
 //!    moves install the destination class's registry model instead of
@@ -59,29 +61,25 @@
 //! retained history.
 //!
 //! The whole control-plane state — calibrations, class registry,
-//! placements, warm-start memo keys, probe entries, decision log — is
-//! durable: [`ControlPlane::snapshot`] captures a
-//! [`crate::snapshot::FleetSnapshot`] and
+//! placements with the key of the inputs each was solved under, probe
+//! entries, decision log — is durable: [`ControlPlane::snapshot`]
+//! captures a [`crate::snapshot::FleetSnapshot`] and
 //! [`ControlPlane::restore`] resumes from one at the optimizer-call
 //! cost of a process that never restarted, with results bit-identical
 //! to it.
 
-use crate::advisor::{Recommendation, VirtualizationDesignAdvisor};
+use crate::advisor::{solve_c2f, Recommendation, VirtualizationDesignAdvisor};
 use crate::costmodel::adaptive::{refit, Adaption, AdaptionOptions, RuntimeAdaptionStorage};
 use crate::costmodel::calibration::{CalibratedModel, Calibrator};
 use crate::costmodel::whatif::{ProbeCache, WhatIfEstimator};
 use crate::dynamic::{change_metric, per_query_estimate, CHANGE_THRESHOLD};
-use crate::enumerate::{
-    try_coarse_to_fine_search_with, warm_key, CoarseToFineOptions, MachineClass, SearchOptions,
-    SearchResult,
-};
+use crate::enumerate::{warm_key, MachineClass, SearchOptions, SearchResult};
 use crate::guardrail::{GuardrailOptions, GuardrailState, GuardrailTracker};
-use crate::metrics::{Clock, CostAccounting};
+use crate::metrics::Clock;
 use crate::placement::machine_capacity;
 use crate::problem::{QoS, SearchSpace};
 use crate::snapshot::{AdaptionSnapshot, FleetSnapshot, MachineSnapshot, TunerSnapshot};
 use crate::tenant::Tenant;
-use parking_lot::Mutex;
 use rayon::prelude::ParallelMapSlice;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
@@ -191,11 +189,11 @@ pub struct ControlPlaneOptions {
     /// prune costs in proportion to the generations that died since
     /// the last one, not to the fleet or cache size.
     pub prune_every: u64,
-    /// `true` (the default): memoized re-solves over the persistent
-    /// fleet probe cache. `false`: every event invalidates all warm
-    /// state and cold-starts the probe cache first — the baseline the
-    /// incremental path is measured against. Results are bit-identical
-    /// either way.
+    /// `true` (the default): re-solves read the persistent fleet
+    /// probe cache. `false`: every event first swaps in a fresh probe
+    /// cache, so each re-solve pays every optimizer call — the
+    /// baseline the incremental path is measured against. Results are
+    /// bit-identical either way.
     pub incremental: bool,
     /// Row capacity of the fleet [`ProbeCache`] (`0`, the default:
     /// unbounded). When set, least-recently-used `(model, tenant)`
@@ -707,9 +705,9 @@ impl ControlPlane {
     }
 
     /// Apply one fleet event: the batch of one. Re-solves the dirty
-    /// machines (in parallel, warm), reconciles the migration
-    /// candidate, logs the [`Decision`] and measures the decision
-    /// latency, through the same loop as
+    /// machines (in parallel, over the fleet probe cache), reconciles
+    /// the migration candidate, logs the [`Decision`] and measures the
+    /// decision latency, through the same loop as
     /// [`process_batch`](Self::process_batch) — the event is moved in,
     /// never cloned.
     ///
@@ -1096,6 +1094,14 @@ impl ControlPlane {
         let machines = (0..self.machines.len())
             .map(|m| {
                 let adv = &self.machines[m];
+                // Every occupied machine's placement was solved under
+                // its current inputs: an event that changes one
+                // re-solves the machine.
+                let key = (adv.tenant_count() > 0).then(|| {
+                    let space = &self.spaces[m];
+                    let (c2f, salt, fingerprints) = adv.warm_inputs(space);
+                    warm_key(space, adv.qos(), &c2f, salt, &fingerprints)
+                });
                 MachineSnapshot {
                     hardware: self.hardware_class(m),
                     tenants: (0..adv.tenant_count())
@@ -1103,7 +1109,7 @@ impl ControlPlane {
                         .collect(),
                     calibrations: adv.calibrations().to_vec(),
                     placement: self.placements[m].clone(),
-                    warm_key: adv.export_warm(),
+                    warm_key: key,
                     cold_solves: adv.warm_stats().0,
                 }
             })
@@ -1157,8 +1163,7 @@ impl ControlPlane {
     /// machine with the same hardware, tenants (in order), and QoS —
     /// and `restore` reinstalls everything durable: calibrations (no
     /// refit), the class registry, probe-cache entries, placements,
-    /// per-machine warm-start memos (each machine's `warm_key` with its
-    /// placement as the memoized solve), and the decision log.
+    /// per-machine solve counters, and the decision log.
     /// Subsequent events cost what they would have cost the process
     /// that never restarted, and their results are bit-identical to
     /// it. Probe rows beyond `options.probe_cache_capacity` are
@@ -1177,8 +1182,8 @@ impl ControlPlane {
     /// verdicts do not number the tenants, a `warm_key` with no
     /// placement, or calibrations that miss a hosted tenant's engine
     /// kind. The snapshot carries no QoS or search spaces, so each
-    /// `warm_key` must equal the memo key recomputed from the rebuilt
-    /// fleet; a machine with no `warm_key` is not checked.
+    /// `warm_key` must equal the key recomputed from the rebuilt
+    /// fleet's inputs; a machine with no `warm_key` is not checked.
     pub fn restore(
         mut machines: Vec<VirtualizationDesignAdvisor>,
         spaces: Vec<SearchSpace>,
@@ -1209,8 +1214,8 @@ impl ControlPlane {
                 return Err(format!("machine {m}: tenant set mismatch"));
             }
             // A live plane solves every occupied machine, one
-            // allocation, cost and verdict per tenant, and empties the
-            // memo with the machine.
+            // allocation, cost and verdict per tenant, and keys only a
+            // placement.
             let n = tenants.len();
             match &ms.placement {
                 None if n > 0 => {
@@ -1229,13 +1234,9 @@ impl ControlPlane {
                 }
                 _ => {}
             }
-            let memo = match (ms.warm_key, &ms.placement) {
-                (Some(key), Some(p)) => Some((key, p.clone())),
-                (Some(_), None) => {
-                    return Err(format!("machine {m}: warm_key without a placement"))
-                }
-                (None, _) => None,
-            };
+            if ms.warm_key.is_some() && ms.placement.is_none() {
+                return Err(format!("machine {m}: warm_key without a placement"));
+            }
             if let Some(t) = (0..n).find(|&i| {
                 let kind = adv.tenant(i).engine.kind();
                 ms.calibrations.iter().all(|(k, _)| *k != kind)
@@ -1248,7 +1249,7 @@ impl ControlPlane {
             for (kind, model) in &ms.calibrations {
                 adv.install_calibration(*kind, model.clone());
             }
-            // The memo key hashes the QoS and space the snapshot lacks.
+            // The key hashes the QoS and space the snapshot lacks.
             if let Some(key) = ms.warm_key {
                 let (c2f, salt, fingerprints) = adv.warm_inputs(&spaces[m]);
                 if warm_key(&spaces[m], adv.qos(), &c2f, salt, &fingerprints) != key {
@@ -1258,7 +1259,7 @@ impl ControlPlane {
                 }
             }
             adv.attach_probe_cache(probe.clone());
-            adv.restore_warm(memo, ms.cold_solves);
+            adv.restore_solves(ms.cold_solves);
         }
         // Recency is runtime state: imported generations are stamped
         // with the restore-time epoch (the snapshot's seq). The rebuilt
@@ -1352,7 +1353,7 @@ impl ControlPlane {
     // Solving
     // ------------------------------------------------------------------
 
-    /// Re-solve the given machines in parallel through their warm
+    /// Re-solve the given machines in parallel through their
     /// advisors, shard-ordered so same-class machines run adjacently
     /// and feed each other's probe entries. Empty machines get a
     /// `None` placement.
@@ -1362,37 +1363,20 @@ impl ControlPlane {
         dirty.dedup();
         // Deterministic shard ordering of the work list.
         dirty.sort_by_key(|&m| (self.pricing_class(m).id(), m));
-        let dirty_set: HashSet<usize> = dirty.iter().copied().collect();
-        let spaces = &self.spaces;
-        // Advisors are !Sync (interior warm-start state), so the
-        // vendored rayon's `par_map` cannot iterate them directly;
-        // per-machine mutexes make the work list `Sync` while each
-        // advisor is still touched by exactly one task.
-        let work: Vec<(usize, Mutex<&mut VirtualizationDesignAdvisor>)> = self
-            .machines
-            .iter_mut()
-            .enumerate()
-            .filter(|(m, adv)| dirty_set.contains(m) && adv.tenant_count() > 0)
-            .map(|(m, adv)| (m, Mutex::new(adv)))
-            .collect();
-        let wave = !work.is_empty();
-        let solved: Vec<(usize, Recommendation)> =
-            work.par_map(|(m, cell)| (*m, cell.lock().recommend_c2f_warm(&spaces[*m])));
-        if wave {
+        let (machines, spaces) = (&self.machines, &self.spaces);
+        let (work, empty): (Vec<usize>, Vec<usize>) =
+            dirty.iter().partition(|&&m| machines[m].tenant_count() > 0);
+        let solved: Vec<Recommendation> = work.par_map(|&m| machines[m].recommend_c2f(&spaces[m]));
+        if !work.is_empty() {
             self.waves += 1;
         }
-        for (m, rec) in solved {
+        for (m, rec) in work.into_iter().zip(solved) {
             self.optimizer_calls += rec.optimizer_calls;
             self.resolves += 1;
             self.placements[m] = Some(rec.result);
         }
-        for &m in &dirty {
-            if self.machines[m].tenant_count() == 0 {
-                // An empty machine has no placement, so no memo either:
-                // restore refuses a `warm_key` without a placement.
-                self.placements[m] = None;
-                self.machines[m].invalidate_warm();
-            }
+        for m in empty {
+            self.placements[m] = None;
         }
     }
 
@@ -1402,9 +1386,12 @@ impl ControlPlane {
 
     /// Price moving tenant `slot` off machine `from` onto each of the
     /// least-loaded candidate destinations, and execute the best move
-    /// whose net gain clears the threshold. Deterministic: candidates
-    /// are visited in `(tenant count, machine index)` order and only a
-    /// strictly better net gain displaces the incumbent.
+    /// whose net gain clears the threshold. A move is never taken,
+    /// however large its gain, when either machine's hypothetical
+    /// solve leaves more degradation limits unmet than its current
+    /// placement does. Deterministic: candidates are visited in
+    /// `(tenant count, machine index)` order and only a strictly
+    /// better net gain displaces the incumbent.
     fn reconcile(&mut self, from: usize, slot: usize) -> Option<Migration> {
         let base_total = self.objective();
         let mut dests: Vec<usize> = (0..self.machines.len())
@@ -1425,14 +1412,22 @@ impl ControlPlane {
         let src_cur = self.current_cost(from);
         let (src_new, src_calls) = self.price_without(from, slot);
         self.optimizer_calls += src_calls;
-        let src_new = src_new?;
+        let (src_new, src_unmet) = src_new?;
+        if src_unmet > self.unmet_limits(from) {
+            return None;
+        }
 
         let from_hw = self.hardware_class(from);
         let mut best: Option<(f64, usize, f64)> = None; // (net, dest, raw gain)
         for &d in &dests {
             let (dst_new, dst_calls) = self.price_with_extra(d, from, slot);
             self.optimizer_calls += dst_calls;
-            let Some(dst_new) = dst_new else { continue };
+            let Some((dst_new, dst_unmet)) = dst_new else {
+                continue;
+            };
+            if dst_unmet > self.unmet_limits(d) {
+                continue;
+            }
             let candidate_total = base_total - src_cur - self.current_cost(d) + src_new + dst_new;
             let Some(gain) = migration_gain(base_total, candidate_total) else {
                 continue;
@@ -1484,14 +1479,20 @@ impl ControlPlane {
             .unwrap_or(0.0)
     }
 
-    /// Hypothetical cost of machine `m` without tenant `skip`
-    /// (`Some(0.0)` if that empties the machine), plus the optimizer
-    /// calls spent pricing it.
-    fn price_without(&self, m: usize, skip: usize) -> (Option<f64>, u64) {
+    /// How many degradation limits machine `m`'s current placement
+    /// leaves unmet (0 while empty).
+    fn unmet_limits(&self, m: usize) -> usize {
+        self.placements[m].as_ref().map_or(0, unmet)
+    }
+
+    /// Hypothetical cost and unmet-limit count of machine `m` without
+    /// tenant `skip` (`Some((0.0, 0))` if that empties the machine),
+    /// plus the optimizer calls spent pricing it.
+    fn price_without(&self, m: usize, skip: usize) -> (Option<(f64, usize)>, u64) {
         let adv = &self.machines[m];
         let n = adv.tenant_count();
         if n <= 1 {
-            return (Some(0.0), 0);
+            return (Some((0.0, 0)), 0);
         }
         let estimators: Vec<WhatIfEstimator<'_>> = (0..n)
             .filter(|&i| i != skip)
@@ -1507,11 +1508,12 @@ impl ControlPlane {
         self.solve_hypothetical(m, &qos, &estimators)
     }
 
-    /// Hypothetical cost of machine `d` hosting its tenants plus
-    /// tenant `slot` of machine `from` — priced with `d`'s own
-    /// calibration for the moved tenant's kind when present, the class
-    /// registry's otherwise (see [`Self::ensure_class_model_for`]).
-    fn price_with_extra(&self, d: usize, from: usize, slot: usize) -> (Option<f64>, u64) {
+    /// Hypothetical cost and unmet-limit count of machine `d` hosting
+    /// its tenants plus tenant `slot` of machine `from` — priced with
+    /// `d`'s own calibration for the moved tenant's kind when present,
+    /// the class registry's otherwise (see
+    /// [`Self::ensure_class_model_for`]).
+    fn price_with_extra(&self, d: usize, from: usize, slot: usize) -> (Option<(f64, usize)>, u64) {
         let adv = &self.machines[d];
         let moved = self.machines[from].tenant(slot);
         let kind = moved.engine.kind();
@@ -1532,19 +1534,18 @@ impl ControlPlane {
     }
 
     /// One non-destructive coarse-to-fine solve over a hypothetical
-    /// estimator set (`None` when no grid can host the set).
+    /// estimator set: its weighted cost and unmet-limit count (`None`
+    /// when no grid can host the set), and the optimizer calls it paid.
     fn solve_hypothetical(
         &self,
         m: usize,
         qos: &[QoS],
         estimators: &[WhatIfEstimator<'_>],
-    ) -> (Option<f64>, u64) {
-        let space = &self.spaces[m];
-        let c2f = CoarseToFineOptions::auto(space, estimators.len());
-        let result =
-            try_coarse_to_fine_search_with(space, qos, estimators, &c2f, &SearchOptions::default());
-        let calls = CostAccounting::tally(estimators).optimizer_calls;
-        (result.map(|r| r.weighted_cost), calls)
+    ) -> (Option<(f64, usize)>, u64) {
+        let (result, accounting) =
+            solve_c2f(&self.spaces[m], qos, estimators, &SearchOptions::default());
+        let priced = result.map(|r| (r.weighted_cost, unmet(&r)));
+        (priced, accounting.optimizer_calls)
     }
 
     // ------------------------------------------------------------------
@@ -1856,15 +1857,13 @@ impl ControlPlane {
         self.probe.prune(&live_models);
     }
 
-    /// Cold-baseline mode: drop every persistent cache so the next
-    /// event pays full price — a fresh probe cache on every advisor
-    /// and no warm-start state anywhere.
+    /// Cold-baseline mode: swap in a fresh probe cache on every
+    /// advisor, so the next event pays full price.
     fn cold_start(&mut self) {
         self.probe = ProbeCache::new();
         self.probe.set_capacity(self.options.probe_cache_capacity);
         for adv in &mut self.machines {
             adv.attach_probe_cache(self.probe.clone());
-            adv.invalidate_warm();
         }
     }
 }
@@ -1894,6 +1893,11 @@ fn migration_gain(base: f64, obj: f64) -> Option<f64> {
         return None;
     }
     Some(improvement / base.abs().max(MIGRATION_BASE_FLOOR))
+}
+
+/// How many degradation limits `placement` leaves unmet.
+fn unmet(placement: &SearchResult) -> usize {
+    placement.limits_met.iter().filter(|&&met| !met).count()
 }
 
 /// `incumbent`'s analytic fit under `tracker`'s candidate correction:
@@ -2014,10 +2018,10 @@ mod tests {
     #[test]
     fn unchanged_event_stream_costs_no_optimizer_calls_when_warm() {
         let mut plane = small_fleet();
-        // Scaling by 1.0 leaves fingerprints unchanged: the warm solve
-        // returns the cached placement without touching the optimizer
-        // (the classification estimates hit the probe cache after the
-        // first event).
+        // Scaling by 1.0 leaves fingerprints unchanged: the re-solve
+        // reads every probe from the cache without touching the
+        // optimizer (the classification estimates hit the probe cache
+        // after the first event).
         let first = plane.process_event(FleetEvent::WorkloadScaled {
             machine: 1,
             slot: 0,

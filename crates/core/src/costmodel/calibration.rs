@@ -294,10 +294,8 @@ impl CalibratedModel {
     /// Computed once when the model is built or changed, so this is a
     /// read. Two models compare [`PartialEq`]-equal iff their
     /// fingerprints agree, so caches keyed by it (the fleet
-    /// [`ProbeCache`](crate::costmodel::whatif::ProbeCache), the
-    /// warm-start state of
-    /// [`coarse_to_fine_search_warm`](crate::enumerate::coarse_to_fine_search_warm))
-    /// are invalidated exactly when a recalibration actually changed
+    /// [`ProbeCache`](crate::costmodel::whatif::ProbeCache)) are
+    /// invalidated exactly when a recalibration actually changed
     /// the model — an estimate priced under an old calibration is
     /// never served under a new one.
     pub fn fingerprint(&self) -> u64 {

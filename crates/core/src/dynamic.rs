@@ -32,6 +32,20 @@ use std::collections::HashSet;
 /// major (§6.1). The control plane classifies its events with it too.
 pub(crate) const CHANGE_THRESHOLD: f64 = 0.10;
 
+/// The paper's 5 % modeling-error threshold: a minor change
+/// mid-refinement continues refining while errors stay below it or
+/// shrink (§6.2).
+const ERROR_THRESHOLD: f64 = 0.05;
+
+/// Refinement settings of each period's refinement step: one §5
+/// round per monitoring period.
+fn period_refine_options() -> RefineOptions {
+    RefineOptions {
+        max_iterations: 1,
+        ..RefineOptions::default()
+    }
+}
+
 /// Tenant `i`'s §6.1 per-query cost estimate: the optimizer's average
 /// cost per statement at `space`'s reference (1/N) allocation. A fixed
 /// reference keeps the metric "sensitive to changes in the nature of
@@ -83,30 +97,19 @@ pub enum ManagementMode {
     ContinuousRefinement,
 }
 
-/// Settings of the dynamic configuration manager.
+/// Settings of the dynamic configuration manager. The thresholds are
+/// the paper's (λ = 10 % on the per-query estimate change, a 5 %
+/// modeling error), and each period runs one refinement round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DynamicOptions {
-    /// λ — the major/minor threshold on the per-query cost-estimate
-    /// change (the paper uses 10 %).
-    pub change_threshold: f64,
-    /// Modeling-error threshold (the paper uses 5 %).
-    pub error_threshold: f64,
     /// Policy mode.
     pub mode: ManagementMode,
-    /// Refinement settings for the per-period refinement steps.
-    pub refine: RefineOptions,
 }
 
 impl Default for DynamicOptions {
     fn default() -> Self {
         DynamicOptions {
-            change_threshold: CHANGE_THRESHOLD,
-            error_threshold: 0.05,
             mode: ManagementMode::Dynamic,
-            refine: RefineOptions {
-                max_iterations: 1,
-                ..RefineOptions::default()
-            },
         }
     }
 }
@@ -155,9 +158,10 @@ impl DynamicConfigManager {
         options: DynamicOptions,
     ) -> Self {
         let rec = advisor.recommend(&space);
+        let sample_grid = period_refine_options().sample_grid;
         let states = (0..advisor.tenant_count())
             .map(|i| WorkloadState {
-                model: advisor.fit_refinement_model(i, &space, options.refine.sample_grid),
+                model: advisor.fit_refinement_model(i, &space, sample_grid),
                 prev_per_query_estimate: per_query_estimate(advisor, &space, i).0,
                 prev_error: None,
             })
@@ -224,8 +228,8 @@ impl DynamicConfigManager {
             let error = (model_est - actual).abs() / actual.max(1e-12);
             errors.push(error);
 
-            let is_major = change > self.options.change_threshold
-                && self.options.mode == ManagementMode::Dynamic;
+            let is_major =
+                change > CHANGE_THRESHOLD && self.options.mode == ManagementMode::Dynamic;
             let decision = if is_major {
                 PeriodDecision::RebuildOnChange
             } else if !self.converged
@@ -249,7 +253,7 @@ impl DynamicConfigManager {
                     let mut model = advisor.fit_refinement_model(
                         i,
                         &self.space,
-                        self.options.refine.sample_grid,
+                        period_refine_options().sample_grid,
                     );
                     model.observe(alloc, actual);
                     self.states[i].model = model;
@@ -273,7 +277,7 @@ impl DynamicConfigManager {
             advisor.qos(),
             &self.current,
             &advisor.actual_models(),
-            &self.options.refine,
+            &period_refine_options(),
         );
         for (s, m) in self.states.iter_mut().zip(models) {
             s.model = m;
@@ -296,10 +300,7 @@ impl DynamicConfigManager {
     fn error_acceptable(&self, i: usize, error: f64) -> bool {
         match self.states[i].prev_error {
             None => true,
-            Some(prev) => {
-                (prev < self.options.error_threshold && error < self.options.error_threshold)
-                    || error < prev
-            }
+            Some(prev) => (prev < ERROR_THRESHOLD && error < ERROR_THRESHOLD) || error < prev,
         }
     }
 }
@@ -385,7 +386,6 @@ mod tests {
         let mut adv = advisor();
         let opts = DynamicOptions {
             mode: ManagementMode::ContinuousRefinement,
-            ..DynamicOptions::default()
         };
         let mut mgr = DynamicConfigManager::new(&adv, SearchSpace::cpu_only(0.5), opts);
         mgr.process_period(&adv);

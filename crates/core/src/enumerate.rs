@@ -22,10 +22,10 @@
 //!   loop, at a fraction of the optimizer calls. The loop serves
 //!   unconstrained and limited problems alike; under finite
 //!   degradation limits its windows also track the limit boundary
-//!   (see the function docs). [`coarse_to_fine_search_warm`] is its
-//!   memoized form, which answers a repeat of the last solve without
-//!   solving, and [`coarse_to_fine_search_with`] its panicking
-//!   shorthand.
+//!   (see the function docs). [`coarse_to_fine_search_with`] is its
+//!   panicking shorthand. Nothing memoizes a solve: a repeat pays
+//!   optimizer calls only for the probes its caller's
+//!   [`ProbeCache`](crate::costmodel::ProbeCache) does not hold.
 //!
 //! All searches report jointly infeasible limits the same way: a
 //! best-effort allocation with the violations flagged in
@@ -1036,82 +1036,12 @@ pub fn try_coarse_to_fine_search_with<M: CostModel>(
 /// knob.
 const RECENTER_CAP: usize = 100;
 
-/// Persistent warm-start state for one machine's period-over-period
-/// coarse-to-fine solves ([`coarse_to_fine_search_warm`]): a memo of
-/// the last solve.
-///
-/// The memo key covers everything the solve reads: the machine class,
-/// the calibration salt, the QoS vector, the coarse-to-fine settings,
-/// and every workload's fingerprint. A key match returns the stored
-/// result, which is what the deterministic cold solve would return.
-/// Any change (a drifted workload, a different δ grid, a recalibrated
-/// model, a new degradation limit) misses the key and runs the one
-/// cold solve. Its probes of unchanged workloads at cells probed before
-/// are hits in a cache that outlives the search (the advisor's
-/// [`ProbeCache`](crate::costmodel::ProbeCache), or the fleet's), so a
-/// miss pays optimizer calls mostly for what drifted. Because the key
-/// covers all of that, its owner never has to invalidate it when the
-/// machine changes. The memo never changes an answer:
-/// `tests/warm_start.rs` pins warm ≡ cold.
-#[derive(Debug, Default)]
-pub struct WarmStart {
-    /// Memo key; `None` until the first successful cold solve.
-    key: Option<u64>,
-    /// The result stored under `key`.
-    last: Option<SearchResult>,
-    /// Cumulative cold solves (every key miss).
-    cold_solves: u64,
-}
-
-impl WarmStart {
-    /// Empty (cold) state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether a solve is memoized (the next matching call returns it).
-    pub fn is_warm(&self) -> bool {
-        self.key.is_some()
-    }
-
-    /// Cumulative count of cold solves (including the first).
-    pub fn cold_solves(&self) -> u64 {
-        self.cold_solves
-    }
-
-    /// Drop the memo (the counter survives). The next call cold
-    /// re-solves unconditionally. Callers must invalidate whenever
-    /// state *outside* the key changes; the key already covers the
-    /// search space, QoS, coarse δ, calibration salt and fingerprints.
-    pub fn invalidate(&mut self) {
-        self.key = None;
-        self.last = None;
-    }
-
-    /// The durable part of the memo: its key, or `None` when cold. The
-    /// stored result is not exported: it is the last solve, which the
-    /// caller keeps as its placement and hands back to
-    /// [`Self::restore`].
-    pub fn export(&self) -> Option<u64> {
-        self.key
-    }
-
-    /// Rebuild a memo from an [`export`](Self::export)ed key with the
-    /// result it was stored under (`None` for a cold memo), and the
-    /// [`cold_solves`](Self::cold_solves) counter.
-    pub fn restore(memo: Option<(u64, SearchResult)>, cold_solves: u64) -> Self {
-        let (key, last) = memo.unzip();
-        WarmStart {
-            key,
-            last,
-            cold_solves,
-        }
-    }
-}
-
-/// The memo key: machine class (axis set, δs, fixed shares, min share)
-/// ⊕ caller salt (calibration identity) ⊕ the full QoS vector ⊕ the
-/// coarse-to-fine settings ⊕ the workload fingerprints.
+/// The key of the inputs a coarse-to-fine solve reads: machine class
+/// (axis set, δs, fixed shares, min share) ⊕ caller salt (calibration
+/// identity) ⊕ the full QoS vector ⊕ the coarse-to-fine settings ⊕
+/// the workload fingerprints. Snapshots store it per occupied machine
+/// (`warm_key`), and restore recomputes it from the rebuilt fleet,
+/// which is how a changed QoS or search space is refused.
 pub(crate) fn warm_key(
     space: &SearchSpace,
     qos: &[QoS],
@@ -1126,8 +1056,8 @@ pub(crate) fn warm_key(
         h.write_u64(q.fingerprint());
     }
     // The bytes the options wrote as a coarse ladder of zero or one δ
-    // plus a window width: memo keys, the keys snapshots store and
-    // restore re-checks, stay what they were.
+    // plus a window width: the keys snapshots store and restore
+    // re-checks stay what they were.
     h.write_u64(u64::from(c2f.coarse.is_some()));
     if let Some(d) = c2f.coarse {
         h.write_u64(d.to_bits());
@@ -1138,52 +1068,6 @@ pub(crate) fn warm_key(
         h.write_u64(f);
     }
     h.finish()
-}
-
-/// Memoized [`try_coarse_to_fine_search_with`]: the same result, at
-/// zero optimizer calls when nothing changed since the previous call.
-///
-/// `fingerprints[i]` identifies workload `i`'s content (e.g.
-/// [`Tenant::fingerprint`](crate::tenant::Tenant::fingerprint)); `salt`
-/// identifies everything else the models depend on (e.g. a fold of the
-/// calibrated-model fingerprints). Two regimes:
-///
-/// * **Hit**: the [`WarmStart`] key matches, so the stored result is
-///   returned (the cold solve is deterministic, so re-running it would
-///   reproduce the stored answer bit for bit).
-/// * **Cold**: anything else. The cold solve runs and its result is
-///   stored under the new key.
-///
-/// Returns `None` exactly when [`try_coarse_to_fine_search_with`]
-/// would (the fine grid cannot host every workload), leaving the memo
-/// cold.
-#[allow(clippy::too_many_arguments)]
-pub fn coarse_to_fine_search_warm<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    c2f: &CoarseToFineOptions,
-    options: &SearchOptions,
-    salt: u64,
-    fingerprints: &[u64],
-    warm: &mut WarmStart,
-) -> Option<SearchResult> {
-    assert_eq!(qos.len(), models.len());
-    assert_eq!(
-        fingerprints.len(),
-        models.len(),
-        "one fingerprint per workload"
-    );
-    let key = warm_key(space, qos, c2f, salt, fingerprints);
-    if warm.key == Some(key) {
-        return warm.last.clone();
-    }
-    warm.invalidate();
-    warm.cold_solves += 1;
-    let result = try_coarse_to_fine_search_with(space, qos, models, c2f, options)?;
-    warm.key = Some(key);
-    warm.last = Some(result.clone());
-    Some(result)
 }
 
 /// Lexicographically better search result: fewer unmet degradation
@@ -2001,101 +1885,48 @@ mod tests {
         assert_eq!(machine_capacity(&space), 20);
     }
 
+    /// Restore refuses a rebuilt machine whose key differs from the
+    /// snapshot's, so every input a solve reads must move the key.
     #[test]
-    fn warm_start_returns_cached_result_at_zero_probes_without_drift() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let calls = Arc::new(AtomicU64::new(0));
-        let mk = |alpha: f64| {
-            let calls = Arc::clone(&calls);
-            FnCostModel::new(move |a: Allocation| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                alpha / a.cpu() + 1.0
-            })
-        };
-        let models = vec![mk(4.0), mk(1.5)];
+    fn warm_key_changes_with_every_input() {
         let space = SearchSpace::cpu_only(0.5);
         let qos = qos_n(2);
-        let c2f = CoarseToFineOptions::default();
-        let opts = SearchOptions::serial();
-        let mut warm = WarmStart::new();
-        let cold =
-            coarse_to_fine_search_warm(&space, &qos, &models, &c2f, &opts, 7, &[10, 20], &mut warm)
-                .unwrap();
-        assert_eq!(warm.cold_solves(), 1);
-        assert!(warm.is_warm());
-        let probes_after_cold = calls.load(Ordering::Relaxed);
-        assert!(probes_after_cold > 0);
-        let hit =
-            coarse_to_fine_search_warm(&space, &qos, &models, &c2f, &opts, 7, &[10, 20], &mut warm)
-                .unwrap();
-        assert_eq!(calls.load(Ordering::Relaxed), probes_after_cold);
-        assert_eq!(cold, hit);
-    }
-
-    #[test]
-    fn warm_drift_cold_solves_and_matches_cold_then_hits_on_repeat() {
-        // Workload 1 drifts each period; 0 and 2 stay (finite limits
-        // keep the limit-aware path and the boundary band engaged).
-        let space = SearchSpace::cpu_only(0.4);
-        let qos = vec![QoS::with_limit(2.0), QoS::default(), QoS::with_limit(3.0)];
-        let c2f = CoarseToFineOptions::default();
-        let opts = SearchOptions::serial();
-        let mk =
-            |alpha: f64, beta: f64| FnCostModel::new(move |a: Allocation| alpha / a.cpu() + beta);
-        let models_at = |phase: f64| vec![mk(3.0, 1.0), mk(1.0 + phase, 0.5), mk(2.0, 2.0)];
-        let mut warm = WarmStart::new();
-        let m0 = models_at(0.0);
-        let first =
-            coarse_to_fine_search_warm(&space, &qos, &m0, &c2f, &opts, 1, &[1, 100, 3], &mut warm)
-                .unwrap();
-        let first_cold = coarse_to_fine_search_with(&space, &qos, &m0, &c2f, &opts);
-        assert_eq!(first, first_cold);
-        for (p, fp) in [(2.0, 200u64), (0.5, 201), (6.0, 202)] {
-            let m = models_at(p);
-            let fps = [1, fp, 3];
-            let w = coarse_to_fine_search_warm(&space, &qos, &m, &c2f, &opts, 1, &fps, &mut warm)
-                .unwrap();
-            let c = coarse_to_fine_search_with(&space, &qos, &m, &c2f, &opts);
-            assert_eq!(w, c, "a drifted warm solve must match the cold solve");
-            // The same period again is a memo hit.
-            let hit = coarse_to_fine_search_warm(&space, &qos, &m, &c2f, &opts, 1, &fps, &mut warm)
-                .unwrap();
-            assert_eq!(hit, c);
-        }
-        // One cold solve per distinct period, none for the repeats.
-        assert_eq!(warm.cold_solves(), 4);
-    }
-
-    #[test]
-    fn warm_key_misses_on_salt_qos_or_invalidation() {
-        let space = SearchSpace::cpu_only(0.5);
-        let qos = qos_n(2);
-        let c2f = CoarseToFineOptions::default();
-        let opts = SearchOptions::serial();
-        let models = synth(vec![2.0, 1.0]);
-        let mut warm = WarmStart::new();
+        let c2f = CoarseToFineOptions::auto(&space, 2);
         let fps = [5u64, 6];
-        let _ = coarse_to_fine_search_warm(&space, &qos, &models, &c2f, &opts, 1, &fps, &mut warm);
-        assert_eq!(warm.cold_solves(), 1);
-        // Different calibration salt → cold re-solve.
-        let _ = coarse_to_fine_search_warm(&space, &qos, &models, &c2f, &opts, 2, &fps, &mut warm);
-        assert_eq!(warm.cold_solves(), 2);
-        // Different QoS → cold re-solve.
-        let strict = vec![QoS::with_limit(1.5), QoS::default()];
-        let _ =
-            coarse_to_fine_search_warm(&space, &strict, &models, &c2f, &opts, 2, &fps, &mut warm);
-        assert_eq!(warm.cold_solves(), 3);
-        // Same everything → cached, no new cold solve.
-        let _ =
-            coarse_to_fine_search_warm(&space, &strict, &models, &c2f, &opts, 2, &fps, &mut warm);
-        assert_eq!(warm.cold_solves(), 3);
-        // Explicit invalidation → cold re-solve.
-        warm.invalidate();
-        assert!(!warm.is_warm());
-        let _ =
-            coarse_to_fine_search_warm(&space, &strict, &models, &c2f, &opts, 2, &fps, &mut warm);
-        assert_eq!(warm.cold_solves(), 4);
+        let base = warm_key(&space, &qos, &c2f, 1, &fps);
+        assert_eq!(base, warm_key(&space, &qos, &c2f, 1, &fps));
+        let mut keys = vec![base, warm_key(&space, &qos, &c2f, 2, &fps)];
+        for i in 0..qos.len() {
+            let mut limited = qos.clone();
+            limited[i] = QoS::with_limit(1.5);
+            keys.push(warm_key(&space, &limited, &c2f, 1, &fps));
+            let mut weighted = qos.clone();
+            weighted[i].gain = 2.0;
+            keys.push(warm_key(&space, &weighted, &c2f, 1, &fps));
+            let mut drifted = fps;
+            drifted[i] += 1;
+            keys.push(warm_key(&space, &qos, &c2f, 1, &drifted));
+        }
+        keys.push(warm_key(&SearchSpace::cpu_only(0.25), &qos, &c2f, 1, &fps));
+        keys.push(warm_key(
+            &SearchSpace::cpu_and_memory(),
+            &qos,
+            &c2f,
+            1,
+            &fps,
+        ));
+        for coarse in [None, Some(0.05)] {
+            assert_ne!(c2f.coarse, coarse);
+            keys.push(warm_key(
+                &space,
+                &qos,
+                &CoarseToFineOptions { coarse },
+                1,
+                &fps,
+            ));
+        }
+        let distinct: BTreeSet<u64> = keys.iter().copied().collect();
+        assert_eq!(distinct.len(), keys.len(), "{keys:x?}");
     }
 
     /// The merged refinement loop against the unconstrained loop it

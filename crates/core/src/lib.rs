@@ -81,9 +81,9 @@ pub use costmodel::{
 };
 pub use dynamic::{DynamicConfigManager, DynamicOptions, ManagementMode, PeriodReport};
 pub use enumerate::{
-    coarse_to_fine_search_warm, coarse_to_fine_search_with, greedy_search_with,
-    try_coarse_to_fine_search_with, try_exhaustive_search_with, CoarseToFineOptions, MachineClass,
-    SearchOptions, SearchResult, TraceStep, WarmStart,
+    coarse_to_fine_search_with, greedy_search_with, try_coarse_to_fine_search_with,
+    try_exhaustive_search_with, CoarseToFineOptions, MachineClass, SearchOptions, SearchResult,
+    TraceStep,
 };
 pub use guardrail::{GuardrailOptions, GuardrailState, GuardrailTracker};
 pub use metrics::CostAccounting;

@@ -322,10 +322,10 @@ impl QoS {
     }
 
     /// Stable 64-bit fingerprint of the QoS settings (bit patterns of
-    /// the limit and the gain). Warm-start state for incremental
-    /// re-optimization keys on it: a changed limit or gain changes the
-    /// optimum even when no workload moved, so it must force a cold
-    /// re-solve.
+    /// the limit and the gain). A snapshot's per-machine `warm_key`
+    /// hashes it: a changed limit or gain changes the optimum even
+    /// when no workload moved, so restore must refuse a fleet rebuilt
+    /// with different QoS.
     pub fn fingerprint(&self) -> u64 {
         let mut h = vda_simdb::hash::Fnv64::new();
         h.write_u64(self.degradation_limit.to_bits());

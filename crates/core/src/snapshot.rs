@@ -3,7 +3,8 @@
 //! [`FleetSnapshot`] is the serialized form of everything a
 //! [`ControlPlane`](crate::controlplane::ControlPlane) has *earned*:
 //! calibrated models (expensive benchmark runs), the class registry,
-//! current placements, each machine's warm-start memo key, the fleet
+//! current placements with the key of the inputs each was solved
+//! under, the fleet
 //! probe cache, and the decision log. A restarted process feeds it to
 //! [`ControlPlane::restore`](crate::controlplane::ControlPlane::restore)
 //! and resumes without recalibrating or re-probing, with bit-identical
@@ -57,9 +58,9 @@ const FORMAT: &str = "vda-fleet-snapshot";
 /// serialized model, the per-(hardware class, engine) residual stores
 /// (`adaption`), and the guardrail trackers (`tuners`). Version 4
 /// writes each probe generation once, its rows as hex columns, and
-/// seals the document with a trailing `digest`. Version 5 stores each
-/// machine's warm-start state as its memo key (`warm_key`) and
-/// cold-solve counter: the memoized result is the placement.
+/// seals the document with a trailing `digest`. Version 5 stores, per
+/// machine, the key of the inputs its placement was solved under
+/// (`warm_key`) and its solve counter (`cold_solves`).
 const VERSION: f64 = 5.0;
 /// 2⁵³: every whole number up to it is an exact `f64`, and counters
 /// are written as JSON numbers, so none above it was written exactly.
@@ -104,11 +105,14 @@ pub struct MachineSnapshot {
     pub calibrations: Vec<(EngineKind, CalibratedModel)>,
     /// The machine's current placement (`None` while empty).
     pub placement: Option<SearchResult>,
-    /// The warm-start memo key (see
-    /// [`crate::enumerate::WarmStart::export`]), `None` when the memo
-    /// was cold. The result it memoizes is [`Self::placement`].
+    /// The key of the inputs [`Self::placement`] was solved under
+    /// (search space, QoS, coarse δ, calibrations, tenant
+    /// fingerprints), written for every occupied machine and `None`
+    /// for an empty one. Restore recomputes it from the rebuilt fleet
+    /// and refuses a mismatch.
     pub warm_key: Option<u64>,
-    /// Cumulative cold solves of the machine's warm-start state.
+    /// The machine's solves
+    /// ([`crate::VirtualizationDesignAdvisor::warm_stats`]).
     pub cold_solves: u64,
 }
 

@@ -1,13 +1,11 @@
-//! Warm-started incremental re-optimization: each machine memoizes its
-//! last solve, backed by a shared probe cache.
+//! Incremental re-optimization over a shared probe cache.
 //!
 //! Two machines each host two tenants. Every monitoring period one
-//! tenant drifts (its workload intensifies or relaxes) and both
-//! machines re-solve. With [`recommend_c2f_warm`] the machine that did
-//! not drift returns its memoized solve at zero optimizer calls, and
-//! the drifted one cold-solves; the shared [`ProbeCache`] means
-//! identical (model, workload, allocation) probes are priced once
-//! fleet-wide, so that cold solve pays optimizer calls only for the
+//! tenant drifts (its workload intensifies or relaxes), and only its
+//! machine re-solves with [`recommend_c2f`]; the other machine keeps
+//! its last placement and pays nothing. The shared [`ProbeCache`]
+//! means identical (model, workload, allocation) probes are priced
+//! once fleet-wide, so a re-solve pays optimizer calls only for the
 //! probes the cache does not hold yet, chiefly the drifted tenant's.
 //! The answers are bit-for-bit the same as a cold solve — only the
 //! optimizer-call bill shrinks.
@@ -16,7 +14,7 @@
 //! cargo run --release --example incremental_reopt
 //! ```
 //!
-//! [`recommend_c2f_warm`]: vda::core::VirtualizationDesignAdvisor::recommend_c2f_warm
+//! [`recommend_c2f`]: vda::core::VirtualizationDesignAdvisor::recommend_c2f
 //! [`ProbeCache`]: vda::core::costmodel::whatif::ProbeCache
 
 use vda::core::costmodel::whatif::ProbeCache;
@@ -66,30 +64,36 @@ fn main() {
         "{:<8} {:>10} {:>10} {:>14} {:>12}",
         "period", "m0 calls", "m1 calls", "objectives", "probe hits"
     );
+    let mut objectives: Vec<Option<f64>> = vec![None; fleet.len()];
     for period in 1..=6 {
-        // One tenant drifts per period; everyone re-solves.
+        // One tenant drifts per period; its machine re-solves, and so
+        // does a machine never solved yet.
         let machine = (period - 1) % fleet.len();
         let factor = if period <= 3 { 1.3 } else { 1.0 / 1.3 };
         fleet[machine].scale_tenant_workload(0, factor);
 
-        let recs: Vec<_> = fleet
-            .iter()
-            .map(|adv| adv.recommend_c2f_warm(&space))
-            .collect();
+        let mut calls = vec![0; fleet.len()];
+        for (m, adv) in fleet.iter().enumerate() {
+            if m == machine || objectives[m].is_none() {
+                let rec = adv.recommend_c2f(&space);
+                calls[m] = rec.optimizer_calls;
+                objectives[m] = Some(rec.result.weighted_cost);
+            }
+        }
         println!(
             "{:<8} {:>10} {:>10} {:>6.1} {:>7.1} {:>12}",
             period,
-            recs[0].optimizer_calls,
-            recs[1].optimizer_calls,
-            recs[0].result.weighted_cost,
-            recs[1].result.weighted_cost,
+            calls[0],
+            calls[1],
+            objectives[0].unwrap_or_default(),
+            objectives[1].unwrap_or_default(),
             probe.hits(),
         );
     }
 
     for (i, adv) in fleet.iter().enumerate() {
-        let cold = adv.warm_stats().0;
-        println!("machine {i}: {cold} cold solve(s), the other periods memo hits");
+        let solves = adv.warm_stats().0;
+        println!("machine {i}: {solves} solve(s), the other periods kept the last placement");
     }
     println!(
         "probe cache: {} entries, {} hits, {} misses",

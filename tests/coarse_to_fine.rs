@@ -1,6 +1,9 @@
 //! Property tests for coarse-to-fine enumeration: windowed refinement
 //! must find the same δ-grid objective as the full-grid DP, across
-//! random workload mixes and QoS/penalty regimes.
+//! random workload mixes and QoS/penalty regimes, and period after
+//! period along drift sequences — including drifts that throw the
+//! optimum across coarse-cell boundaries and periods whose
+//! degradation limits are jointly infeasible.
 
 use proptest::prelude::*;
 use vda::core::costmodel::{CostModel, FnCostModel};
@@ -64,6 +67,54 @@ fn models(coeffs: &[(f64, f64, f64)]) -> Vec<impl CostModel> {
 
 fn boxed<S: Strategy + 'static>(s: S) -> proptest::BoxedStrategy<S::Value> {
     proptest::boxed(s)
+}
+
+/// Workload `i`'s model at drift scale `s`: the CPU term scales, so a
+/// drift moves both the optimum *and* the degradation boundary (a
+/// pure whole-cost scaling would leave the degradation ratio — and
+/// with it every limit verdict — untouched).
+fn drifted_models(coeffs: &[(f64, f64, f64)], scales: &[f64]) -> Vec<impl CostModel> {
+    coeffs
+        .iter()
+        .zip(scales)
+        .map(|(&(alpha, beta, gamma), &s)| {
+            FnCostModel::new(move |a: Allocation| s * alpha / a.cpu() + beta / a.memory() + gamma)
+        })
+        .collect()
+}
+
+/// One drift period: the coarse-to-fine solve and the full grid agree
+/// on objective, allocations, and limit verdicts within 1e-9.
+fn check_period<M: CostModel>(
+    space: &SearchSpace,
+    qos: &[QoS],
+    models: &[M],
+    opts: &CoarseToFineOptions,
+    period: usize,
+) {
+    let serial = SearchOptions::serial();
+    let c2f = try_coarse_to_fine_search_with(space, qos, models, opts, &serial)
+        .expect("c2f is None only when exhaustive is");
+    let full =
+        try_exhaustive_search_with(space, qos, models, &serial).expect("grid hosts the workloads");
+    prop_assert!(
+        (c2f.weighted_cost - full.weighted_cost).abs() <= 1e-9,
+        "period {period}: c2f {} vs full grid {}",
+        c2f.weighted_cost,
+        full.weighted_cost
+    );
+    prop_assert_eq!(
+        &c2f.limits_met,
+        &full.limits_met,
+        "period {}: limit verdicts diverge",
+        period
+    );
+    for (i, (c, f)) in c2f.allocations.iter().zip(&full.allocations).enumerate() {
+        prop_assert!(
+            (c.cpu() - f.cpu()).abs() <= 1e-9 && (c.memory() - f.memory()).abs() <= 1e-9,
+            "period {period}, workload {i}: c2f {c:?} vs full grid {f:?}"
+        );
+    }
 }
 
 proptest! {
@@ -279,4 +330,110 @@ fn jointly_infeasible_limits_never_panic() {
     // The grid paths agree with each other exactly.
     assert_eq!(c2f.limits_met, full.limits_met);
     assert!((c2f.weighted_cost - full.weighted_cost).abs() <= 1e-9);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// CPU-only drift sequences: each period rescales one workload by
+    /// a moderate factor; every period's solve must match the full
+    /// grid.
+    #[test]
+    fn c2f_tracks_random_drift_sequences(
+        cs in coeffs(5),
+        qos in qos_regimes(5),
+        n in 2usize..=5,
+        drifts in proptest::collection::vec((0usize..8, 0.3f64..3.0), 1..5),
+    ) {
+        let space = SearchSpace::cpu_only(0.5); // δ = 0.05
+        let cs = &cs[..n];
+        let qos = &qos[..n];
+        let opts = CoarseToFineOptions::auto(&space, n);
+        let mut scales = vec![1.0f64; n];
+        for (period, &(idx, factor)) in std::iter::once(&(0, 1.0)).chain(&drifts).enumerate() {
+            scales[idx % n] *= factor;
+            check_period(&space, qos, &drifted_models(cs, &scales), &opts, period);
+        }
+    }
+
+    /// Violent drifts (×10–×100 up or down) throw the optimum across
+    /// coarse-cell boundaries; each period must still land on the full
+    /// grid's answer.
+    #[test]
+    fn c2f_survives_coarse_cell_boundary_crossings(
+        cs in coeffs(4),
+        qos in qos_regimes(4),
+        n in 2usize..=4,
+        drifts in proptest::collection::vec(
+            (0usize..8, prop_oneof![0.01f64..0.1, 10.0f64..100.0]),
+            1..4,
+        ),
+    ) {
+        let space = SearchSpace::cpu_only(0.5);
+        let cs = &cs[..n];
+        let qos = &qos[..n];
+        let opts = CoarseToFineOptions::auto(&space, n);
+        let mut scales = vec![1.0f64; n];
+        for (period, &(idx, factor)) in std::iter::once(&(0, 1.0)).chain(&drifts).enumerate() {
+            scales[idx % n] *= factor;
+            check_period(&space, qos, &drifted_models(cs, &scales), &opts, period);
+        }
+    }
+
+    /// Joint CPU+memory grids: drift sequences over the 2-D lattice
+    /// agree with the full grid too.
+    #[test]
+    fn c2f_tracks_drift_on_joint_grids(
+        cs in coeffs(3),
+        qos in qos_regimes(3),
+        n in 2usize..=3,
+        drifts in proptest::collection::vec((0usize..8, 0.2f64..5.0), 1..4),
+    ) {
+        let space = SearchSpace::cpu_and_memory(); // δ = 0.05
+        let cs = &cs[..n];
+        let qos = &qos[..n];
+        let opts = CoarseToFineOptions::auto(&space, n);
+        let mut scales = vec![1.0f64; n];
+        for (period, &(idx, factor)) in std::iter::once(&(0, 1.0)).chain(&drifts).enumerate() {
+            scales[idx % n] *= factor;
+            check_period(&space, qos, &drifted_models(cs, &scales), &opts, period);
+        }
+    }
+}
+
+/// A drift sequence that passes through a jointly-infeasible period:
+/// coarse-to-fine must flag the infeasibility exactly like the full
+/// grid (best-effort allocation, `limits_met` flags false) and recover
+/// to the feasible optimum once the drift reverts.
+#[test]
+fn jointly_infeasible_periods_are_flagged_and_recovered_from() {
+    let space = SearchSpace::cpu_only(0.5);
+    let qos = vec![QoS::with_limit(1.05), QoS::with_limit(1.05)];
+    let cs = vec![(10.0, 0.0, 1.0), (10.0, 0.0, 1.0)];
+    let opts = CoarseToFineOptions::auto(&space, 2);
+    // s = 0.002: each workload stays within 1.05× of solo cost from
+    // ~0.28 CPU share up — two fit. s = 1.0: workload 0 needs ~0.95 —
+    // jointly infeasible with workload 1's ~0.28.
+    for (period, scales) in [[0.002, 0.002], [1.0, 0.002], [0.002, 0.002]]
+        .iter()
+        .enumerate()
+    {
+        let models = drifted_models(&cs, scales);
+        check_period(&space, &qos, &models, &opts, period);
+        let serial = SearchOptions::serial();
+        let full = try_exhaustive_search_with(&space, &qos, &models, &serial).unwrap();
+        if period == 1 {
+            assert!(
+                full.limits_met.iter().any(|m| !m),
+                "the middle period must be jointly infeasible: {:?}",
+                full.limits_met
+            );
+        } else {
+            assert!(
+                full.limits_met.iter().all(|&m| m),
+                "feasible periods must meet every limit: {:?}",
+                full.limits_met
+            );
+        }
+    }
 }

@@ -127,7 +127,6 @@ fn continuous_mode_never_reports_major_changes() {
     let mut adv = mixed_advisor();
     let opts = DynamicOptions {
         mode: ManagementMode::ContinuousRefinement,
-        ..DynamicOptions::default()
     };
     let mut mgr = DynamicConfigManager::new(&adv, SearchSpace::cpu_only(0.25), opts);
     mgr.process_period(&adv);

@@ -437,13 +437,13 @@ fn a_machine_emptied_by_departures_restores() {
     assert_eq!(restored.snapshot().to_json(), snapshot.to_json());
 }
 
-/// A restored machine's memo is the uninterrupted one's: its memo key
-/// with its placement as the memoized solve. A workload scaled by 1.0
-/// changes no fingerprint, so the re-solve it triggers is a memo hit on
-/// both planes — no cold solve — and costs both the same optimizer
-/// calls.
+/// A restored plane re-solves an unchanged machine like the
+/// uninterrupted one. A workload scaled by 1.0 changes no fingerprint,
+/// so the re-solve it triggers reads every probe from the restored
+/// cache: both planes pay the same optimizer calls (none, with an
+/// unbounded cache) and land on the same placement bits.
 #[test]
-fn a_restored_memo_answers_an_unchanged_machine_like_the_uninterrupted_one() {
+fn a_restored_plane_re_solves_an_unchanged_machine_like_the_uninterrupted_one() {
     let drifts = [(0u32, 0usize, 1usize, 1.6f64), (1, 1, 0, 2.0)];
     let (machines, spaces) = fleet();
     let mut reference = ControlPlane::new(machines, spaces, options());
@@ -453,28 +453,67 @@ fn a_restored_memo_answers_an_unchanged_machine_like_the_uninterrupted_one() {
     let mut resumed =
         ControlPlane::restore(fresh, spaces, options(), &snapshot).expect("snapshot restores");
 
-    let cold_solves = |plane: &ControlPlane| -> u64 {
-        (0..plane.machine_count())
-            .map(|m| plane.machine(m).warm_stats().0)
-            .sum()
-    };
-    let mut calls = Vec::new();
     for plane in [&mut reference, &mut resumed] {
-        let (cold_before, calls_before) = (cold_solves(plane), plane.stats().optimizer_calls);
         let outcome = plane.process_event(FleetEvent::WorkloadScaled {
             machine: 1,
             slot: 0,
             factor: 1.0,
         });
         assert_eq!(outcome.resolved, vec![1], "the event re-solves machine 1");
-        assert_eq!(
-            cold_solves(plane),
-            cold_before,
-            "the re-solve is a memo hit"
-        );
-        calls.push(plane.stats().optimizer_calls - calls_before);
+        assert_eq!(outcome.optimizer_calls, 0, "{outcome:?}");
     }
-    assert_eq!(calls[0], calls[1]);
     assert_eq!(resumed.placements(), reference.placements());
     assert_eq!(resumed.snapshot().to_json(), reference.snapshot().to_json());
+}
+
+/// A plane that swaps in a fresh probe cache every event
+/// (`incremental: false`) keys every occupied machine's placement by
+/// its current inputs too: its snapshot carries the keys the
+/// incremental plane writes, restore accepts it, and a rebuilt fleet
+/// whose QoS changed on one machine is refused by machine number.
+#[test]
+fn a_cold_mode_snapshot_keys_every_occupied_machine() {
+    let drifts = [
+        (0u32, 0usize, 1usize, 1.6f64),
+        (1, 1, 0, 2.0),
+        (0, 0, 0, 0.5),
+    ];
+    let cold_options = ControlPlaneOptions {
+        incremental: false,
+        ..options()
+    };
+    let (machines, spaces) = fleet();
+    let mut cold = ControlPlane::new(machines, spaces, cold_options.clone());
+    drive(&mut cold, &drifts, 0, &mut Vec::new());
+    let (machines, spaces) = fleet();
+    let mut incremental = ControlPlane::new(machines, spaces, options());
+    drive(&mut incremental, &drifts, 0, &mut Vec::new());
+
+    let snapshot = cold.snapshot();
+    let keys = |snapshot: &FleetSnapshot| -> Vec<Option<u64>> {
+        snapshot.machines.iter().map(|ms| ms.warm_key).collect()
+    };
+    assert!(
+        snapshot
+            .machines
+            .iter()
+            .all(|ms| ms.warm_key.is_some() != ms.tenants.is_empty()),
+        "{:?}",
+        keys(&snapshot)
+    );
+    assert_eq!(keys(&snapshot), keys(&incremental.snapshot()));
+    let (machines, spaces) = rebuild(&cold);
+    let restored = ControlPlane::restore(machines, spaces, cold_options.clone(), &snapshot)
+        .expect("a cold-mode snapshot restores");
+    assert_eq!(restored.snapshot().to_json(), snapshot.to_json());
+    for m in 0..cold.machine_count() {
+        let (mut machines, spaces) = rebuild(&cold);
+        machines[m].set_qos(0, QoS::with_limit(1.01));
+        let err =
+            ControlPlane::restore(machines, spaces, cold_options.clone(), &snapshot).unwrap_err();
+        assert!(
+            err.contains(&format!("machine {m}")) && err.contains("warm_key"),
+            "{err}"
+        );
+    }
 }
