@@ -10,7 +10,7 @@
 //! version no longer matches the pin in `Cargo.lock` (the cargo cache
 //! key hashes both, so a drift would otherwise poison caches quietly).
 
-use crate::jsonval::{parse, Json};
+use vda_core::jsonio::{parse, Json};
 
 /// Relative tolerance for numeric leaves. Tight enough that a single
 /// extra optimizer call or a different chosen allocation fails, loose

@@ -1,5 +1,5 @@
 //! Ablations of the advisor's design choices (beyond the paper's own
-//! experiments, promised in DESIGN.md §4):
+//! experiments):
 //!
 //! 1. **Greedy step δ** — the paper fixes δ = 5 %. Smaller steps find
 //!    finer-grained optima at more iterations; larger steps converge
@@ -20,7 +20,7 @@ use vda_simdb::engines::{Engine, EngineParams};
 
 /// Run all three ablations.
 pub fn run() -> Report {
-    let mut report = Report::new("ablation", "Design-choice ablations (DESIGN.md §4)");
+    let mut report = Report::new("ablation", "Design-choice ablations");
 
     // --- 1. greedy step size ---
     let engine = setups::engine_fixed_memory(EngineChoice::Db2);

@@ -89,7 +89,7 @@ pub fn run() -> Report {
         "CPU direction matches the paper (db2 wins CPU: {}); the memory split differs \
          by design: our simulated Q17 runs as an index-probe storm whose heap fetches \
          benefit from cache residency, while the paper's PostgreSQL plan was scan-bound \
-         and memory-insensitive (see EXPERIMENTS.md)",
+         and memory-insensitive",
         db2_alloc.cpu() > pg_alloc.cpu(),
     ));
     report.note(format!(

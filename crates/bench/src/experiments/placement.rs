@@ -15,9 +15,7 @@ use crate::harness::{fmt_f, fmt_pct, Report, Table};
 use crate::setups::{self, cold_estimators, EngineChoice};
 use std::time::Instant;
 use vda_core::metrics::CostAccounting;
-use vda_core::placement::{
-    assignment_objective, place_tenants, FleetOptions, MachineSpec, PlacementResult,
-};
+use vda_core::placement::{assignment_objective, place_tenants, MachineSpec, PlacementResult};
 use vda_core::problem::{QoS, SearchSpace};
 use vda_core::tenant::Tenant;
 use vda_core::VirtualizationDesignAdvisor;
@@ -98,16 +96,15 @@ pub fn measure() -> PlacementMeasurement {
     let fleet = vec![MachineSpec::reference(SearchSpace::cpu_and_memory()); MACHINES];
     let qos = adv.qos();
     let n = adv.tenant_count();
-    let options = FleetOptions::default();
 
     let models = cold_estimators(&adv);
     let t0 = Instant::now();
-    let result = place_tenants(&fleet, qos, &models, &options);
+    let result = place_tenants(&fleet, qos, &models);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let optimizer_calls = CostAccounting::tally(&models).optimizer_calls;
 
     let round_robin: Vec<usize> = (0..n).map(|i| i % MACHINES).collect();
-    let round_robin_objective = assignment_objective(&fleet, qos, &models, &round_robin, &options)
+    let round_robin_objective = assignment_objective(&fleet, qos, &models, &round_robin)
         .expect("round-robin names one fleet machine per tenant");
 
     PlacementMeasurement {
@@ -174,11 +171,10 @@ pub fn measure_heterogeneous() -> HeterogeneousMeasurement {
     let qos = adv.qos();
     let n = adv.tenant_count();
     let specs = het_specs();
-    let options = FleetOptions::default();
 
     let models = cold_estimators(&adv);
     let t0 = Instant::now();
-    let result = place_tenants(&specs, qos, &models, &options);
+    let result = place_tenants(&specs, qos, &models);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let optimizer_calls = CostAccounting::tally(&models).optimizer_calls;
 
@@ -186,10 +182,9 @@ pub fn measure_heterogeneous() -> HeterogeneousMeasurement {
     // under that fiction, then pay the true fleet for the resulting
     // assignment.
     let smallest = vec![specs[0]; specs.len()];
-    let blind = place_tenants(&smallest, qos, &models, &options);
-    let smallest_objective =
-        assignment_objective(&specs, qos, &models, &blind.assignment, &options)
-            .expect("a placement over the same fleet size fits the true fleet");
+    let blind = place_tenants(&smallest, qos, &models);
+    let smallest_objective = assignment_objective(&specs, qos, &models, &blind.assignment)
+        .expect("a placement over the same fleet size fits the true fleet");
 
     HeterogeneousMeasurement {
         workloads: n,

@@ -81,7 +81,7 @@ pub fn run_fig19() -> Report {
     report.note(format!(
         "limits met per L9: {met_at:?} (paper: infeasible at L9=1.5, met for all looser \
          settings; our simulated cost curves are shallow enough that even 1.5 is \
-         attainable by starving W11-W13 — see EXPERIMENTS.md)"
+         attainable by starving W11-W13)"
     ));
     report.note(format!(
         "constrained workloads are protected at the expense of the unconstrained ones \

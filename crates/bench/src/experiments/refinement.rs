@@ -143,7 +143,7 @@ fn refinement_improvements(id: &str, choice: EngineChoice) -> Report {
          pre-refinement improvements stay positive because workload-length differences \
          already dominate the initial estimates, while the paper's misestimates were \
          severe enough to go negative — the *correction direction and convergence* \
-         match (see EXPERIMENTS.md)",
+         match",
         fmt_pct(worst_before),
         fmt_pct(best_after)
     ));

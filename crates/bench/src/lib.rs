@@ -8,8 +8,8 @@
 //!
 //! Run `cargo run -p vda-bench --release --bin experiments -- all` to
 //! regenerate everything; individual ids (`fig2`, `fig12`, …, `sec72`)
-//! run one experiment. `EXPERIMENTS.md` records paper-vs-measured for
-//! each.
+//! run one experiment. Each report's notes set the measured result
+//! against the paper's.
 //!
 //! The `check_bench` binary is CI's bench-regression gate: it diffs
 //! freshly measured `BENCH_*.json` artifacts against the committed
@@ -19,7 +19,6 @@
 pub mod benchcheck;
 pub mod experiments;
 pub mod harness;
-pub mod jsonval;
 pub mod setups;
 
 pub use harness::{fmt_f, fmt_pct, Report, Table};

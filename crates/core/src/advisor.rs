@@ -130,7 +130,6 @@ pub struct VirtualizationDesignAdvisor {
     /// recommend API stays `&self` and the advisor stays `Sync`.
     solves: AtomicU64,
     calibration_config: CalibrationConfig,
-    search_options: SearchOptions,
 }
 
 // The control plane's re-solve wave solves advisors through shared
@@ -151,7 +150,6 @@ impl VirtualizationDesignAdvisor {
             probe: ProbeCache::new(),
             solves: AtomicU64::new(0),
             calibration_config: CalibrationConfig::default(),
-            search_options: SearchOptions::default(),
         }
     }
 
@@ -178,12 +176,6 @@ impl VirtualizationDesignAdvisor {
     /// [`Self::calibrate`]).
     pub fn set_calibration_config(&mut self, config: CalibrationConfig) {
         self.calibration_config = config;
-    }
-
-    /// Override how searches evaluate candidate sets (parallel by
-    /// default; results are identical either way).
-    pub fn set_search_options(&mut self, options: SearchOptions) {
-        self.search_options = options;
     }
 
     /// Register a tenant with its QoS settings; returns its index.
@@ -416,7 +408,7 @@ impl VirtualizationDesignAdvisor {
     /// enumerator (§4.5).
     pub fn recommend(&self, space: &SearchSpace) -> Recommendation {
         let estimators = self.estimators();
-        let result = greedy_search_with(space, &self.qos, &estimators, &self.search_options);
+        let result = greedy_search_with(space, &self.qos, &estimators, &SearchOptions::default());
         let accounting = CostAccounting::tally(&estimators);
         Recommendation {
             result,
@@ -430,7 +422,7 @@ impl VirtualizationDesignAdvisor {
     pub fn recommend_exhaustive(&self, space: &SearchSpace) -> Recommendation {
         let estimators = self.estimators();
         let result =
-            try_exhaustive_search_with(space, &self.qos, &estimators, &self.search_options)
+            try_exhaustive_search_with(space, &self.qos, &estimators, &SearchOptions::default())
                 .expect("no grid can host the workloads (min_share too large)");
         let accounting = CostAccounting::tally(&estimators);
         Recommendation {
@@ -449,7 +441,7 @@ impl VirtualizationDesignAdvisor {
     pub fn recommend_c2f(&self, space: &SearchSpace) -> Recommendation {
         self.solves.fetch_add(1, Ordering::Relaxed);
         let estimators = self.estimators();
-        let (result, accounting) = solve_c2f(space, &self.qos, &estimators, &self.search_options);
+        let (result, accounting) = solve_c2f(space, &self.qos, &estimators);
         Recommendation {
             result: result.expect("no grid can host the workloads (min_share too large)"),
             optimizer_calls: accounting.optimizer_calls,
@@ -509,7 +501,7 @@ impl VirtualizationDesignAdvisor {
             space,
             &self.qos,
             &self.actual_models(),
-            &self.search_options,
+            &SearchOptions::default(),
         )
         .expect("no grid can host the workloads (min_share too large)")
     }
@@ -584,10 +576,10 @@ pub(crate) fn solve_c2f(
     space: &SearchSpace,
     qos: &[QoS],
     estimators: &[WhatIfEstimator<'_>],
-    options: &SearchOptions,
 ) -> (Option<SearchResult>, CostAccounting) {
     let c2f = CoarseToFineOptions::auto(space, estimators.len());
-    let result = try_coarse_to_fine_search_with(space, qos, estimators, &c2f, options);
+    let result =
+        try_coarse_to_fine_search_with(space, qos, estimators, &c2f, &SearchOptions::default());
     (result, CostAccounting::tally(estimators))
 }
 
@@ -1026,25 +1018,37 @@ mod tests {
     fn identical_tenants_bill_the_serial_tally_in_parallel() {
         // Two tenants with one workload share every probe row, so a
         // parallel search has them look up the same keys at once.
-        let twins = |options: SearchOptions| {
+        let twins = || {
             let mut adv = advisor_two_dss();
             adv.set_tenant_workload(0, adv.tenant(1).workload.clone())
                 .unwrap();
             assert_eq!(adv.tenant(0).fingerprint(), adv.tenant(1).fingerprint());
-            adv.set_search_options(options);
             adv
         };
-        let tally = |rec: Recommendation| (rec.optimizer_calls, rec.cache_hits);
         let space = SearchSpace::cpu_only(0.5);
-        let greedy = tally(twins(SearchOptions::serial()).recommend(&space));
-        let exhaustive = tally(twins(SearchOptions::serial()).recommend_exhaustive(&space));
+        let tally = |estimators: &[WhatIfEstimator<'_>]| {
+            let accounting = CostAccounting::tally(estimators);
+            (accounting.optimizer_calls, accounting.cache_hits)
+        };
+        // The serial tallies: one serial search over a fresh twin's
+        // estimators each.
+        let greedy = {
+            let adv = twins();
+            let estimators = adv.estimators();
+            greedy_search_with(&space, adv.qos(), &estimators, &SearchOptions::serial());
+            tally(&estimators)
+        };
+        let exhaustive = {
+            let adv = twins();
+            let estimators = adv.estimators();
+            try_exhaustive_search_with(&space, adv.qos(), &estimators, &SearchOptions::serial())
+                .unwrap();
+            tally(&estimators)
+        };
+        let billed = |rec: Recommendation| (rec.optimizer_calls, rec.cache_hits);
         for _ in 0..20 {
-            let parallel = SearchOptions::parallel();
-            assert_eq!(tally(twins(parallel).recommend(&space)), greedy);
-            assert_eq!(
-                tally(twins(parallel).recommend_exhaustive(&space)),
-                exhaustive
-            );
+            assert_eq!(billed(twins().recommend(&space)), greedy);
+            assert_eq!(billed(twins().recommend_exhaustive(&space)), exhaustive);
         }
     }
 

@@ -73,7 +73,7 @@ use crate::costmodel::adaptive::{refit, Adaption, AdaptionOptions, RuntimeAdapti
 use crate::costmodel::calibration::{CalibratedModel, Calibrator};
 use crate::costmodel::whatif::{ProbeCache, WhatIfEstimator};
 use crate::dynamic::{change_metric, per_query_estimate, CHANGE_THRESHOLD};
-use crate::enumerate::{warm_key, MachineClass, SearchOptions, SearchResult};
+use crate::enumerate::{warm_key, MachineClass, SearchResult};
 use crate::guardrail::{GuardrailOptions, GuardrailState, GuardrailTracker};
 use crate::metrics::Clock;
 use crate::placement::machine_capacity;
@@ -82,8 +82,8 @@ use crate::snapshot::{AdaptionSnapshot, FleetSnapshot, MachineSnapshot, TunerSna
 use crate::tenant::Tenant;
 use rayon::prelude::ParallelMapSlice;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
-use vda_simdb::engines::EngineKind;
+use std::collections::{BTreeMap, HashSet, VecDeque};
+use vda_simdb::engines::{Engine, EngineKind};
 use vda_workloads::Workload;
 
 /// One fleet state change, applied by [`ControlPlane::process_event`].
@@ -272,21 +272,19 @@ pub struct Decision {
 
 /// The decision log: unbounded by default, a fixed-capacity **ring
 /// buffer** when [`ControlPlaneOptions::decision_log_capacity`] is
-/// set. Once full, each push overwrites the oldest entry and bumps
+/// set. Once full, each push drops the oldest entry and bumps
 /// [`Self::dropped`]; iteration ([`Self::iter`], [`Self::to_vec`]) is
-/// always oldest → newest regardless of where the ring's head sits.
+/// always oldest → newest.
 ///
 /// Equality is *logical*: two logs are equal when they hold the same
 /// decisions in the same order and dropped the same count — the
-/// internal head position does not participate. Snapshots serialize
-/// the log in logical order plus the dropped counter
-/// (`docs/FORMATS.md`), so a restored ring (head reset to `0`)
-/// re-serializes byte-identically.
+/// configured capacity does not participate. Snapshots serialize the
+/// log in logical order plus the dropped counter (`docs/FORMATS.md`),
+/// so a restored log re-serializes byte-identically.
 #[derive(Debug, Clone)]
 pub struct DecisionLog {
     capacity: usize,
-    buf: Vec<Decision>,
-    head: usize,
+    buf: VecDeque<Decision>,
     dropped: u64,
 }
 
@@ -295,30 +293,25 @@ impl DecisionLog {
     pub fn with_capacity(capacity: usize) -> Self {
         DecisionLog {
             capacity,
-            buf: Vec::new(),
-            head: 0,
+            buf: VecDeque::new(),
             dropped: 0,
         }
     }
 
     /// Rebuild from snapshot state: `entries` in logical order plus
-    /// the historical drop counter. If `entries` exceeds the
-    /// configured capacity, the oldest excess is dropped (and
-    /// counted) — the snapshot may have been taken with a larger
-    /// horizon than the restoring process is configured with.
-    pub(crate) fn restore(capacity: usize, mut entries: Vec<Decision>, dropped: u64) -> Self {
-        let mut dropped = dropped;
-        if capacity > 0 && entries.len() > capacity {
-            let excess = entries.len() - capacity;
-            entries.drain(..excess);
-            dropped += excess as u64;
-        }
-        DecisionLog {
-            capacity,
-            buf: entries,
-            head: 0,
+    /// the historical drop counter. Each entry is pushed in turn, so if
+    /// `entries` exceeds the configured capacity, the oldest excess is
+    /// dropped (and counted) — the snapshot may have been taken with a
+    /// larger horizon than the restoring process is configured with.
+    pub(crate) fn restore(capacity: usize, entries: Vec<Decision>, dropped: u64) -> Self {
+        let mut log = DecisionLog {
             dropped,
+            ..DecisionLog::with_capacity(capacity)
+        };
+        for decision in entries {
+            log.push(decision);
         }
+        log
     }
 
     /// The configured retention horizon (`0` = unbounded).
@@ -326,37 +319,29 @@ impl DecisionLog {
         self.capacity
     }
 
-    /// Append a decision, overwriting the oldest entry once the ring
-    /// is full.
+    /// Append a decision, dropping the oldest entry once the ring is
+    /// full.
     pub fn push(&mut self, decision: Decision) {
-        if self.capacity == 0 || self.buf.len() < self.capacity {
-            self.buf.push(decision);
-        } else {
-            self.buf[self.head] = decision;
-            self.head = (self.head + 1) % self.capacity;
+        if self.capacity > 0 && self.buf.len() == self.capacity {
+            self.buf.pop_front();
             self.dropped += 1;
         }
+        self.buf.push_back(decision);
     }
 
     /// Retained decisions, oldest → newest.
     pub fn iter(&self) -> impl Iterator<Item = &Decision> {
-        self.buf[self.head..]
-            .iter()
-            .chain(self.buf[..self.head].iter())
+        self.buf.iter()
     }
 
     /// The retained decisions as a vector, oldest → newest.
     pub fn to_vec(&self) -> Vec<Decision> {
-        self.iter().cloned().collect()
+        self.buf.iter().cloned().collect()
     }
 
     /// The most recent decision, if any.
     pub fn latest(&self) -> Option<&Decision> {
-        if self.head == 0 {
-            self.buf.last()
-        } else {
-            Some(&self.buf[self.head - 1])
-        }
+        self.buf.back()
     }
 
     /// Number of retained decisions (≤ capacity once bounded).
@@ -369,7 +354,7 @@ impl DecisionLog {
         self.buf.is_empty()
     }
 
-    /// Decisions overwritten (dropped) since the log was created.
+    /// Decisions dropped since the log was created.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -377,7 +362,7 @@ impl DecisionLog {
 
 impl PartialEq for DecisionLog {
     fn eq(&self, other: &Self) -> bool {
-        self.dropped == other.dropped && self.iter().eq(other.iter())
+        self.dropped == other.dropped && self.buf == other.buf
     }
 }
 
@@ -1180,10 +1165,10 @@ impl ControlPlane {
     /// never has: a placement on an empty machine or none on an
     /// occupied one, a placement whose allocations, costs or limit
     /// verdicts do not number the tenants, a `warm_key` with no
-    /// placement, or calibrations that miss a hosted tenant's engine
-    /// kind. The snapshot carries no QoS or search spaces, so each
-    /// `warm_key` must equal the key recomputed from the rebuilt
-    /// fleet's inputs; a machine with no `warm_key` is not checked.
+    /// placement or a placement with no `warm_key`, or calibrations
+    /// that miss a hosted tenant's engine kind. The snapshot carries no
+    /// QoS or search spaces, so each occupied machine's `warm_key` must
+    /// equal the key recomputed from the rebuilt fleet's inputs.
     pub fn restore(
         mut machines: Vec<VirtualizationDesignAdvisor>,
         spaces: Vec<SearchSpace>,
@@ -1234,8 +1219,14 @@ impl ControlPlane {
                 }
                 _ => {}
             }
-            if ms.warm_key.is_some() && ms.placement.is_none() {
-                return Err(format!("machine {m}: warm_key without a placement"));
+            match (&ms.placement, ms.warm_key) {
+                (Some(_), None) => {
+                    return Err(format!("machine {m}: placement without a warm_key"));
+                }
+                (None, Some(_)) => {
+                    return Err(format!("machine {m}: warm_key without a placement"));
+                }
+                _ => {}
             }
             if let Some(t) = (0..n).find(|&i| {
                 let kind = adv.tenant(i).engine.kind();
@@ -1249,7 +1240,8 @@ impl ControlPlane {
             for (kind, model) in &ms.calibrations {
                 adv.install_calibration(*kind, model.clone());
             }
-            // The key hashes the QoS and space the snapshot lacks.
+            // The key hashes the QoS and space the snapshot lacks, and
+            // every occupied machine carries one.
             if let Some(key) = ms.warm_key {
                 let (c2f, salt, fingerprints) = adv.warm_inputs(&spaces[m]);
                 if warm_key(&spaces[m], adv.qos(), &c2f, salt, &fingerprints) != key {
@@ -1404,9 +1396,10 @@ impl ControlPlane {
         if dests.is_empty() {
             return None;
         }
-        let kind = self.machines[from].tenant(slot).engine.kind();
+        // Price each destination with its own class's calibration.
+        let engine = self.machines[from].tenant(slot).engine.clone();
         for &d in &dests {
-            self.ensure_class_model_for(d, kind, (from, slot));
+            self.class_model(d, &engine);
         }
 
         let src_cur = self.current_cost(from);
@@ -1457,8 +1450,8 @@ impl ControlPlane {
             // The model could not travel across hardware classes; the
             // registry holds the destination class's fit (ensured
             // above), so installation costs no calibration run.
-            let model = self.class_models[&(hw_to, kind)].clone();
-            self.machines[to].install_calibration(kind, model);
+            let model = self.class_models[&(hw_to, engine.kind())].clone();
+            self.machines[to].install_calibration(engine.kind(), model);
         }
         self.resolve(&[from, to]);
         self.migrations += 1;
@@ -1542,8 +1535,7 @@ impl ControlPlane {
         qos: &[QoS],
         estimators: &[WhatIfEstimator<'_>],
     ) -> (Option<(f64, usize)>, u64) {
-        let (result, accounting) =
-            solve_c2f(&self.spaces[m], qos, estimators, &SearchOptions::default());
+        let (result, accounting) = solve_c2f(&self.spaces[m], qos, estimators);
         let priced = result.map(|r| (r.weighted_cost, unmet(&r)));
         (priced, accounting.optimizer_calls)
     }
@@ -1561,53 +1553,35 @@ impl ControlPlane {
     }
 
     /// Calibrate machine `m` for every engine kind its tenants need,
-    /// through the class registry: an existing registry model installs
-    /// without a fit; a missing one is fitted once on `m` and
-    /// registered for the whole hardware class.
+    /// installing each missing kind's [`Self::class_model`].
     fn ensure_machine_calibrated(&mut self, m: usize) {
-        let hw = self.hardware_class(m);
-        let kinds: Vec<(usize, EngineKind)> = (0..self.machines[m].tenant_count())
-            .map(|i| (i, self.machines[m].tenant(i).engine.kind()))
-            .collect();
-        for (slot, kind) in kinds {
-            if self.machines[m].calibration(kind).is_some() {
-                continue;
+        for slot in 0..self.machines[m].tenant_count() {
+            let kind = self.machines[m].tenant(slot).engine.kind();
+            if self.machines[m].calibration(kind).is_none() {
+                let engine = self.machines[m].tenant(slot).engine.clone();
+                let model = self.class_model(m, &engine);
+                self.machines[m].install_calibration(kind, model);
             }
-            let model = match self.class_models.get(&(hw, kind)) {
-                Some(model) => model.clone(),
-                None => {
-                    let adv = &self.machines[m];
-                    let engine = adv.tenant(slot).engine.clone();
-                    let model =
-                        Calibrator::with_config(adv.hypervisor(), adv.calibration_config().clone())
-                            .calibrate(&engine);
-                    self.class_models.insert((hw, kind), model.clone());
-                    model
-                }
-            };
-            self.machines[m].install_calibration(kind, model);
         }
     }
 
-    /// Make sure the registry holds a model for machine `d`'s hardware
-    /// class and `kind`, fitting on `d` if needed (the engine instance
-    /// comes from the migration-source tenant `source`), so a candidate
-    /// move is priced with the *destination* class's calibration.
-    fn ensure_class_model_for(&mut self, d: usize, kind: EngineKind, source: (usize, usize)) {
-        let hw = self.hardware_class(d);
-        if let Some(model) = self.machines[d].calibration(kind) {
-            let model = model.clone();
-            self.class_models.entry((hw, kind)).or_insert(model);
-            return;
+    /// The class registry's model for machine `m`'s hardware class and
+    /// `engine`'s kind. On a miss the registry takes `m`'s own model
+    /// for the kind, or one fitted once on `m`, for the whole hardware
+    /// class.
+    fn class_model(&mut self, m: usize, engine: &Engine) -> CalibratedModel {
+        let key = (self.hardware_class(m), engine.kind());
+        if let Some(model) = self.class_models.get(&key) {
+            return model.clone();
         }
-        if self.class_models.contains_key(&(hw, kind)) {
-            return;
-        }
-        let engine = self.machines[source.0].tenant(source.1).engine.clone();
-        let adv = &self.machines[d];
-        let model = Calibrator::with_config(adv.hypervisor(), adv.calibration_config().clone())
-            .calibrate(&engine);
-        self.class_models.insert((hw, kind), model);
+        let adv = &self.machines[m];
+        let model = match adv.calibration(engine.kind()) {
+            Some(model) => model.clone(),
+            None => Calibrator::with_config(adv.hypervisor(), adv.calibration_config().clone())
+                .calibrate(engine),
+        };
+        self.class_models.insert(key, model.clone());
+        model
     }
 
     // ------------------------------------------------------------------
@@ -2787,7 +2761,6 @@ mod tests {
             },
             guardrail: GuardrailOptions {
                 min_shadow_samples: 3,
-                canary_tenants: 1,
                 min_canary_samples: 2,
                 // Wide-open gates: promotion is decided by the shadow
                 // comparison, not the canary thresholds.

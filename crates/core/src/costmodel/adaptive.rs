@@ -48,6 +48,10 @@ pub const MIN_FACTOR: f64 = 0.25;
 /// Upper bound companion to [`MIN_FACTOR`].
 pub const MAX_FACTOR: f64 = 4.0;
 
+/// Refit-time clamp on the constant term: [`refit`] confines `scale`
+/// to `[1/MAX_GAIN, MAX_GAIN]`.
+const MAX_GAIN: f64 = 4.0;
+
 /// A per-axis multiplicative correction over the calibrator's own
 /// feature basis. The factor at allocation `R` is
 ///
@@ -140,10 +144,6 @@ pub struct AdaptionOptions {
     /// Minimum distinct samples before [`refit`] produces a
     /// correction at all.
     pub min_samples: usize,
-    /// Refit-time clamp on the constant term: `scale` is confined to
-    /// `[1/max_gain, max_gain]`. Tighter than the application-time
-    /// factor clamp so the axis terms retain headroom.
-    pub max_gain: f64,
 }
 
 impl Default for AdaptionOptions {
@@ -151,7 +151,6 @@ impl Default for AdaptionOptions {
         AdaptionOptions {
             capacity: 256,
             min_samples: 6,
-            max_gain: 4.0,
         }
     }
 }
@@ -310,7 +309,7 @@ impl RuntimeAdaptionStorage {
 /// sample at one allocation, say) or produces non-finite
 /// coefficients, the fit falls back to the scale-only mean ratio —
 /// always defined, always finite. The constant term is clamped to
-/// `[1/max_gain, max_gain]`.
+/// `[1/4, 4]`.
 pub fn refit(
     storage: &RuntimeAdaptionStorage,
     options: &AdaptionOptions,
@@ -327,9 +326,9 @@ pub fn refit(
     if rows.len() < options.min_samples.max(1) {
         return None;
     }
-    let lo = 1.0 / options.max_gain;
+    let lo = 1.0 / MAX_GAIN;
     let mean_ratio = rows.iter().map(|(_, y)| *y).sum::<f64>() / rows.len() as f64;
-    let fallback = AxisCorrection::scale_only(mean_ratio.clamp(lo, options.max_gain));
+    let fallback = AxisCorrection::scale_only(mean_ratio.clamp(lo, MAX_GAIN));
 
     // Normal equations XᵀX β = Xᵀy over the 3-feature basis.
     let mut a = vec![vec![0.0f64; 3]; 3];
@@ -347,7 +346,7 @@ pub fn refit(
         _ => return Some(fallback),
     };
     Some(AxisCorrection {
-        scale: beta[0].clamp(lo, options.max_gain),
+        scale: beta[0].clamp(lo, MAX_GAIN),
         cpu: beta[1],
         mem: beta[2],
     })

@@ -40,18 +40,28 @@ use vda_simdb::optimizer::Optimizer;
 use vda_stats::{solve_dense, LinearFit};
 use vda_vmm::{cpu_speed_bench, random_read_bench, sequential_read_bench, Hypervisor, VmConfig};
 
+/// Memory share pinned while measuring CPU parameters (§4.4: "we
+/// calibrate the CPU parameters at 50 % memory allocation").
+const CPU_MEM_LEVEL: f64 = 0.5;
+
+/// Allocation at which I/O parameters are measured. Its disk-bandwidth
+/// share is the *reference* against which the disk-axis multiplier is
+/// fitted.
+const IO_LEVEL: Allocation = Allocation::full()
+    .with(Resource::Cpu, 0.5)
+    .with(Resource::Memory, 0.5);
+
+/// Blocks read by each I/O micro-benchmark.
+const IO_BENCH_BLOCKS: u64 = 10_000;
+
+/// Instructions timed by the CPU-speed micro-benchmark.
+const CPU_BENCH_INSTRUCTIONS: u64 = 100_000_000;
+
 /// Settings of the calibration procedure.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CalibrationConfig {
     /// CPU shares at which CPU parameters are measured.
     pub cpu_levels: Vec<f64>,
-    /// Memory share pinned while measuring CPU parameters (§4.4:
-    /// "we calibrate the CPU parameters at 50 % memory allocation").
-    pub cpu_mem_level: f64,
-    /// Allocation at which I/O parameters are measured. Its
-    /// disk-bandwidth share is the *reference* against which the
-    /// disk-axis multiplier is fitted.
-    pub io_level: Allocation,
     /// Disk-bandwidth shares at which the I/O-time multiplier is
     /// measured (analogous to `cpu_levels` for the CPU parameters).
     /// Empty (the default, and the paper's M = 2 procedure) skips the
@@ -62,23 +72,13 @@ pub struct CalibrationConfig {
     ///
     /// [`Resource::DiskBandwidth`]: crate::problem::Resource::DiskBandwidth
     pub disk_levels: Vec<f64>,
-    /// Blocks read by each I/O micro-benchmark.
-    pub io_bench_blocks: u64,
-    /// Instructions timed by the CPU-speed micro-benchmark.
-    pub cpu_bench_instructions: u64,
 }
 
 impl Default for CalibrationConfig {
     fn default() -> Self {
         CalibrationConfig {
             cpu_levels: (1..=10).map(|i| i as f64 / 10.0).collect(),
-            cpu_mem_level: 0.5,
-            io_level: Allocation::full()
-                .with(Resource::Cpu, 0.5)
-                .with(Resource::Memory, 0.5),
             disk_levels: Vec::new(),
-            io_bench_blocks: 10_000,
-            cpu_bench_instructions: 100_000_000,
         }
     }
 }
@@ -323,8 +323,8 @@ impl CalibratedModel {
     }
 
     /// I/O-time multiplier over `1/disk_share`, relative to the
-    /// reference disk share the I/O constants were measured at
-    /// ([`CalibrationConfig::io_level`]). `None` when the disk axis
+    /// reference disk share the I/O constants were measured at (half
+    /// the machine's CPU and memory, all of its disk). `None` when the disk axis
     /// was never calibrated — the model then prices every allocation
     /// at the reference disk share (the paper's M = 2 behaviour).
     pub fn disk_fit(&self) -> Option<LinearFit> {
@@ -523,8 +523,7 @@ impl<'a> Calibrator<'a> {
     pub fn calibrate(&self, engine: &Engine) -> CalibratedModel {
         let mut cost = CalibrationCost::default();
 
-        let (io_point, io_t_seq) =
-            self.calibrate_io_point_raw(engine, self.config.io_level, &mut cost);
+        let (io_point, io_t_seq) = self.calibrate_io_point_raw(engine, IO_LEVEL, &mut cost);
         let io = match engine.kind() {
             EngineKind::PgSim => IoConstants::Pg {
                 random_page_cost: io_point.values[0],
@@ -546,14 +545,8 @@ impl<'a> Calibrator<'a> {
         let mut inv_levels = Vec::with_capacity(self.config.cpu_levels.len());
         let mut columns: Vec<Vec<f64>> = Vec::new();
         for &level in &self.config.cpu_levels {
-            let point = self.calibrate_cpu_point(
-                engine,
-                level,
-                self.config.cpu_mem_level,
-                &io,
-                &renorm,
-                &mut cost,
-            );
+            let point =
+                self.calibrate_cpu_point(engine, level, CPU_MEM_LEVEL, &io, &renorm, &mut cost);
             inv_levels.push(1.0 / level);
             if columns.is_empty() {
                 columns = vec![Vec::new(); point.values.len()];
@@ -595,10 +588,10 @@ impl<'a> Calibrator<'a> {
     }
 
     /// Fit the I/O-time multiplier over `1/disk_share` (relative to
-    /// the reference disk share of [`CalibrationConfig::io_level`]) by
-    /// re-running the sequential read benchmark at each configured
-    /// disk level. `t_ref` is the sequential page time the I/O
-    /// calibration already measured at `io_level` — the reference
+    /// the reference disk share of [`IO_LEVEL`]) by re-running the
+    /// sequential read benchmark at each configured disk level.
+    /// `t_ref` is the sequential page time the I/O calibration
+    /// already measured at [`IO_LEVEL`] — the reference
     /// point is reused, not re-measured (and a level equal to the
     /// reference share is likewise served from it). `None` — and zero
     /// extra measurement cost — when no levels are configured, keeping
@@ -611,8 +604,7 @@ impl<'a> Calibrator<'a> {
             self.config.disk_levels.len() >= 2,
             "disk calibration needs at least two levels"
         );
-        let blocks = self.config.io_bench_blocks;
-        let ref_share = self.config.io_level.disk();
+        let ref_share = IO_LEVEL.disk();
         let mut inv = Vec::with_capacity(self.config.disk_levels.len());
         let mut mult = Vec::with_capacity(self.config.disk_levels.len());
         for &d in &self.config.disk_levels {
@@ -623,15 +615,14 @@ impl<'a> Calibrator<'a> {
                 t_ref
             } else {
                 let perf = self.hv.perf_for(
-                    self.config
-                        .io_level
-                        .with(crate::problem::Resource::DiskBandwidth, d)
+                    IO_LEVEL
+                        .with(Resource::DiskBandwidth, d)
                         .vm_config()
                         .expect("disk levels are valid shares"),
                 );
                 cost.vm_configurations += 1;
-                let t = sequential_read_bench(&perf, blocks);
-                cost.simulated_seconds += t * blocks as f64;
+                let t = sequential_read_bench(&perf, IO_BENCH_BLOCKS);
+                cost.simulated_seconds += t * IO_BENCH_BLOCKS as f64;
                 t
             };
             inv.push(1.0 / d);
@@ -651,7 +642,7 @@ impl<'a> Calibrator<'a> {
         mem_levels: &[f64],
     ) -> Vec<CpuPoint> {
         let mut cost = CalibrationCost::default();
-        let io_point = self.calibrate_io_point(engine, self.config.io_level, &mut cost);
+        let io_point = self.calibrate_io_point(engine, IO_LEVEL, &mut cost);
         let io = match engine.kind() {
             EngineKind::PgSim => IoConstants::Pg {
                 random_page_cost: io_point.values[0],
@@ -703,10 +694,9 @@ impl<'a> Calibrator<'a> {
             .hv
             .perf_for(alloc.vm_config().expect("calibration levels are valid"));
         cost.vm_configurations += 1;
-        let blocks = self.config.io_bench_blocks;
-        let t_seq = sequential_read_bench(&perf, blocks);
-        let t_rand = random_read_bench(&perf, blocks);
-        cost.simulated_seconds += (t_seq + t_rand) * blocks as f64;
+        let t_seq = sequential_read_bench(&perf, IO_BENCH_BLOCKS);
+        let t_rand = random_read_bench(&perf, IO_BENCH_BLOCKS);
+        cost.simulated_seconds += (t_seq + t_rand) * IO_BENCH_BLOCKS as f64;
         let values = match engine.kind() {
             EngineKind::PgSim => vec![t_rand / t_seq],
             EngineKind::Db2Sim => vec![(t_rand - t_seq) * 1e3, t_seq * 1e3],
@@ -742,9 +732,8 @@ impl<'a> Calibrator<'a> {
                 // §4.3: "no queries are needed to calibrate the DB2
                 // cpuspeed parameter" — a stand-alone program times an
                 // instruction loop.
-                let instr = self.config.cpu_bench_instructions;
-                let ms_per_instr = cpu_speed_bench(&perf, instr, 1.0);
-                cost.simulated_seconds += ms_per_instr * instr as f64 / 1e3;
+                let ms_per_instr = cpu_speed_bench(&perf, CPU_BENCH_INSTRUCTIONS, 1.0);
+                cost.simulated_seconds += ms_per_instr * CPU_BENCH_INSTRUCTIONS as f64 / 1e3;
                 CpuPoint {
                     cpu_share: cpu,
                     memory_share: memory,
@@ -889,15 +878,14 @@ impl<'a> Calibrator<'a> {
         io: &IoConstants,
         cost: &mut CalibrationCost,
     ) -> Renormalizer {
-        let alloc = self.config.io_level;
+        let alloc = IO_LEVEL;
         let perf = self
             .hv
             .perf_for(alloc.vm_config().expect("calibration levels are valid"));
         match engine.kind() {
             EngineKind::PgSim => {
-                let blocks = self.config.io_bench_blocks;
-                let secs = sequential_read_bench(&perf, blocks);
-                cost.simulated_seconds += secs * blocks as f64;
+                let secs = sequential_read_bench(&perf, IO_BENCH_BLOCKS);
+                cost.simulated_seconds += secs * IO_BENCH_BLOCKS as f64;
                 Renormalizer::SecondsPerUnit {
                     secs_per_unit: secs,
                 }
@@ -913,9 +901,8 @@ impl<'a> Calibrator<'a> {
                     } => (*overhead_ms, *transfer_rate_ms),
                     _ => unreachable!("engine kinds match"),
                 };
-                let instr = self.config.cpu_bench_instructions;
-                let cpuspeed = cpu_speed_bench(&perf, instr, 1.0);
-                cost.simulated_seconds += cpuspeed * instr as f64 / 1e3;
+                let cpuspeed = cpu_speed_bench(&perf, CPU_BENCH_INSTRUCTIONS, 1.0);
+                cost.simulated_seconds += cpuspeed * CPU_BENCH_INSTRUCTIONS as f64 / 1e3;
                 let mem_cfg = engine.tuning(perf.memory_mb);
                 let params = EngineParams::Db2(Db2Params {
                     cpuspeed_ms_per_instr: cpuspeed,

@@ -181,11 +181,6 @@ impl DynamicConfigManager {
         &self.current
     }
 
-    /// Whether the refinement process has stabilized.
-    pub fn is_converged(&self) -> bool {
-        self.converged
-    }
-
     /// Process one monitoring period: classify workload changes,
     /// update or rebuild models, re-run the search, and adopt the new
     /// allocations. Call after applying any workload changes to the

@@ -15,9 +15,8 @@
 //!    advance; otherwise it is rejected (`RolledBack`) without ever
 //!    acting.
 //! 2. **Canary.** The candidate is deployed on a *bounded tenant
-//!    subset* — the lowest-fingerprint tenants observed during shadow,
-//!    capped by [`GuardrailOptions::canary_tenants`] — while the rest
-//!    of the fleet stays on the incumbent. After
+//!    subset* — the lowest-fingerprint tenant observed during shadow —
+//!    while the rest of the fleet stays on the incumbent. After
 //!    [`GuardrailOptions::min_canary_samples`] canary reports the
 //!    verdict is evaluated: the candidate's canary error must not
 //!    exceed the incumbent's by more than
@@ -35,6 +34,10 @@
 
 use crate::costmodel::adaptive::Adaption;
 use std::collections::BTreeSet;
+
+/// Size of the canary subset: the lowest-fingerprint tenants seen
+/// during shadow.
+const CANARY_TENANTS: usize = 1;
 
 /// Lifecycle of one tuning candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,9 +87,6 @@ pub struct GuardrailOptions {
     /// Reports the candidate must shadow-price before the shadow gate
     /// is evaluated.
     pub min_shadow_samples: u64,
-    /// Size cap of the canary tenant subset (the lowest-fingerprint
-    /// tenants seen during shadow).
-    pub canary_tenants: usize,
     /// Canary-tenant reports required before the verdict.
     pub min_canary_samples: u64,
     /// Allowed canary error inflation: the candidate's mean relative
@@ -101,7 +101,6 @@ impl Default for GuardrailOptions {
     fn default() -> Self {
         GuardrailOptions {
             min_shadow_samples: 4,
-            canary_tenants: 1,
             min_canary_samples: 4,
             max_error_inflation: 0.25,
             max_objective_regression: 0.05,
@@ -264,7 +263,7 @@ impl GuardrailTracker {
                             .seen_tenants
                             .iter()
                             .copied()
-                            .take(self.options.canary_tenants.max(1))
+                            .take(CANARY_TENANTS)
                             .collect();
                         self.baseline_objective = Some(objective);
                     } else {
@@ -356,7 +355,6 @@ mod tests {
     fn opts() -> GuardrailOptions {
         GuardrailOptions {
             min_shadow_samples: 2,
-            canary_tenants: 1,
             min_canary_samples: 2,
             max_error_inflation: 0.25,
             max_objective_regression: 0.05,

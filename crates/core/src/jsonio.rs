@@ -8,10 +8,10 @@
 //! writers emit: objects, arrays, strings (no escapes beyond `\"`,
 //! `\\`, `\n`, `\t`), numbers, booleans, and `null`.
 //!
-//! This module started life as `vda_bench::jsonval` (the CI
-//! bench-regression gate's reader); the control plane's snapshot
-//! format promoted it into `vda-core` and added the writer. The bench
-//! crate re-exports it unchanged.
+//! This module started life as the CI bench-regression gate's reader
+//! in `vda-bench`; the control plane's snapshot format promoted it
+//! into `vda-core` and added the writer. The bench gate
+//! (`check_bench`) reads through it directly.
 //!
 //! ## Exactness
 //!

@@ -38,7 +38,7 @@
 //!    resource scales; identical fleets repeat one spec, and subset
 //!    solves are memoized per [`enumerate::MachineClass`]) — via
 //!    marginal-benefit bin-packing plus swap/migrate local search over
-//!    per-machine inner solves.
+//!    per-machine greedy solves.
 //! 8. **Fleet control plane** ([`controlplane`]): the event-driven
 //!    fleet manager. [`ControlPlane`] classifies each workload change
 //!    (§6.1), re-solves only the machines an event dirties, and lets
@@ -88,8 +88,8 @@ pub use enumerate::{
 pub use guardrail::{GuardrailOptions, GuardrailState, GuardrailTracker};
 pub use metrics::CostAccounting;
 pub use placement::{
-    assignment_objective, machine_capacity, place_tenants, AssignmentPricer, FleetOptions,
-    InnerSolve, MachineSpec, PlacementMove, PlacementResult, ScaledCostModel,
+    assignment_objective, machine_capacity, place_tenants, MachineSpec, PlacementMove,
+    PlacementResult, ScaledCostModel,
 };
 pub use problem::{Allocation, QoS, Resource, SearchSpace};
 pub use refine::{RefineOptions, RefinedModel, RefinementOutcome};

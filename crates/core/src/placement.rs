@@ -18,15 +18,15 @@
 //!    total gain-weighted cost. Every candidate move is priced against
 //!    the *destination* machine's search space and scale.
 //!
-//! Every machine-subset evaluation is a full per-machine inner solve —
-//! [`greedy_search_with`], [`try_exhaustive_search_with`], or
-//! [`try_coarse_to_fine_search_with`] — over the tenants currently on
-//! that machine, so the placer optimizes exactly the objective the
-//! per-machine advisor will realize. Subset solves are memoized for
-//! the lifetime of one placement, keyed by `(`[`MachineClass`]`,
-//! subset)`: machines of the same class share solves (an identical
-//! fleet solves each subset once), while different classes never
-//! cross-contaminate.
+//! Every machine-subset evaluation is a per-machine solve with the
+//! Figure 11 greedy enumerator ([`greedy_search_with`]) over the
+//! tenants currently on that machine, so the placer optimizes exactly
+//! the objective the per-machine advisor's
+//! [`recommend`](crate::advisor::VirtualizationDesignAdvisor::recommend)
+//! will realize. Subset solves are memoized for the lifetime of one
+//! placement, keyed by `(`[`MachineClass`]`, subset)`: machines of the
+//! same class share solves (an identical fleet solves each subset
+//! once), while different classes never cross-contaminate.
 //!
 //! Each [`MachineSpec`] carries its own [`SearchSpace`] plus a resource
 //! **scale** relative to the fleet's reference machine. A tenant's
@@ -37,62 +37,26 @@
 //! cost against its solo cost *on the machine it is placed on*,
 //! exactly what the per-machine advisor will later enforce.
 //!
-//! Degradation limits make some subsets jointly infeasible; every
-//! inner solver (greedy and the grid DPs alike) reports those
-//! best-effort via `limits_met`, and each unmet limit costs an
-//! [`FleetOptions::infeasibility_penalty`], steering the local search
+//! Degradation limits make some subsets jointly infeasible; the greedy
+//! solve reports those best-effort via `limits_met`, and each unmet
+//! limit costs a fixed penalty (`1e9`), steering the local search
 //! toward spreading constrained tenants out rather than aborting.
 
 use crate::costmodel::model::CostModel;
 use crate::costmodel::whatif::Estimate;
-use crate::enumerate::{
-    axis_units, greedy_search_with, try_coarse_to_fine_search_with, try_exhaustive_search_with,
-    CoarseToFineOptions, MachineClass, SearchOptions, SearchResult,
-};
+use crate::enumerate::{axis_units, greedy_search_with, MachineClass, SearchOptions, SearchResult};
 use crate::problem::{Allocation, QoS, Resource, ResourceVector, SearchSpace};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
-/// Which per-machine solver prices (and finally configures) each
-/// machine's tenant subset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum InnerSolve {
-    /// The Figure 11 greedy enumerator (cheap, near-optimal).
-    Greedy,
-    /// The full-grid DP optimum.
-    Exhaustive,
-    /// Coarse-to-fine DP refinement (grid-optimal on separable costs,
-    /// far fewer probes).
-    CoarseToFine(CoarseToFineOptions),
-}
+/// Local-search round cap: each round applies at most one move, and
+/// the search stops earlier when no move improves.
+const MAX_ROUNDS: usize = 32;
 
-/// Fleet-placement settings. The fleet itself is the [`MachineSpec`]
-/// slice handed to [`place_tenants`]; its length is `K`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetOptions {
-    /// Per-machine solver.
-    pub inner: InnerSolve,
-    /// Candidate-evaluation options for the inner solves.
-    pub search: SearchOptions,
-    /// Local-search round cap (each round applies at most one move;
-    /// the search stops earlier when no move improves).
-    pub max_rounds: usize,
-    /// Objective penalty per unmet degradation limit, pricing
-    /// infeasible-but-rankable subsets.
-    pub infeasibility_penalty: f64,
-}
-
-impl Default for FleetOptions {
-    fn default() -> Self {
-        FleetOptions {
-            inner: InnerSolve::Greedy,
-            search: SearchOptions::default(),
-            max_rounds: 32,
-            infeasibility_penalty: 1e9,
-        }
-    }
-}
+/// Objective penalty per unmet degradation limit, pricing
+/// infeasible-but-rankable subsets.
+const INFEASIBILITY_PENALTY: f64 = 1e9;
 
 /// One machine of a (possibly heterogeneous) fleet: its search space
 /// plus its resource capacity relative to the fleet's reference
@@ -268,8 +232,9 @@ impl PlacementResult {
             .collect()
     }
 
-    /// The recommended allocation of tenant `i`, if its machine's
-    /// subset was feasible enough to solve.
+    /// The recommended allocation of tenant `i`. Every occupied
+    /// machine is solved, so this is `Some` for any result of
+    /// [`place_tenants`].
     pub fn allocation_of(&self, i: usize) -> Option<Allocation> {
         let m = self.assignment[i];
         let slot = self.tenants_on(m).iter().position(|&t| t == i)?;
@@ -292,10 +257,10 @@ pub fn machine_capacity(space: &SearchSpace) -> usize {
 }
 
 /// Memoized pricing of machine subsets, keyed by machine class, then
-/// subset: fleet objective plus the inner solve that produced it
-/// (`None` when grid-infeasible). Two levels so cache probes can use
-/// the borrowed `&[usize]` subset without allocating a key.
-type SubsetCache = RefCell<HashMap<MachineClass, HashMap<Vec<usize>, (f64, Option<SearchResult>)>>>;
+/// subset: fleet objective plus the greedy solve that produced it. Two
+/// levels so cache probes can use the borrowed `&[usize]` subset
+/// without allocating a key.
+type SubsetCache = RefCell<HashMap<MachineClass, HashMap<Vec<usize>, (f64, SearchResult)>>>;
 
 /// Memoizing fleet evaluator: (machine, subset) → (objective, inner
 /// solve), with solves shared across machines of the same class.
@@ -305,18 +270,12 @@ struct FleetSolver<'a, M> {
     qos: &'a [QoS],
     /// `models[i]` prices tenant `i` in reference-machine units.
     models: &'a [M],
-    options: &'a FleetOptions,
     cache: SubsetCache,
     solves: Cell<usize>,
 }
 
 impl<'a, M: CostModel> FleetSolver<'a, M> {
-    fn new(
-        specs: &[MachineSpec],
-        qos: &'a [QoS],
-        models: &'a [M],
-        options: &'a FleetOptions,
-    ) -> Self {
+    fn new(specs: &[MachineSpec], qos: &'a [QoS], models: &'a [M]) -> Self {
         assert!(!specs.is_empty(), "at least one machine spec");
         assert_eq!(models.len(), qos.len(), "one model per tenant");
         FleetSolver {
@@ -324,7 +283,6 @@ impl<'a, M: CostModel> FleetSolver<'a, M> {
             classes: specs.iter().map(MachineSpec::class).collect(),
             qos,
             models,
-            options,
             cache: RefCell::new(HashMap::new()),
             solves: Cell::new(0),
         }
@@ -359,14 +317,12 @@ impl<'a, M: CostModel> FleetSolver<'a, M> {
 
     /// Objective of hosting `subset` (ascending tenant indices) on
     /// machine `m`: gain-weighted cost plus one infeasibility penalty
-    /// per unmet degradation limit — uniform across greedy and grid
-    /// inner solves, since all of them now report joint infeasibility
+    /// per unmet degradation limit, which the greedy solve reports
     /// best-effort via `limits_met`. Penalties are *finite*, so
     /// seeding deltas and local-search improvements stay comparable
     /// (∞ − ∞ would be NaN and silently freeze both), and every
     /// constrained tenant moved off an overloaded machine shrinks the
-    /// objective. The `None` arm survives only for structural
-    /// infeasibility (a subset the δ grid cannot host at all).
+    /// objective.
     fn objective(&self, m: usize, subset: &[usize]) -> f64 {
         if subset.is_empty() {
             return 0.0;
@@ -384,32 +340,10 @@ impl<'a, M: CostModel> FleetSolver<'a, M> {
         let space = &self.specs[m].space;
         let qos_sub: Vec<QoS> = subset.iter().map(|&i| self.qos[i]).collect();
         let models_sub: Vec<_> = subset.iter().map(|&i| self.model(m, i)).collect();
-        let result = match &self.options.inner {
-            InnerSolve::Greedy => Some(greedy_search_with(
-                space,
-                &qos_sub,
-                &models_sub,
-                &self.options.search,
-            )),
-            InnerSolve::Exhaustive => {
-                try_exhaustive_search_with(space, &qos_sub, &models_sub, &self.options.search)
-            }
-            InnerSolve::CoarseToFine(c2f) => try_coarse_to_fine_search_with(
-                space,
-                &qos_sub,
-                &models_sub,
-                c2f,
-                &self.options.search,
-            ),
-        };
+        let result = greedy_search_with(space, &qos_sub, &models_sub, &SearchOptions::default());
         self.solves.set(self.solves.get() + 1);
-        let obj = match &result {
-            None => self.options.infeasibility_penalty * subset.len() as f64,
-            Some(r) => {
-                let unmet = r.limits_met.iter().filter(|&&met| !met).count();
-                r.weighted_cost + self.options.infeasibility_penalty * unmet as f64
-            }
-        };
+        let unmet = result.limits_met.iter().filter(|&&met| !met).count();
+        let obj = result.weighted_cost + INFEASIBILITY_PENALTY * unmet as f64;
         self.cache
             .borrow_mut()
             .entry(self.classes[m])
@@ -425,7 +359,7 @@ impl<'a, M: CostModel> FleetSolver<'a, M> {
             .borrow()
             .get(&self.classes[m])
             .and_then(|per_class| per_class.get(subset))
-            .and_then(|(_, r)| r.clone())
+            .map(|(_, r)| r.clone())
     }
 
     /// Fleet objective of a full assignment.
@@ -458,14 +392,14 @@ fn starved_allocation(space: &SearchSpace) -> Allocation {
 /// [`MachineSpec`] per machine, each with its own search space, grid
 /// resolution and resource scale: greedy marginal-benefit seeding plus
 /// steepest-descent migrate/swap local search, all priced through a
-/// class-keyed memo of per-machine inner solves. `models[i]` prices
+/// class-keyed memo of per-machine greedy solves. `models[i]` prices
 /// tenant `i` in reference-machine units; each machine sees it through
 /// a [`ScaledCostModel`] at that machine's scale.
 ///
 /// # Example
 ///
 /// ```
-/// use vda_core::placement::{place_tenants, FleetOptions, MachineSpec};
+/// use vda_core::placement::{place_tenants, MachineSpec};
 /// use vda_core::problem::{Allocation, QoS, SearchSpace};
 /// use vda_core::FnCostModel;
 ///
@@ -476,11 +410,10 @@ fn starved_allocation(space: &SearchSpace) -> Allocation {
 ///     .collect();
 /// let qos = vec![QoS::default(); 4];
 /// let space = SearchSpace::cpu_only(0.5);
-/// let options = FleetOptions::default();
 ///
 /// // An identical fleet: two reference machines, one machine class.
 /// let identical = vec![MachineSpec::reference(space); 2];
-/// let placed = place_tenants(&identical, &qos, &models, &options);
+/// let placed = place_tenants(&identical, &qos, &models);
 /// assert_ne!(placed.assignment[0], placed.assignment[1]);
 /// assert_eq!(placed.machine_classes[0], placed.machine_classes[1]);
 ///
@@ -489,7 +422,7 @@ fn starved_allocation(space: &SearchSpace) -> Allocation {
 ///     MachineSpec::reference(space),
 ///     MachineSpec::scaled(space, 0.5, 1.0),
 /// ];
-/// let placed = place_tenants(&mixed, &qos, &models, &options);
+/// let placed = place_tenants(&mixed, &qos, &models);
 /// assert_eq!(placed.assignment[0], 0, "the hungriest tenant takes the big machine");
 /// assert_ne!(placed.machine_classes[0], placed.machine_classes[1]);
 /// ```
@@ -497,9 +430,8 @@ pub fn place_tenants<M: CostModel>(
     specs: &[MachineSpec],
     qos: &[QoS],
     models: &[M],
-    options: &FleetOptions,
 ) -> PlacementResult {
-    let solver = FleetSolver::new(specs, qos, models, options);
+    let solver = FleetSolver::new(specs, qos, models);
     let n = qos.len();
     assert!(n >= 1, "at least one tenant");
     let k = solver.machines();
@@ -566,7 +498,7 @@ pub fn place_tenants<M: CostModel>(
     // candidate priced on its destination machine.
     let mut moves = Vec::new();
     let mut current = solver.total(&assignment);
-    for _ in 0..options.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         let mut best: Option<(PlacementMove, Vec<usize>, f64)> = None;
         // Single-tenant migrations.
         for t in 0..n {
@@ -643,65 +575,29 @@ pub fn place_tenants<M: CostModel>(
 }
 
 /// Fleet objective of an explicit assignment (same pricing as
-/// [`place_tenants`]: per-machine inner solves, penalties for unmet
+/// [`place_tenants`]: per-machine greedy solves, penalties for unmet
 /// limits) — e.g. to price a hand-made or previously recorded
-/// placement against the one the placer chose. `None` unless the
-/// assignment names one machine of `specs` per tenant.
+/// placement against the one the placer chose. `None` when it does
+/// not give each tenant one machine of `specs`: a wrong length, or a
+/// machine index past the last spec.
 pub fn assignment_objective<M: CostModel>(
     specs: &[MachineSpec],
     qos: &[QoS],
     models: &[M],
     assignment: &[usize],
-    options: &FleetOptions,
 ) -> Option<f64> {
-    AssignmentPricer::new(specs, qos, models, options).objective(assignment)
-}
-
-/// Prices many related assignments with *shared* subset memoization.
-///
-/// Pricing one base assignment plus a set of candidate moves is the
-/// typical use: each candidate differs from the base on only two
-/// machines, so a shared cache turns O(candidates · K) inner solves
-/// into solves of just the subsets that actually changed. One-shot
-/// callers can use [`assignment_objective`] instead.
-pub struct AssignmentPricer<'a, M> {
-    solver: FleetSolver<'a, M>,
-}
-
-impl<'a, M: CostModel> AssignmentPricer<'a, M> {
-    /// A pricer over a fixed fleet (one [`MachineSpec`] per machine)
-    /// and tenant set (QoS, models in reference-machine units).
-    pub fn new(
-        specs: &[MachineSpec],
-        qos: &'a [QoS],
-        models: &'a [M],
-        options: &'a FleetOptions,
-    ) -> Self {
-        AssignmentPricer {
-            solver: FleetSolver::new(specs, qos, models, options),
-        }
-    }
-
-    /// Fleet objective of `assignment` (same pricing as
-    /// [`place_tenants`]). `None` when it does not give each tenant
-    /// one machine of the fleet: a wrong length, or a machine index
-    /// past the last spec.
-    pub fn objective(&self, assignment: &[usize]) -> Option<f64> {
-        let k = self.solver.machines();
-        (assignment.len() == self.solver.qos.len() && assignment.iter().all(|&m| m < k))
-            .then(|| self.solver.total(assignment))
-    }
-
-    /// Number of machines this pricer covers.
-    pub fn machines(&self) -> usize {
-        self.solver.machines()
-    }
+    let solver = FleetSolver::new(specs, qos, models);
+    (assignment.len() == qos.len() && assignment.iter().all(|&m| m < solver.machines()))
+        .then(|| solver.total(assignment))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::costmodel::model::FnCostModel;
+    use crate::enumerate::{
+        try_coarse_to_fine_search_with, try_exhaustive_search_with, CoarseToFineOptions,
+    };
 
     fn synth(alphas: Vec<f64>) -> Vec<impl CostModel> {
         alphas
@@ -725,12 +621,7 @@ mod tests {
         // Two very hungry tenants and two light ones: each machine
         // should get one hungry tenant.
         let models = synth(vec![50.0, 50.0, 1.0, 1.0]);
-        let r = place_tenants(
-            &fleet(space, 2),
-            &qos_n(4),
-            &models,
-            &FleetOptions::default(),
-        );
+        let r = place_tenants(&fleet(space, 2), &qos_n(4), &models);
         assert_ne!(
             r.assignment[0], r.assignment[1],
             "hungry tenants must not share: {:?}",
@@ -746,11 +637,10 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![40.0, 35.0, 30.0, 1.0, 1.0, 1.0]);
         let qos = qos_n(6);
-        let opts = FleetOptions::default();
         let machines = fleet(space, 3);
-        let placed = place_tenants(&machines, &qos, &models, &opts);
+        let placed = place_tenants(&machines, &qos, &models);
         let round_robin: Vec<usize> = (0..6).map(|i| i % 3).collect();
-        let rr = assignment_objective(&machines, &qos, &models, &round_robin, &opts).unwrap();
+        let rr = assignment_objective(&machines, &qos, &models, &round_robin).unwrap();
         assert!(
             placed.objective <= rr + 1e-9,
             "placement {} must not lose to round-robin {}",
@@ -764,7 +654,7 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![9.0, 4.0, 1.0]);
         let qos = qos_n(3);
-        let r = place_tenants(&fleet(space, 1), &qos, &models, &FleetOptions::default());
+        let r = place_tenants(&fleet(space, 1), &qos, &models);
         let direct = greedy_search_with(&space, &qos, &models, &SearchOptions::default());
         assert!(r.assignment.iter().all(|&m| m == 0));
         assert_eq!(r.per_machine[0].as_ref().unwrap(), &direct);
@@ -775,12 +665,7 @@ mod tests {
     fn moves_strictly_improve_the_objective() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![20.0, 18.0, 2.0, 1.5, 1.0]);
-        let r = place_tenants(
-            &fleet(space, 2),
-            &qos_n(5),
-            &models,
-            &FleetOptions::default(),
-        );
+        let r = place_tenants(&fleet(space, 2), &qos_n(5), &models);
         for mv in &r.moves {
             let improvement = match mv {
                 PlacementMove::Migrate { improvement, .. } => *improvement,
@@ -798,12 +683,7 @@ mod tests {
         space.min_share = 0.25;
         space.set_delta(0.25);
         let models = synth(vec![1.0; 6]);
-        let r = place_tenants(
-            &fleet(space, 2),
-            &qos_n(6),
-            &models,
-            &FleetOptions::default(),
-        );
+        let r = place_tenants(&fleet(space, 2), &qos_n(6), &models);
         for m in 0..2 {
             assert!(r.tenants_on(m).len() <= 4, "{:?}", r.assignment);
         }
@@ -816,12 +696,7 @@ mod tests {
         space.min_share = 0.5;
         space.set_delta(0.5);
         let models = synth(vec![1.0; 5]);
-        let _ = place_tenants(
-            &fleet(space, 2),
-            &qos_n(5),
-            &models,
-            &FleetOptions::default(),
-        );
+        let _ = place_tenants(&fleet(space, 2), &qos_n(5), &models);
     }
 
     #[test]
@@ -837,62 +712,20 @@ mod tests {
             QoS::default(),
             QoS::default(),
         ];
-        let r = place_tenants(&fleet(space, 2), &qos, &models, &FleetOptions::default());
+        let r = place_tenants(&fleet(space, 2), &qos, &models);
         assert_ne!(r.assignment[0], r.assignment[1], "{:?}", r.assignment);
         assert!(
             r.objective < 1e6,
             "penalty must be avoided: {}",
             r.objective
         );
-    }
-
-    #[test]
-    fn grid_inner_solve_separates_infeasible_pairs_without_nans() {
-        // Regression: grid inner solves used to price infeasible
-        // subsets at +∞, making seeding deltas and local-search
-        // improvements NaN (∞ − ∞), which froze tenants on infeasible
-        // machines. With finite per-tenant penalties the exhaustive
-        // inner solve must separate the constrained pair too.
-        let space = SearchSpace::cpu_only(0.5);
-        let models = synth(vec![10.0, 10.0, 0.1, 0.1]);
-        let qos = vec![
-            QoS::with_limit(1.05),
-            QoS::with_limit(1.05),
-            QoS::default(),
-            QoS::default(),
-        ];
-        let r = place_tenants(
-            &fleet(space, 2),
-            &qos,
-            &models,
-            &FleetOptions {
-                inner: InnerSolve::Exhaustive,
-                ..FleetOptions::default()
-            },
-        );
-        assert_ne!(r.assignment[0], r.assignment[1], "{:?}", r.assignment);
-        assert!(r.objective.is_finite());
-        assert!(
-            r.objective < 1e6,
-            "penalty must be avoided: {}",
-            r.objective
-        );
-        // Both machines solved (no machine stuck infeasible).
-        for m in 0..2 {
-            assert!(r.per_machine[m].is_some(), "machine {m} unsolved");
-        }
     }
 
     #[test]
     fn allocation_lookup_is_consistent() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![12.0, 6.0, 3.0, 1.0]);
-        let r = place_tenants(
-            &fleet(space, 2),
-            &qos_n(4),
-            &models,
-            &FleetOptions::default(),
-        );
+        let r = place_tenants(&fleet(space, 2), &qos_n(4), &models);
         for i in 0..4 {
             let a = r.allocation_of(i).expect("feasible fleet");
             assert!(a.cpu() >= space.min_share - 1e-9);
@@ -909,83 +742,10 @@ mod tests {
     }
 
     #[test]
-    fn coarse_to_fine_inner_solve_matches_exhaustive_under_limits() {
-        // The limit-aware coarse-to-fine path must price
-        // limit-constrained tenants exactly like the full grid, so the
-        // two inner solvers produce the same fleet decisions — without
-        // the c2f solver paying full-grid cost per subset.
-        let mut space = SearchSpace::cpu_only(0.5);
-        space.set_delta(0.01);
-        let models = synth(vec![12.0, 9.0, 2.0, 1.0]);
-        let qos = vec![
-            QoS::with_limit(2.0),
-            QoS::default(),
-            QoS::with_limit(3.0),
-            QoS::default(),
-        ];
-        let exact = place_tenants(
-            &fleet(space, 2),
-            &qos,
-            &models,
-            &FleetOptions {
-                inner: InnerSolve::Exhaustive,
-                ..FleetOptions::default()
-            },
-        );
-        let c2f = place_tenants(
-            &fleet(space, 2),
-            &qos,
-            &models,
-            &FleetOptions {
-                inner: InnerSolve::CoarseToFine(CoarseToFineOptions::default()),
-                ..FleetOptions::default()
-            },
-        );
-        assert!(
-            (c2f.objective - exact.objective).abs() <= 1e-6 * exact.objective.abs().max(1.0),
-            "c2f {} vs exhaustive {}",
-            c2f.objective,
-            exact.objective
-        );
-        assert_eq!(c2f.assignment, exact.assignment);
-        for m in 0..2 {
-            let (a, b) = (c2f.per_machine[m].as_ref(), exact.per_machine[m].as_ref());
-            assert_eq!(
-                a.map(|r| &r.limits_met),
-                b.map(|r| &r.limits_met),
-                "machine {m} limit verdicts differ"
-            );
-        }
-    }
-
-    #[test]
-    fn exhaustive_inner_solve_matches_or_beats_greedy_inner() {
-        let space = SearchSpace::cpu_only(0.5);
-        let models = synth(vec![9.0, 7.0, 2.0, 1.0]);
-        let qos = qos_n(4);
-        let greedy = place_tenants(&fleet(space, 2), &qos, &models, &FleetOptions::default());
-        let exact = place_tenants(
-            &fleet(space, 2),
-            &qos,
-            &models,
-            &FleetOptions {
-                inner: InnerSolve::Exhaustive,
-                ..FleetOptions::default()
-            },
-        );
-        assert!(exact.objective <= greedy.objective + 1e-9);
-    }
-
-    #[test]
     fn subset_memoization_bounds_inner_solves() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![5.0, 4.0, 3.0, 2.0, 1.0]);
-        let r = place_tenants(
-            &fleet(space, 2),
-            &qos_n(5),
-            &models,
-            &FleetOptions::default(),
-        );
+        let r = place_tenants(&fleet(space, 2), &qos_n(5), &models);
         // 5 tenants over 2 machines: far fewer distinct subsets than
         // the local search's move evaluations.
         assert!(r.inner_solves <= 62, "{}", r.inner_solves);
@@ -1031,25 +791,25 @@ mod tests {
     fn memo_cache_is_machine_class_specific() {
         // Regression guard against the old machine-independent memo
         // key: the SAME tenant subset priced on two machine classes
-        // through one shared pricer must give class-specific
+        // through one shared solver must give class-specific
         // objectives. A subset-only key would serve the big machine's
         // cached solve for the small machine.
         let specs = big_and_small();
         let models = synth(vec![8.0]);
         let qos = qos_n(1);
-        let opts = FleetOptions::default();
-        let pricer = AssignmentPricer::new(&specs, &qos, &models, &opts);
+        let solver = FleetSolver::new(&specs, &qos, &models);
         // Price on the big machine FIRST so a subset-only memo key
         // would poison the small machine's lookup.
-        let on_big = pricer.objective(&[0]).unwrap();
-        let on_small = pricer.objective(&[1]).unwrap();
+        let on_big = solver.total(&[0]);
+        let on_small = solver.total(&[1]);
         // Solo on big: 8/1 + 1 = 9. Solo on small (scale 0.5):
         // 8/0.5 + 1 = 17.
         assert!((on_big - 9.0).abs() < 1e-9, "big {on_big}");
         assert!((on_small - 17.0).abs() < 1e-9, "small {on_small}");
         // Re-pricing must hit the class-keyed cache, not cross over.
-        assert_eq!(pricer.objective(&[1]), Some(on_small));
-        assert_eq!(pricer.objective(&[0]), Some(on_big));
+        assert_eq!(solver.total(&[1]), on_small);
+        assert_eq!(solver.total(&[0]), on_big);
+        assert_eq!(solver.solves.get(), 2, "one solve per class");
     }
 
     #[test]
@@ -1063,10 +823,9 @@ mod tests {
             .map(|alpha| FnCostModel::new(move |a: Allocation| alpha / a.cpu().min(0.6) + 1.0))
             .collect();
         let qos = qos_n(2);
-        let opts = FleetOptions::default();
         let space = SearchSpace::cpu_only(0.5);
         let solve_on = |spec: MachineSpec| {
-            place_tenants(&[spec], &qos, &models, &opts).per_machine[0]
+            place_tenants(&[spec], &qos, &models).per_machine[0]
                 .clone()
                 .expect("solvable")
         };
@@ -1089,7 +848,7 @@ mod tests {
     fn hungry_tenant_lands_on_the_big_machine() {
         let specs = big_and_small();
         let models = synth(vec![50.0, 1.0]);
-        let r = place_tenants(&specs, &qos_n(2), &models, &FleetOptions::default());
+        let r = place_tenants(&specs, &qos_n(2), &models);
         assert_eq!(
             r.assignment[0], 0,
             "resource-hungry tenant must take the big machine: {:?}",
@@ -1113,14 +872,12 @@ mod tests {
         ];
         let models = synth(vec![30.0, 25.0, 20.0, 2.0, 1.0, 0.5]);
         let qos = qos_n(6);
-        let opts = FleetOptions::default();
-        let aware = place_tenants(&specs, &qos, &models, &opts);
+        let aware = place_tenants(&specs, &qos, &models);
         // Homogeneous-as-smallest: place as if all machines were the
         // small one, then price that assignment on the true fleet.
         let smallest = vec![MachineSpec::scaled(space, 0.4, 1.0); 3];
-        let blind = place_tenants(&smallest, &qos, &models, &opts);
-        let blind_on_true =
-            assignment_objective(&specs, &qos, &models, &blind.assignment, &opts).unwrap();
+        let blind = place_tenants(&smallest, &qos, &models);
+        let blind_on_true = assignment_objective(&specs, &qos, &models, &blind.assignment).unwrap();
         assert!(
             aware.objective <= blind_on_true + 1e-9,
             "aware {} vs blind-on-true {}",
@@ -1153,19 +910,20 @@ mod tests {
         let machines = fleet(SearchSpace::cpu_only(0.5), 2);
         let models = synth(vec![2.0, 1.0]);
         let qos = qos_n(2);
-        let opts = FleetOptions::default();
         // Each tenant alone owns its machine: (2/1 + 1) + (1/1 + 1).
-        let both = assignment_objective(&machines, &qos, &models, &[0, 1], &opts).unwrap();
+        let both = assignment_objective(&machines, &qos, &models, &[0, 1]).unwrap();
         assert!((both - 5.0).abs() < 1e-9, "{both}");
         // Machine 7 of 2 would leave tenant 1 unpriced.
         assert_eq!(
-            assignment_objective(&machines, &qos, &models, &[0, 7], &opts),
+            assignment_objective(&machines, &qos, &models, &[0, 7]),
             None
         );
         // One machine per tenant: no fewer, no more.
-        let pricer = AssignmentPricer::new(&machines, &qos, &models, &opts);
-        assert_eq!(pricer.objective(&[0]), None);
-        assert_eq!(pricer.objective(&[0, 1, 1]), None);
+        assert_eq!(assignment_objective(&machines, &qos, &models, &[0]), None);
+        assert_eq!(
+            assignment_objective(&machines, &qos, &models, &[0, 1, 1]),
+            None
+        );
     }
 
     #[test]
@@ -1191,12 +949,7 @@ mod tests {
                 FnCostModel::new(move |a: Allocation| alpha / a.disk() + 1.0 / a.cpu() + 1.0)
             })
             .collect();
-        let r = place_tenants(
-            &fleet(space, 2),
-            &qos_n(4),
-            &models,
-            &FleetOptions::default(),
-        );
+        let r = place_tenants(&fleet(space, 2), &qos_n(4), &models);
         assert_ne!(
             r.assignment[0], r.assignment[1],
             "disk hogs must not share: {:?}",
@@ -1226,7 +979,7 @@ mod tests {
         assert_eq!(specs[0].capacity(), 2);
         assert_eq!(specs[1].capacity(), 20);
         let models = synth(vec![1.0; 5]);
-        let r = place_tenants(&specs, &qos_n(5), &models, &FleetOptions::default());
+        let r = place_tenants(&specs, &qos_n(5), &models);
         assert!(r.tenants_on(0).len() <= 2, "{:?}", r.assignment);
     }
 }

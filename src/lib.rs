@@ -18,9 +18,11 @@
 //! * [`workloads`] — TPC-H-like and TPC-C-like workload generators.
 //! * [`stats`] — regression/solving/piecewise-model numerics.
 //!
-//! See the README for a quickstart and `DESIGN.md` for the system
-//! inventory; `EXPERIMENTS.md` records the reproduction of every figure
-//! and table in the paper's evaluation.
+//! See the README for a quickstart and `docs/ARCHITECTURE.md` for the
+//! system inventory; the `experiments` binary of `vda-bench`
+//! (`experiments list`) regenerates every figure and table in the
+//! paper's evaluation, each report noting where it departs from the
+//! paper.
 
 pub use vda_core as core;
 pub use vda_simdb as simdb;

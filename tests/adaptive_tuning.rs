@@ -95,7 +95,6 @@ fn tuning(promotable: bool) -> AdaptiveTuningOptions {
         },
         guardrail: GuardrailOptions {
             min_shadow_samples: 2,
-            canary_tenants: 1,
             min_canary_samples: 2,
             max_error_inflation: 0.5,
             max_objective_regression: if promotable { 10.0 } else { -1.0 },

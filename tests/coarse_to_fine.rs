@@ -11,7 +11,7 @@ use vda::core::enumerate::{
     coarse_to_fine_search_with, greedy_search_with, try_coarse_to_fine_search_with,
     try_exhaustive_search_with, CoarseToFineOptions, SearchOptions,
 };
-use vda::core::placement::{place_tenants, FleetOptions, MachineSpec};
+use vda::core::placement::{place_tenants, MachineSpec};
 use vda::core::problem::{Allocation, QoS, SearchSpace};
 
 /// Per-workload convex resource-cost coefficients (α for CPU, β for
@@ -284,7 +284,7 @@ proptest! {
         let qos = &qos[..n];
         let models = models(cs);
         let fleet = vec![MachineSpec::reference(space); k];
-        let r = place_tenants(&fleet, qos, &models, &FleetOptions::default());
+        let r = place_tenants(&fleet, qos, &models);
         prop_assert!(r.assignment.iter().all(|&m| m < k));
         for m in 0..k {
             let tenants = r.tenants_on(m);

@@ -109,16 +109,27 @@ fn parallel_and_serial_exhaustive_are_identical_with_real_estimators() {
 
 #[test]
 fn advisor_parallel_and_serial_recommendations_match() {
+    // `recommend` searches in parallel; a serial search over a second
+    // fresh advisor's estimators must find the same answer and pay the
+    // same optimizer calls.
     let space = SearchSpace::cpu_only(0.5);
-    let mut serial_adv = mixed_engine_advisor();
-    serial_adv.set_search_options(SearchOptions::serial());
-    let mut parallel_adv = mixed_engine_advisor();
-    parallel_adv.set_search_options(SearchOptions::parallel());
+    let parallel = mixed_engine_advisor().recommend(&space);
 
-    let serial = serial_adv.recommend(&space);
-    let parallel = parallel_adv.recommend(&space);
-    assert_eq!(serial.result, parallel.result);
-    assert_eq!(serial.optimizer_calls, parallel.optimizer_calls);
+    let serial_adv = mixed_engine_advisor();
+    let estimators: Vec<_> = (0..serial_adv.tenant_count())
+        .map(|i| serial_adv.estimator(i))
+        .collect();
+    let serial = greedy_search_with(
+        &space,
+        serial_adv.qos(),
+        &estimators,
+        &SearchOptions::serial(),
+    );
+    assert_eq!(serial, parallel.result);
+    assert_eq!(
+        CostAccounting::tally(&estimators).optimizer_calls,
+        parallel.optimizer_calls
+    );
 }
 
 #[test]

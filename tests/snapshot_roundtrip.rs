@@ -364,7 +364,7 @@ fn restore_validates_the_rebuilt_topology() {
     // Machine 1 (two tenants) edited into a state no live plane has;
     // `what` must appear in the refusal.
     type Edit = fn(&mut MachineSnapshot);
-    let edits: [(&str, Edit); 5] = [
+    let edits: [(&str, Edit); 6] = [
         ("1 allocations", |ms| {
             ms.placement.as_mut().unwrap().allocations.pop();
         }),
@@ -375,6 +375,7 @@ fn restore_validates_the_rebuilt_topology() {
             ms.placement.as_mut().unwrap().limits_met.pop();
         }),
         ("no placement", |ms| ms.placement = None),
+        ("without a warm_key", |ms| ms.warm_key = None),
         ("calibrations", |ms| ms.calibrations.clear()),
     ];
     for (what, edit) in edits {
