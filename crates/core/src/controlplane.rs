@@ -28,14 +28,18 @@
 //!    estimate metric against the paper's λ = 10 %, the threshold the
 //!    §6 manager defaults to) or a tenant arrival makes that tenant a
 //!    cross-shard migration candidate. Candidate destinations (the
-//!    four least-loaded machines with capacity) are priced
-//!    non-destructively with hypothetical estimator sets; the merge is
-//!    deterministic — candidates are visited in `(tenant count,
-//!    machine index)` order and a move is taken only if its
+//!    four least-loaded machines with capacity) are first *bounded*:
+//!    a destination whose best-case net gain cannot clear
+//!    [`ControlPlaneOptions::migration_threshold`] — with the source's
+//!    new cost at 0, then with it priced — is skipped unpriced, and
+//!    the source is not priced when no destination survives. The rest
+//!    are priced non-destructively with hypothetical estimator sets;
+//!    the merge is deterministic — candidates are visited in `(tenant
+//!    count, machine index)` order and a move is taken only if its
 //!    surcharge-netted gain strictly beats the best so far and clears
-//!    [`ControlPlaneOptions::migration_threshold`]. A move is never
-//!    taken when it would raise either machine's count of unmet
-//!    degradation limits. Calibration
+//!    the threshold. The bound is exact, so it changes what is priced,
+//!    never what moves. A move is never taken when it would raise
+//!    either machine's count of unmet degradation limits. Calibration
 //!    management follows
 //!    [`VirtualizationDesignAdvisor::transfer_tenant`]: cross-class
 //!    moves install the destination class's registry model instead of
@@ -73,7 +77,9 @@ use crate::costmodel::adaptive::{refit, Adaption, AdaptionOptions, RuntimeAdapti
 use crate::costmodel::calibration::{CalibratedModel, Calibrator};
 use crate::costmodel::whatif::{ProbeCache, WhatIfEstimator};
 use crate::dynamic::{change_metric, per_query_estimate, CHANGE_THRESHOLD};
-use crate::enumerate::{warm_key, MachineClass, SearchResult};
+use crate::enumerate::{
+    warm_key, CoarseToFineOptions, MachineClass, SearchResult, DP_TIE_TOLERANCE,
+};
 use crate::guardrail::{GuardrailOptions, GuardrailState, GuardrailTracker};
 use crate::metrics::Clock;
 use crate::placement::machine_capacity;
@@ -314,11 +320,6 @@ impl DecisionLog {
         log
     }
 
-    /// The configured retention horizon (`0` = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Append a decision, dropping the oldest entry once the ring is
     /// full.
     pub fn push(&mut self, decision: Decision) {
@@ -445,6 +446,14 @@ pub struct ControlPlaneStats {
     /// Approximate probe-cache resident bytes under its deterministic
     /// size model ([`ProbeCache::approx_bytes`]).
     pub probe_bytes: u64,
+    /// Reconcile destinations priced with a hypothetical solve. Like
+    /// the probe counters, this belongs to the process: it restarts at
+    /// 0 in a restored plane and is not part of a snapshot.
+    pub reconcile_priced: u64,
+    /// Reconcile destinations skipped unpriced because their best-case
+    /// net gain could not clear
+    /// [`ControlPlaneOptions::migration_threshold`] (not durable either).
+    pub reconcile_bounded: u64,
 }
 
 /// Per-kind event tally of one batch, for the batch decision's action
@@ -522,6 +531,10 @@ pub struct ControlPlane {
     resolves: u64,
     waves: u64,
     migrations: u64,
+    /// Reconcile destinations priced and bounded since this process
+    /// built or restored the plane; measurement, not snapshotted.
+    reconcile_priced: u64,
+    reconcile_bounded: u64,
 }
 
 impl ControlPlane {
@@ -564,6 +577,8 @@ impl ControlPlane {
             resolves: 0,
             waves: 0,
             migrations: 0,
+            reconcile_priced: 0,
+            reconcile_bounded: 0,
         };
         for m in 0..k {
             assert!(
@@ -674,6 +689,8 @@ impl ControlPlane {
             probe_misses: self.probe.misses(),
             probe_evictions: self.probe.evictions(),
             probe_bytes: self.probe.approx_bytes(),
+            reconcile_priced: self.reconcile_priced,
+            reconcile_bounded: self.reconcile_bounded,
         }
     }
 
@@ -1317,6 +1334,8 @@ impl ControlPlane {
             resolves: snapshot.resolves,
             waves: snapshot.waves,
             migrations: snapshot.migrations,
+            reconcile_priced: 0,
+            reconcile_bounded: 0,
         })
     }
 
@@ -1376,71 +1395,12 @@ impl ControlPlane {
     // Reconciliation
     // ------------------------------------------------------------------
 
-    /// Price moving tenant `slot` off machine `from` onto each of the
-    /// least-loaded candidate destinations, and execute the best move
-    /// whose net gain clears the threshold. A move is never taken,
-    /// however large its gain, when either machine's hypothetical
-    /// solve leaves more degradation limits unmet than its current
-    /// placement does. Deterministic: candidates are visited in
-    /// `(tenant count, machine index)` order and only a strictly
-    /// better net gain displaces the incumbent.
+    /// Execute the move [`Self::choose_move`] picks for tenant `slot`
+    /// of machine `from`, if any: transfer the tenant and re-solve both
+    /// machines.
     fn reconcile(&mut self, from: usize, slot: usize) -> Option<Migration> {
-        let base_total = self.objective();
-        let mut dests: Vec<usize> = (0..self.machines.len())
-            .filter(|&d| {
-                d != from && self.machines[d].tenant_count() < machine_capacity(&self.spaces[d])
-            })
-            .collect();
-        dests.sort_by_key(|&d| (self.machines[d].tenant_count(), d));
-        dests.truncate(RECONCILE_FANOUT);
-        if dests.is_empty() {
-            return None;
-        }
-        // Price each destination with its own class's calibration.
-        let engine = self.machines[from].tenant(slot).engine.clone();
-        for &d in &dests {
-            self.class_model(d, &engine);
-        }
-
-        let src_cur = self.current_cost(from);
-        let (src_new, src_calls) = self.price_without(from, slot);
-        self.optimizer_calls += src_calls;
-        let (src_new, src_unmet) = src_new?;
-        if src_unmet > self.unmet_limits(from) {
-            return None;
-        }
-
-        let from_hw = self.hardware_class(from);
-        let mut best: Option<(f64, usize, f64)> = None; // (net, dest, raw gain)
-        for &d in &dests {
-            let (dst_new, dst_calls) = self.price_with_extra(d, from, slot);
-            self.optimizer_calls += dst_calls;
-            let Some((dst_new, dst_unmet)) = dst_new else {
-                continue;
-            };
-            if dst_unmet > self.unmet_limits(d) {
-                continue;
-            }
-            let candidate_total = base_total - src_cur - self.current_cost(d) + src_new + dst_new;
-            let Some(gain) = migration_gain(base_total, candidate_total) else {
-                continue;
-            };
-            // Only a move across hardware classes recalibrates; a
-            // different grid on identical hardware does not.
-            let net = if self.hardware_class(d) != from_hw {
-                gain - self.options.recalibration_surcharge
-            } else {
-                gain
-            };
-            if net <= self.options.migration_threshold {
-                continue;
-            }
-            if best.map(|(bn, _, _)| net > bn).unwrap_or(true) {
-                best = Some((net, d, gain));
-            }
-        }
-        let (_, to, gain) = best?;
-
+        let (to, gain) = self.choose_move(from, slot)?;
+        let kind = self.machines[from].tenant(slot).engine.kind();
         let tenant = self.machines[from].tenant(slot).name.clone();
         let hw_to = self.hardware_class(to);
         let (src_adv, dst_adv) = two_mut(&mut self.machines, from, to);
@@ -1448,10 +1408,10 @@ impl ControlPlane {
         let recalibrated = !transfer.calibration.destination_ready();
         if recalibrated {
             // The model could not travel across hardware classes; the
-            // registry holds the destination class's fit (ensured
-            // above), so installation costs no calibration run.
-            let model = self.class_models[&(hw_to, engine.kind())].clone();
-            self.machines[to].install_calibration(engine.kind(), model);
+            // registry holds the destination class's fit (`choose_move`
+            // ensured it), so installation costs no calibration run.
+            let model = self.class_models[&(hw_to, kind)].clone();
+            self.machines[to].install_calibration(kind, model);
         }
         self.resolve(&[from, to]);
         self.migrations += 1;
@@ -1462,6 +1422,159 @@ impl ControlPlane {
             estimated_gain: gain,
             recalibrated,
         })
+    }
+
+    /// The best move of tenant `slot` off machine `from`, as its
+    /// destination and raw gain: among the least-loaded destinations
+    /// with a free slot, the one whose surcharge-netted gain clears the
+    /// threshold by the most. A move is never chosen, however large
+    /// its gain, when either machine's hypothetical solve leaves more
+    /// degradation limits unmet than its current placement does.
+    /// Deterministic: destinations are visited in `(tenant count,
+    /// machine index)` order and only a strictly better net gain
+    /// displaces the incumbent.
+    ///
+    /// Destinations are bounded before they are priced: each one's
+    /// best-case net gain ([`Self::may_clear`]) is checked once with
+    /// the source's new cost at its floor of 0, before the source is
+    /// priced, and again once it is. A destination that cannot clear
+    /// the threshold is never priced, and when none can, neither is
+    /// the source. Both bounds hold exactly, so the choice is the one
+    /// pricing every destination would make.
+    fn choose_move(&mut self, from: usize, slot: usize) -> Option<(usize, f64)> {
+        let base_total = self.objective();
+        let mut dests: Vec<usize> = (0..self.machines.len())
+            .filter(|&d| {
+                d != from && self.machines[d].tenant_count() < machine_capacity(&self.spaces[d])
+            })
+            .collect();
+        dests.sort_by_key(|&d| (self.machines[d].tenant_count(), d));
+        dests.truncate(RECONCILE_FANOUT);
+        // Every destination's class gets a registry model, bounded or
+        // not, so the registry does not depend on what was priced.
+        let engine = self.machines[from].tenant(slot).engine.clone();
+        for &d in &dests {
+            self.class_model(d, &engine);
+        }
+
+        let src_cur = self.current_cost(from);
+        self.bound_destinations(&mut dests, base_total, from, src_cur, 0.0);
+        if dests.is_empty() {
+            return None;
+        }
+        let (src_new, src_calls) = self.price_without(from, slot);
+        self.optimizer_calls += src_calls;
+        let (src_new, src_unmet) = src_new?;
+        if src_unmet > self.unmet_limits(from) {
+            return None;
+        }
+        self.bound_destinations(&mut dests, base_total, from, src_cur, src_new);
+
+        let mut best: Option<(f64, usize, f64)> = None; // (net, dest, raw gain)
+        for d in dests {
+            let (dst_new, dst_calls) = self.price_with_extra(d, from, slot);
+            self.optimizer_calls += dst_calls;
+            self.reconcile_priced += 1;
+            let Some((dst_new, dst_unmet)) = dst_new else {
+                continue;
+            };
+            if dst_unmet > self.unmet_limits(d) {
+                continue;
+            }
+            let Some((net, gain)) = self.net_gain(base_total, from, src_cur, src_new, d, dst_new)
+            else {
+                continue;
+            };
+            if net <= self.options.migration_threshold {
+                continue;
+            }
+            if best.map(|(bn, _, _)| net > bn).unwrap_or(true) {
+                best = Some((net, d, gain));
+            }
+        }
+        best.map(|(_, to, gain)| (to, gain))
+    }
+
+    /// The surcharge-netted and the raw relative gain of moving a
+    /// tenant from `from` to `d`, given both machines' costs after the
+    /// move (`None` when the move gains nothing).
+    fn net_gain(
+        &self,
+        base_total: f64,
+        from: usize,
+        src_cur: f64,
+        src_new: f64,
+        d: usize,
+        dst_new: f64,
+    ) -> Option<(f64, f64)> {
+        let candidate_total = base_total - src_cur - self.current_cost(d) + src_new + dst_new;
+        let gain = migration_gain(base_total, candidate_total)?;
+        // Only a move across hardware classes recalibrates; a
+        // different grid on identical hardware does not.
+        let net = if self.hardware_class(d) != self.hardware_class(from) {
+            gain - self.options.recalibration_surcharge
+        } else {
+            gain
+        };
+        Some((net, gain))
+    }
+
+    /// Whether a move from `from` to `d` can clear the threshold when
+    /// the source costs at least `src_floor` after it: [`Self::net_gain`]
+    /// at the two floors. Every operation in it is monotone and IEEE
+    /// rounding is too, so when the bound does not clear the
+    /// threshold, neither does the priced move.
+    fn may_clear(
+        &self,
+        base_total: f64,
+        from: usize,
+        src_cur: f64,
+        src_floor: f64,
+        d: usize,
+    ) -> bool {
+        self.net_gain(base_total, from, src_cur, src_floor, d, self.dst_floor(d))
+            .is_some_and(|(net, _)| net > self.options.migration_threshold)
+    }
+
+    /// Drop the destinations that [`Self::may_clear`] rules out,
+    /// counting them in `reconcile_bounded`.
+    fn bound_destinations(
+        &mut self,
+        dests: &mut Vec<usize>,
+        base_total: f64,
+        from: usize,
+        src_cur: f64,
+        src_floor: f64,
+    ) {
+        let before = dests.len();
+        dests.retain(|&d| self.may_clear(base_total, from, src_cur, src_floor, d));
+        self.reconcile_bounded += (before - dests.len()) as u64;
+    }
+
+    /// A floor on machine `d`'s cost after it takes one more tenant, for
+    /// a move that leaves no more of `d`'s limits unmet (reconcile takes
+    /// no other). Weighted costs are non-negative, so 0 always holds.
+    /// When `d`'s placement is a full-grid optimum, the move's solve
+    /// restricted to `d`'s own tenants is a grid allocation of them (the
+    /// n-tenant cell ranges contain the (n+1)-tenant ones, and the
+    /// budget is Σ ≤ 1) with no more unmet limits. The DP minimizes
+    /// unmet limits before cost, so that allocation costs no less than
+    /// the placement. The floor is then the placement's cost, less
+    /// the DP's reconstruction tie tolerance per tenant and one more for
+    /// summation order. A placement is a full-grid optimum when the
+    /// coarse-to-fine solve picks no coarse δ for it; an empty machine
+    /// costs 0.
+    fn dst_floor(&self, d: usize) -> f64 {
+        let n = self.machines[d].tenant_count();
+        if n == 0
+            || CoarseToFineOptions::auto(&self.spaces[d], n)
+                .coarse
+                .is_some()
+        {
+            return 0.0;
+        }
+        let cur = self.current_cost(d);
+        (cur - (n + 1) as f64 * DP_TIE_TOLERANCE * cur.max(1.0)).max(0.0)
     }
 
     /// Machine `m`'s current placement cost (0 while empty).
@@ -1504,8 +1617,7 @@ impl ControlPlane {
     /// Hypothetical cost and unmet-limit count of machine `d` hosting
     /// its tenants plus tenant `slot` of machine `from` — priced with
     /// `d`'s own calibration for the moved tenant's kind when present,
-    /// the class registry's otherwise (see
-    /// [`Self::ensure_class_model_for`]).
+    /// the class registry's otherwise (see [`Self::class_model`]).
     fn price_with_extra(&self, d: usize, from: usize, slot: usize) -> (Option<(f64, usize)>, u64) {
         let adv = &self.machines[d];
         let moved = self.machines[from].tenant(slot);
@@ -2981,5 +3093,397 @@ mod tests {
             resumed.adaption_storages().keys().collect::<Vec<_>>(),
             plane.adaption_storages().keys().collect::<Vec<_>>()
         );
+    }
+
+    /// Bounded reconcile pricing against a frozen copy of the
+    /// unbounded loop it replaced, on the same fleet states.
+    mod bounded_pricing {
+        use super::*;
+        use crate::problem::{AxisSet, Resource, ResourceVector};
+        use proptest::prelude::*;
+
+        /// The relative gain and its surcharge-netted value exactly as
+        /// the unbounded loop computed them.
+        fn frozen_net(
+            plane: &ControlPlane,
+            base_total: f64,
+            (from, src_cur, src_new): (usize, f64, f64),
+            (d, dst_new): (usize, f64),
+        ) -> Option<(f64, f64)> {
+            let candidate_total = base_total - src_cur - plane.current_cost(d) + src_new + dst_new;
+            let gain = migration_gain(base_total, candidate_total)?;
+            let net = if plane.hardware_class(d) != plane.hardware_class(from) {
+                gain - plane.options.recalibration_surcharge
+            } else {
+                gain
+            };
+            Some((net, gain))
+        }
+
+        /// The pricing loop before destinations were bounded: every
+        /// fan-out destination is priced. Returns the fan-out and the
+        /// move it picks as `(destination, raw gain)`.
+        fn unbounded_move(
+            plane: &mut ControlPlane,
+            from: usize,
+            slot: usize,
+        ) -> (Vec<usize>, Option<(usize, f64)>) {
+            let base_total = plane.objective();
+            let mut dests: Vec<usize> = (0..plane.machines.len())
+                .filter(|&d| {
+                    d != from
+                        && plane.machines[d].tenant_count() < machine_capacity(&plane.spaces[d])
+                })
+                .collect();
+            dests.sort_by_key(|&d| (plane.machines[d].tenant_count(), d));
+            dests.truncate(RECONCILE_FANOUT);
+            if dests.is_empty() {
+                return (dests, None);
+            }
+            let engine = plane.machines[from].tenant(slot).engine.clone();
+            for &d in &dests {
+                plane.class_model(d, &engine);
+            }
+            let src_cur = plane.current_cost(from);
+            let Some((src_new, src_unmet)) = plane.price_without(from, slot).0 else {
+                return (dests, None);
+            };
+            if src_unmet > plane.unmet_limits(from) {
+                return (dests, None);
+            }
+            let mut best: Option<(f64, usize, f64)> = None;
+            for &d in &dests {
+                let Some((dst_new, dst_unmet)) = plane.price_with_extra(d, from, slot).0 else {
+                    continue;
+                };
+                if dst_unmet > plane.unmet_limits(d) {
+                    continue;
+                }
+                let Some((net, gain)) =
+                    frozen_net(plane, base_total, (from, src_cur, src_new), (d, dst_new))
+                else {
+                    continue;
+                };
+                if net <= plane.options.migration_threshold {
+                    continue;
+                }
+                if best.map(|(bn, _, _)| net > bn).unwrap_or(true) {
+                    best = Some((net, d, gain));
+                }
+            }
+            (dests, best.map(|(_, to, gain)| (to, gain)))
+        }
+
+        /// What the checks saw, so a vacuous draw can be told from a
+        /// real one.
+        #[derive(Debug, Default)]
+        struct Coverage {
+            /// Destinations the first pass (source floor 0) skipped.
+            first: u64,
+            /// Destinations the second pass (source priced) skipped.
+            second: u64,
+            /// Destinations priced.
+            priced: u64,
+            /// Fan-out destinations with a positive floor (full-grid
+            /// placements).
+            tight: u64,
+            /// Occupied fan-out destinations with the floor 0
+            /// (coarse-to-fine placements).
+            loose: u64,
+            /// Migrations the events took.
+            moves: usize,
+            /// Probe rows the capped caches evicted.
+            evictions: u64,
+        }
+
+        /// `choose_move` for tenant `slot` of `from` picks the frozen
+        /// loop's destination and gain bits, and its counters add up to
+        /// the two passes. Every fan-out destination, priced in full,
+        /// costs at least its floor unless the move breaks a limit, and
+        /// every destination the passes bounded has no solve, breaks a
+        /// limit or cannot clear the threshold.
+        fn check_candidate(
+            plane: &mut ControlPlane,
+            from: usize,
+            slot: usize,
+            seen: &mut Coverage,
+        ) {
+            let (dests, reference) = unbounded_move(plane, from, slot);
+            let (priced, bounded) = (plane.reconcile_priced, plane.reconcile_bounded);
+            let chosen = plane.choose_move(from, slot);
+            let bits = |m: Option<(usize, f64)>| m.map(|(d, gain)| (d, gain.to_bits()));
+            assert_eq!(bits(chosen), bits(reference), "m{from} t{slot}");
+
+            let base_total = plane.objective();
+            let src_cur = plane.current_cost(from);
+            let src = plane
+                .price_without(from, slot)
+                .0
+                .filter(|&(_, unmet)| unmet <= plane.unmet_limits(from))
+                .map(|(cost, _)| cost);
+            let first_pass: Vec<bool> = dests
+                .iter()
+                .map(|&d| !plane.may_clear(base_total, from, src_cur, 0.0, d))
+                .collect();
+            // Past the first pass only with a survivor and a source
+            // that prices without breaking a limit.
+            let src = src.filter(|_| first_pass.contains(&false));
+            let mut counted = Coverage::default();
+            for (&d, bounded_first) in dests.iter().zip(first_pass) {
+                // Every destination's cost after a move that leaves no
+                // more of its limits unmet is at least its floor.
+                let dst_new = plane
+                    .price_with_extra(d, from, slot)
+                    .0
+                    .filter(|&(_, unmet)| unmet <= plane.unmet_limits(d))
+                    .map(|(cost, _)| cost);
+                let floor = plane.dst_floor(d);
+                if let Some(dst_new) = dst_new {
+                    assert!(
+                        dst_new >= floor,
+                        "m{from} t{slot} -> m{d}: {dst_new} < {floor}"
+                    );
+                }
+                if floor > 0.0 {
+                    seen.tight += 1;
+                } else if plane.current_cost(d) > 0.0 {
+                    seen.loose += 1;
+                }
+                let src_floor = if bounded_first {
+                    counted.first += 1;
+                    0.0
+                } else {
+                    match src {
+                        Some(src_new)
+                            if !plane.may_clear(base_total, from, src_cur, src_new, d) =>
+                        {
+                            counted.second += 1;
+                            src_new
+                        }
+                        Some(_) => {
+                            counted.priced += 1;
+                            continue;
+                        }
+                        None => continue,
+                    }
+                };
+                let Some(dst_new) = dst_new else {
+                    continue;
+                };
+                let net = frozen_net(plane, base_total, (from, src_cur, src_floor), (d, dst_new));
+                assert!(
+                    net.is_none_or(|(net, _)| net <= plane.options.migration_threshold),
+                    "m{from} t{slot} -> m{d}: bounded, but nets {net:?} at source cost {src_floor}"
+                );
+            }
+            assert_eq!(
+                plane.reconcile_bounded - bounded,
+                counted.first + counted.second
+            );
+            assert_eq!(plane.reconcile_priced - priced, counted.priced);
+            seen.first += counted.first;
+            seen.second += counted.second;
+            seen.priced += counted.priced;
+        }
+
+        /// TPC-H queries the drawn tenants run.
+        const QUERIES: [usize; 4] = [18, 21, 6, 1];
+
+        /// A drawn tenant: engine (0 = Pg, 1 = Db2), index into
+        /// [`QUERIES`], statement count (one tenant in two is light, so
+        /// a move can add little to its destination's cost) and
+        /// degradation limit (`None` = unconstrained).
+        type TenantDraw = (usize, usize, f64, Option<f64>);
+
+        fn tenant_draw() -> impl Strategy<Value = TenantDraw> {
+            (
+                0usize..2,
+                0usize..QUERIES.len(),
+                prop_oneof![1.0f64..6.0, 0.02f64..0.2],
+                prop_oneof![Just(None), Just(None), (1.0f64..1.3).prop_map(Some)],
+            )
+        }
+
+        fn drawn_tenant(name: String, (engine, query, mult, _): TenantDraw) -> Tenant {
+            let engine = if engine == 0 {
+                Engine::pg()
+            } else {
+                Engine::db2()
+            };
+            let workload = tpch::query_workload(QUERIES[query], mult);
+            Tenant::new(name, engine, tpch::catalog(0.1), workload).unwrap()
+        }
+
+        fn drawn_qos((_, _, _, limit): TenantDraw) -> QoS {
+            limit.map_or_else(QoS::default, QoS::with_limit)
+        }
+
+        /// Search space `pick`. CPU, memory, and CPU × memory at δ 0.2
+        /// always solve on the full grid; on memory alone a light
+        /// arrival can cost its destination under 0.5 % more, so a
+        /// floor set too high shows. CPU at δ 0.1 with a 0.1 minimum
+        /// share refines from a coarse δ of 0.2 while it hosts at most
+        /// two tenants. CPU at δ 0.05 always refines here.
+        fn space(pick: usize) -> SearchSpace {
+            let grid = |axes: &[Resource], delta: f64, min_share: f64| {
+                let fixed = ResourceVector::full().with(Resource::Memory, 0.25);
+                let mut space = SearchSpace::over(AxisSet::of(axes), fixed);
+                space.deltas = ResourceVector::splat(delta);
+                space.min_share = min_share;
+                space
+            };
+            match pick {
+                0 => grid(&[Resource::Cpu], 0.2, 0.05),
+                1 => grid(&[Resource::Memory], 0.2, 0.05),
+                2 => grid(&[Resource::Cpu, Resource::Memory], 0.2, 0.05),
+                3 => grid(&[Resource::Cpu], 0.1, 0.1),
+                _ => SearchSpace::cpu_only(0.25),
+            }
+        }
+
+        /// A drawn machine: 1.5× the testbed's clock or not, a space
+        /// pick and its initial tenants.
+        type MachineDraw = (bool, usize, Vec<TenantDraw>);
+
+        /// A drawn event: arrival (0), workload change (1) or departure
+        /// (2), a machine pick, a slot pick and a tenant draw.
+        type EventDraw = (usize, usize, usize, TenantDraw);
+
+        /// Threshold, surcharge and probe-cache cap.
+        type OptionsDraw = (f64, f64, usize);
+
+        fn fleet_draw() -> impl Strategy<Value = (Vec<MachineDraw>, Vec<EventDraw>, OptionsDraw)> {
+            (
+                proptest::collection::vec(
+                    (
+                        prop_oneof![Just(false), Just(true)],
+                        0usize..5,
+                        proptest::collection::vec(tenant_draw(), 0..4),
+                    ),
+                    2..7,
+                ),
+                proptest::collection::vec((0usize..3, 0usize..6, 0usize..4, tenant_draw()), 3..5),
+                (
+                    // Log-uniform reaches the small thresholds moves
+                    // clear; uniform, the large ones the first pass
+                    // settles alone.
+                    prop_oneof![
+                        (-4.0f64..0.5f64.log10()).prop_map(|e| 10f64.powf(e)),
+                        1e-4f64..0.5
+                    ],
+                    prop_oneof![Just(0.0), Just(1e-3), Just(0.02)],
+                    prop_oneof![Just(0usize), Just(48)],
+                ),
+            )
+        }
+
+        /// Build the drawn fleet, then check every hosted tenant before
+        /// the first event and after each one.
+        fn check_fleet(
+            machines: &[MachineDraw],
+            events: &[EventDraw],
+            (threshold, surcharge, cap): OptionsDraw,
+            seen: &mut Coverage,
+        ) {
+            let (advisors, spaces): (Vec<_>, Vec<_>) = machines
+                .iter()
+                .enumerate()
+                .map(|(m, (fast, pick, tenants))| {
+                    let mut spec = PhysicalMachine::paper_testbed();
+                    // Machines 0 and 1 differ, so the fleet spans two
+                    // hardware classes.
+                    if m == 1 || (m > 1 && *fast) {
+                        spec.core_ghz *= 1.5;
+                    }
+                    let space = space(*pick);
+                    let mut adv = VirtualizationDesignAdvisor::new(Hypervisor::new(spec));
+                    for (i, &t) in tenants.iter().enumerate() {
+                        if adv.tenant_count() < machine_capacity(&space) {
+                            adv.add_tenant(drawn_tenant(format!("m{m}-t{i}"), t), drawn_qos(t));
+                        }
+                    }
+                    (adv, space)
+                })
+                .unzip();
+            let options = ControlPlaneOptions {
+                migration_threshold: threshold,
+                recalibration_surcharge: surcharge,
+                probe_cache_capacity: cap,
+                ..ControlPlaneOptions::default()
+            };
+            let mut plane = ControlPlane::new(advisors, spaces, options);
+            let check_all = |plane: &mut ControlPlane, seen: &mut Coverage| {
+                for from in 0..plane.machine_count() {
+                    for slot in 0..plane.machine(from).tenant_count() {
+                        check_candidate(plane, from, slot, seen);
+                    }
+                }
+            };
+            check_all(&mut plane, seen);
+            let k = plane.machine_count();
+            for (e, &(kind, m, slot, t)) in events.iter().enumerate() {
+                let m = m % k;
+                let n = plane.machine(m).tenant_count();
+                let event = if n == 0 || (kind == 0 && n < machine_capacity(plane.space(m))) {
+                    FleetEvent::TenantArrived {
+                        machine: m,
+                        tenant: Box::new(drawn_tenant(format!("arrival-{e}"), t)),
+                        qos: drawn_qos(t),
+                    }
+                } else if kind == 2 {
+                    FleetEvent::TenantDeparted {
+                        machine: m,
+                        slot: slot % n,
+                    }
+                } else {
+                    // The first drawn query the tenant does not run.
+                    let slot = slot % n;
+                    let current = &plane.machine(m).tenant(slot).workload.statements[0].sql;
+                    let workload = (0..QUERIES.len())
+                        .map(|j| tpch::query_workload(QUERIES[(t.1 + j) % QUERIES.len()], t.2))
+                        .find(|w| &w.statements[0].sql != current)
+                        .unwrap();
+                    FleetEvent::WorkloadChanged {
+                        machine: m,
+                        slot,
+                        workload,
+                    }
+                };
+                seen.moves += usize::from(plane.process_event(event).migration.is_some());
+                check_all(&mut plane, seen);
+            }
+            seen.evictions += plane.stats().probe_evictions;
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4))]
+
+            /// Random 2–6 machine fleets of two hardware classes, on
+            /// full-grid and coarse-to-fine spaces, with Pg and Db2
+            /// TPC-H tenants (some limited), a threshold from 1e-4 to
+            /// 0.5, a surcharge of 0, 1e-3 or 0.02 and a capped or
+            /// uncapped probe cache, take arrivals, workload changes
+            /// and departures. Before the first event and after each
+            /// one, every hosted tenant's `choose_move` equals the
+            /// unbounded loop's, every destination's priced cost
+            /// respects its floor, and no destination it bounded could
+            /// have been taken. Each case must see both passes skip,
+            /// destinations priced, full-grid and coarse-to-fine
+            /// destinations, tenants moved and probe rows evicted.
+            #[test]
+            fn bounded_choice_matches_the_unbounded_loop(
+                fleets in proptest::collection::vec(fleet_draw(), 8),
+            ) {
+                let mut seen = Coverage::default();
+                for (machines, events, options) in &fleets {
+                    check_fleet(machines, events, *options, &mut seen);
+                }
+                prop_assert!(seen.first > 0, "{seen:?}");
+                prop_assert!(seen.second > 0, "{seen:?}");
+                prop_assert!(seen.priced > 0, "{seen:?}");
+                prop_assert!(seen.tight > 0 && seen.loose > 0, "{seen:?}");
+                prop_assert!(seen.moves > 0 && seen.evictions > 0, "{seen:?}");
+            }
+        }
     }
 }

@@ -512,11 +512,6 @@ impl<'a> Calibrator<'a> {
         }
     }
 
-    /// The calibration settings in use.
-    pub fn config(&self) -> &CalibrationConfig {
-        &self.config
-    }
-
     /// Full calibration of one engine: I/O constants once, CPU
     /// parameters across the configured CPU levels at 50 % memory,
     /// renormalization, and the fitted `Cal_ik` functions.

@@ -709,6 +709,12 @@ fn grid_search<M: CostModel>(
 /// Unreachable DP state: no within-budget completion exists.
 const UNREACHABLE: (u32, f64) = (u32::MAX, f64::INFINITY);
 
+/// How far above its DP value, relative to `max(|value|, 1)`, an option
+/// may cost and still be taken when [`solve_dp`] reconstructs its
+/// choices. A grid optimum's reported cost can therefore exceed the
+/// true optimum by up to this much per workload.
+pub(crate) const DP_TIE_TOLERANCE: f64 = 1e-9;
+
 /// Lexicographic DP order: fewer unmet limits first, then weighted
 /// cost.
 fn lex_less(a: (u32, f64), b: (u32, f64)) -> bool {
@@ -755,7 +761,9 @@ fn solve_dp(
                     rest.0 + u32::from(!cell.within_limit),
                     cell.weighted + rest.1,
                 );
-                if v.0 == target.0 && (v.1 - target.1).abs() <= 1e-9 * target.1.abs().max(1.0) {
+                if v.0 == target.0
+                    && (v.1 - target.1).abs() <= DP_TIE_TOLERANCE * target.1.abs().max(1.0)
+                {
                     chosen.push(*cell);
                     for &j in &lattice.varied_idx {
                         left[j] -= cell.units[j];
